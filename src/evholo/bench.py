@@ -8,7 +8,7 @@ import numpy as np
 
 from .encode import EncodeConfig, encode_chsr
 from .errors import SpecInvalid
-from .events import EVENT_DTYPE, EventStream
+from .events import EventStream
 
 
 def synthetic_uniform_stream(n_events: int, geometry: tuple[int, int] = (346, 260),
@@ -19,12 +19,11 @@ def synthetic_uniform_stream(n_events: int, geometry: tuple[int, int] = (346, 26
         raise SpecInvalid(f"n_events must be >= 0, got {n_events}")
     w, h = geometry
     rng = np.random.default_rng(seed)
-    ev = np.empty(n_events, dtype=EVENT_DTYPE)
-    ev["x"] = rng.integers(0, w, n_events)
-    ev["y"] = rng.integers(0, h, n_events)
-    ev["t"] = np.sort(rng.integers(0, duration_us, n_events))
-    ev["p"] = rng.choice(np.array([-1, 1], dtype=np.int64), n_events)
-    return EventStream(geometry=geometry, events=ev).normalized()
+    x = rng.integers(0, w, n_events)
+    y = rng.integers(0, h, n_events)
+    t = np.sort(rng.integers(0, duration_us, n_events))
+    p = rng.choice(np.array([-1, 1], dtype=np.int64), n_events)
+    return EventStream.from_arrays(geometry, x, y, t, p).normalized()
 
 
 def encode_throughput(stream: EventStream, repeats: int,

@@ -132,7 +132,7 @@ def cmd_validate(args) -> int:
     print(
         f"total={report.total} out_of_bounds={report.out_of_bounds} "
         f"non_monotonic={report.non_monotonic} bad_polarity={report.bad_polarity} "
-        f"valid={'yes' if report.valid else 'no'}"
+        f"valid={'yes' if report.clean else 'no'}"
     )
     return EXIT_OK
 
@@ -274,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output HTEN path")
     p.add_argument("--pgm-dir", default=None,
                    help="also dump each channel as a PGM image into this directory")
-    p.add_argument("--threads", type=int, default=1, help="encoder worker threads")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility (must be >= 1); the encoder "
+                        "runs one vectorized pass and the output is the same "
+                        "for any value")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("spectrum", help="rate series, spectrum, and dominant tone")

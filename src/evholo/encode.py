@@ -16,17 +16,23 @@ floor(t * t_bins / (duration + 1)); subtracting t_min makes encoding
 shift-invariant for sub-streams extracted from a larger one. The +1 on
 duration lets the final event land in the last bin without a special
 case. Out-of-geometry events are dropped and counted, never clamped.
+Temporal bins are computed exactly in int64; a stream whose
+(duration + 1) * t_bins does not fit raises `TooLarge`.
+
+Each encoder makes one vectorized pass over the stream's int64 columns:
+phi is looked up in a W-entry table, both polarity counts come from one
+`bincount`, and the holographic channel from one weighted `bincount` in
+event order, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
-from .errors import ChannelOutOfRange, ConfigInvalid
+from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
 from .events import EventStream
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
@@ -34,6 +40,7 @@ ViewKind = Literal["hw", "tw", "th"]
 
 _NORMALIZE_MODES = ("none", "per_channel_max", "log1p")
 _VIEW_KINDS = ("hw", "tw", "th")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def phi(x, w_sensor: int):
@@ -112,69 +119,56 @@ def _normalize(data: np.ndarray, mode: str) -> np.ndarray:
     return np.log1p(data)
 
 
-def _plane_histograms(ev, geometry, rows_of, row_bins, cols_of, col_bins,
-                      t_min, duration, with_phi):
-    """Accumulate one event chunk into (pos, neg[, phi]) plane histograms."""
-    w, h = geometry
-    x, y, t, p = ev["x"], ev["y"], ev["t"], ev["p"]
-    inb = (x >= 0) & (x < w) & (y >= 0) & (y < h)
-    dropped = int(len(ev) - inb.sum())
-    if dropped:
+def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi,
+                workers):
+    """Bin the stream once into (pos, neg[, phi]) planes of row_bins x col_bins.
+
+    `workers` is validated and otherwise ignored: one vectorized pass is
+    faster than splitting the stream, and every channel is bit-identical
+    for any worker count.
+    """
+    if workers < 1:
+        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
+    w, h = stream.geometry
+    ev = stream.events
+    x, y, t, p = ev.x, ev.y, ev.t, ev.p
+    t_min = int(t.min()) if len(t) else 0
+    duration = int(t.max()) - t_min if len(t) else 0
+    # Viewed as uint64, negative coordinates exceed any bound, so one
+    # comparison per axis covers both ends.
+    ux, uy = x.view(np.uint64), y.view(np.uint64)
+    dropped = 0
+    if len(x) and (ux.max() >= w or uy.max() >= h):
+        inb = (ux < w) & (uy < h)
+        dropped = len(x) - int(np.count_nonzero(inb))
         x, y, t, p = x[inb], y[inb], t[inb], p[inb]
 
     def axis_bin(which, bins):
         if which == "t":
-            return ((t - t_min) * bins) // (duration + 1)
-        if which == "y":
-            return (y * bins) // h
-        return (x * bins) // w
+            if (duration + 1) * bins > _INT64_MAX:
+                raise TooLarge(
+                    f"(duration + 1) * t_bins = {(duration + 1) * bins} "
+                    f"overflows int64 temporal binning"
+                )
+            shifted = t - t_min if t_min else t
+            return (shifted * bins) // (duration + 1)
+        v, extent = (y, h) if which == "y" else (x, w)
+        return v if bins == extent else (v * bins) // extent
 
     flat = axis_bin(rows_of, row_bins) * col_bins + axis_bin(cols_of, col_bins)
     size = row_bins * col_bins
-    pos = np.bincount(flat[p == 1], minlength=size)
-    neg = np.bincount(flat[p == -1], minlength=size)
-    planes = [pos, neg]
+    # One count over (cell, polarity) keys: even = positive, odd = negative.
+    neg = p == -1
+    key = flat * 2 + neg
+    signed = neg | (p == 1)
+    if not signed.all():
+        key = key[signed]
+    counts = np.bincount(key, minlength=2 * size).reshape(size, 2).T
+    planes = [counts[0].astype(np.float64), counts[1].astype(np.float64)]
     if with_phi:
-        planes.append(np.bincount(flat, weights=phi(x, w), minlength=size))
-    return planes, dropped
-
-
-def _accumulate(stream, rows_of, row_bins, cols_of, col_bins, with_phi,
-                workers):
-    """Chunk the stream across workers and reduce partials in worker order.
-
-    Integer planes are bit-identical for any worker count; the phi plane is
-    bit-identical for a fixed worker count and within relative 1e-9 across
-    counts (float accumulation order).
-    """
-    duration = stream.duration
-    t_min = int(stream.events["t"].min()) if len(stream.events) else 0
-    shape = (row_bins, col_bins)
-
-    def chunk_job(chunk):
-        return _plane_histograms(chunk, stream.geometry, rows_of, row_bins,
-                                 cols_of, col_bins, t_min, duration, with_phi)
-
-    chunks = np.array_split(stream.events, max(1, workers))
-    if workers <= 1 or len(stream.events) == 0:
-        results = [chunk_job(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk_job, chunks))
-
-    n_planes = 3 if with_phi else 2
-    totals = [np.zeros(row_bins * col_bins, dtype=np.float64) for _ in range(n_planes)]
-    int_totals = [np.zeros(row_bins * col_bins, dtype=np.int64) for _ in range(2)]
-    dropped = 0
-    for planes, d in results:
-        dropped += d
-        int_totals[0] += planes[0]
-        int_totals[1] += planes[1]
-        if with_phi:
-            totals[2] += planes[2]
-    totals[0] = int_totals[0].astype(np.float64)
-    totals[1] = int_totals[1].astype(np.float64)
-    return [t.reshape(shape) for t in totals], dropped
+        phi_x = phi(np.arange(w), w)[x]  # W-entry table, bit-identical to phi(x, w)
+        planes.append(np.bincount(flat, weights=phi_x, minlength=size))
+    return [plane.reshape(row_bins, col_bins) for plane in planes], dropped
 
 
 def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
@@ -182,11 +176,14 @@ def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
     """Encode a normalized stream into the 3-channel time-height tensor.
 
     Channel 0/1 count positive/negative events per (time bin, height bin)
-    cell; channel 2 accumulates phi(x) over all events regardless of
-    polarity. An empty stream yields the all-zero tensor with dropped = 0.
+    cell; channel 2 accumulates phi(x) over all in-geometry events
+    regardless of polarity. An empty stream yields the all-zero tensor
+    with dropped = 0. `workers` must be >= 1 and leaves the result
+    unchanged. Raises `TooLarge` when (duration + 1) * t_bins overflows
+    int64.
     """
     cfg = (config or EncodeConfig()).resolved(stream.geometry)
-    planes, dropped = _accumulate(
+    planes, dropped = _histograms(
         stream, "t", cfg.t_bins, "y", cfg.h_bins, True, workers
     )
     data = _normalize(np.stack(planes), cfg.normalize)
@@ -209,7 +206,7 @@ def encode_view(stream: EventStream, view: ViewKind,
         "tw": ("t", cfg.t_bins, "x", cfg.w_bins),
         "th": ("t", cfg.t_bins, "y", cfg.h_bins),
     }[view]
-    planes, dropped = _accumulate(stream, *axes, False, workers)
+    planes, dropped = _histograms(stream, *axes, False, workers)
     data = _normalize(np.stack(planes), cfg.normalize)
     return ViewTensor(view=view, data=data, dropped=dropped, config=cfg)
 

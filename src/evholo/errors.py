@@ -56,6 +56,15 @@ class BadPolarity(ParseError):
         super().__init__(f"bad polarity {value} at byte offset {offset}")
 
 
+class BadTimestamp(ParseError):
+    """Binary event record with a u64 timestamp outside the int64 range."""
+
+    def __init__(self, offset: int, value: int):
+        self.offset = offset
+        self.value = value
+        super().__init__(f"timestamp {value} >= 2**63 at byte offset {offset}")
+
+
 class DtypeUnknown(ParseError):
     """Tensor file header carries an unknown dtype code."""
 
@@ -89,7 +98,8 @@ class NonFinite(EvholoError, ValueError):
 
 
 class TooLarge(EvholoError, ValueError):
-    """Brute-force oracle invoked on an operand above its size guard."""
+    """Operand above a size guard: a brute-force oracle input too big, or a
+    stream whose temporal binning would overflow int64."""
 
 
 class BadBin(EvholoError, ValueError):

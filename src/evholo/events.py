@@ -3,7 +3,13 @@
 An event is the asynchronous sensor record (x, y, t, p): pixel coordinates,
 a timestamp in integer microseconds, and a brightness-change polarity in
 {-1, +1}. Streams are normalized at ingestion: events sorted by timestamp
-(stable) and shifted so the earliest timestamp is 0.
+(stable) and shifted so the earliest timestamp is 0. A stream that is
+already sorted, as HEVS files written by this package are, skips the sort.
+
+In memory a stream stores its events column-wise (`EventColumns`): four
+contiguous int64 arrays x, y, t and p, one value per event, rather than
+one 32-byte record per event. ``events["t"]`` is the timestamp column and
+``events[mask]`` selects events from all four columns at once.
 
 Two interchange formats are supported:
 
@@ -14,7 +20,9 @@ Two interchange formats are supported:
           {x u16 LE, y u16 LE, t u64 LE, p i8}
 
 Parsers are lossless: out-of-bounds coordinates are retained and only
-flagged by `validate_stream`; encoders decide their own domain.
+flagged by `validate_stream`; encoders decide their own domain. An HEVS
+timestamp of 2**63 or more does not fit the int64 column and is rejected
+with `BadTimestamp`.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     BadPolarity,
+    BadTimestamp,
     EmptyInput,
     GeometryMissing,
     MalformedLine,
@@ -35,7 +44,7 @@ from .errors import (
     TruncatedRecord,
 )
 
-EVENT_DTYPE = np.dtype([("x", "<i8"), ("y", "<i8"), ("t", "<i8"), ("p", "<i8")])
+_FIELDS = ("x", "y", "t", "p")
 
 HEVS_MAGIC = b"HEVS"
 HEVS_HEADER = 20  # magic4 + version1 + reserved3 + W2 + H2 + count8
@@ -62,24 +71,67 @@ class Event(NamedTuple):
     p: int
 
 
+class EventColumns:
+    """Four equal-length, contiguous int64 columns x, y, t, p.
+
+    Indexed like a structured array with those fields: ``cols["x"]`` is a
+    column, ``cols[i]`` with an integer is one `Event`, and any other index
+    (slice, boolean mask, permutation) selects the same events from every
+    column and returns new `EventColumns`.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self, x, y, t, p):
+        cols = [np.ascontiguousarray(c, dtype=np.int64) for c in (x, y, t, p)]
+        n = len(cols[0])
+        if any(c.ndim != 1 or len(c) != n for c in cols):
+            raise ValueError(
+                f"columns must be 1-D of one length, got shapes "
+                f"{[c.shape for c in cols]}"
+            )
+        self.x, self.y, self.t, self.p = cols
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            if key not in _FIELDS:
+                raise KeyError(key)
+            return getattr(self, key)
+        if isinstance(key, (int, np.integer)):
+            return Event(int(self.x[key]), int(self.y[key]), int(self.t[key]),
+                         int(self.p[key]))
+        return EventColumns(self.x[key], self.y[key], self.t[key], self.p[key])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
+
+
 @dataclass(frozen=True, eq=False)
 class EventStream:
     """An ordered event collection with its sensor geometry.
 
-    `events` is a structured array with fields x, y, t, p (int64 each).
+    `events` holds the events as `EventColumns`: one contiguous int64
+    array per field, so ``events["t"]`` is a plain array and
+    ``events[mask]`` a column-wise selection. A structured array or any
+    other mapping with x, y, t, p fields is converted on construction.
     Normalized streams are timestamp-sorted with t starting at 0; raw
     (directly constructed) streams may violate that, which is what
     `validate_stream` reports on.
     """
 
     geometry: tuple[int, int]
-    events: np.ndarray
+    events: EventColumns
 
     def __post_init__(self):
-        ev = np.asarray(self.events)
-        if ev.dtype != EVENT_DTYPE:
-            ev = ev.astype(EVENT_DTYPE)
-        object.__setattr__(self, "events", ev)
+        if not isinstance(self.events, EventColumns):
+            object.__setattr__(
+                self, "events", EventColumns(*(self.events[f] for f in _FIELDS))
+            )
         w, h = self.geometry
         if w < 1 or h < 1:
             raise ValueError(f"geometry must be positive, got {self.geometry}")
@@ -87,48 +139,50 @@ class EventStream:
 
     @classmethod
     def from_arrays(cls, geometry, x, y, t, p) -> "EventStream":
-        ev = np.empty(len(x), dtype=EVENT_DTYPE)
-        ev["x"], ev["y"], ev["t"], ev["p"] = x, y, t, p
-        return cls(geometry=tuple(geometry), events=ev)
+        return cls(geometry=tuple(geometry), events=EventColumns(x, y, t, p))
 
     @classmethod
     def empty(cls, geometry) -> "EventStream":
-        return cls(geometry=tuple(geometry), events=np.empty(0, dtype=EVENT_DTYPE))
+        return cls.from_arrays(geometry, [], [], [], [])
 
     @property
     def duration(self) -> int:
         """t_max - t_min in microseconds; 0 for an empty stream."""
-        if len(self.events) == 0:
+        t = self.events.t
+        if len(t) == 0:
             return 0
-        t = self.events["t"]
-        return int(t.max() - t.min())
+        return int(t.max()) - int(t.min())
 
     def normalized(self) -> "EventStream":
-        """Stable-sort by timestamp and shift so t_min = 0."""
-        if len(self.events) == 0:
-            return EventStream(self.geometry, self.events.copy())
-        order = np.argsort(self.events["t"], kind="stable")
-        ev = self.events[order]
-        ev["t"] -= ev["t"][0]
-        return EventStream(self.geometry, ev)
+        """Stable-sort by timestamp and shift so t_min = 0.
+
+        An already sorted stream skips the sort: the result shares its x, y
+        and p columns with this stream and gets a shifted copy of t. The
+        input is never modified.
+        """
+        ev = self.events
+        if len(ev) and not np.all(ev.t[:-1] <= ev.t[1:]):
+            ev = ev[np.argsort(ev.t, kind="stable")]
+        t = ev.t
+        if len(t) and t[0] != 0:
+            t = t - t[0]
+        return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __iter__(self) -> Iterator[Event]:
-        for rec in self.events:
-            yield Event(int(rec["x"]), int(rec["y"]), int(rec["t"]), int(rec["p"]))
+        ev = self.events
+        for rec in zip(*(getattr(ev, f).tolist() for f in _FIELDS)):
+            yield Event(*rec)
 
     def __getitem__(self, i: int) -> Event:
-        rec = self.events[i]
-        return Event(int(rec["x"]), int(rec["y"]), int(rec["t"]), int(rec["p"]))
+        return self.events[int(i)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(
-            self.events, other.events
-        )
+        return self.geometry == other.geometry and self.events == other.events
 
     def __repr__(self) -> str:
         w, h = self.geometry
@@ -237,9 +291,8 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
-    ev = np.array(rows, dtype=np.int64)
-    stream = EventStream.from_arrays(geom, ev[:, 0], ev[:, 1], ev[:, 2], ev[:, 3])
-    return stream.normalized()
+    cols = np.array(rows, dtype=np.int64).T.copy()  # one contiguous row per field
+    return EventStream.from_arrays(geom, *cols).normalized()
 
 
 def write_events_csv(stream: EventStream) -> bytes:
@@ -276,16 +329,19 @@ def parse_events_binary(data: bytes) -> EventStream:
     if count == 0:
         return EventStream.empty((w, h))
     recs = np.frombuffer(data, dtype=_HEVS_RECORD_DTYPE, count=count, offset=HEVS_HEADER)
-    p = recs["p"].astype(np.int64)
-    bad = np.nonzero((p != -1) & (p != 0) & (p != 1))[0]
-    if bad.size:
-        off = HEVS_HEADER + int(bad[0]) * HEVS_RECORD + 12
-        raise BadPolarity(off, int(p[bad[0]]))
+    p = recs["p"]
+    bad = (p < -1) | (p > 1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise BadPolarity(HEVS_HEADER + i * HEVS_RECORD + 12, int(p[i]))
+    # u64 -> i64 maps exactly the timestamps >= 2**63 onto negative values
+    t = recs["t"].astype(np.int64)
+    if t.min() < 0:
+        i = int((t < 0).argmax())
+        raise BadTimestamp(HEVS_HEADER + i * HEVS_RECORD + 4, int(recs["t"][i]))
+    p = p.astype(np.int64)
     p[p == 0] = -1
-    stream = EventStream.from_arrays(
-        (w, h), recs["x"], recs["y"], recs["t"].astype(np.int64), p
-    )
-    return stream.normalized()
+    return EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p).normalized()
 
 
 def write_events_binary(stream: EventStream) -> bytes:

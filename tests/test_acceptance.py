@@ -7,7 +7,6 @@ criterion through the test names. Runtime budgets are asserted inline.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -184,11 +183,11 @@ def test_criterion_08_thread_determinism(tmp_path):
     _report(8, "encode identical for threads 1/2/8", t0, 30.0)
 
 
-def test_criterion_09_throughput_floor():
+def test_criterion_09_throughput_floor(tmp_path):
     t0 = time.perf_counter()
     stream = synthetic_uniform_stream(1_000_000)
     report = encode_throughput(stream, repeats=3, workers=1)
-    artifact = Path(__file__).resolve().parents[1] / "bench_report.json"
+    artifact = tmp_path / "bench_report.json"
     artifact.write_text(json.dumps(report, indent=2) + "\n")
     assert report["events_per_sec"] >= 5e6, report
     _report(9, f"{report['events_per_sec'] / 1e6:.1f}M events/s single-threaded",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from evholo import read_tensor
+from evholo import EventStream, read_tensor, write_events_binary
 from evholo.cli import main
 from evholo.gsg import LN_EPS, GsgParams, params_to_archive
 from evholo.tensorio import write_tensor
@@ -53,6 +53,13 @@ def test_validate_reports_counters(tmp_path, capsys):
     assert main(["validate", "--in", str(path)]) == 0
     out = capsys.readouterr().out
     assert "out_of_bounds=0" in out and "valid=yes" in out
+    # one event beyond the sensor width makes the stream defective
+    bad = tmp_path / "oob.hevs"
+    bad.write_bytes(write_events_binary(EventStream.from_arrays(
+        (8, 8), [1, 9, 2], [1, 1, 1], [0, 1, 2], [1, 1, -1])))
+    assert main(["validate", "--in", str(bad)]) == 0
+    out = capsys.readouterr().out.split()
+    assert "out_of_bounds=1" in out and "valid=no" in out
 
 
 def test_encode_chsr_dims(tmp_path, capsys):
@@ -92,6 +99,7 @@ def test_encode_threads_agree(tmp_path):
         assert tensors[n][:2].tobytes() == tensors[1][:2].tobytes()
         denom = np.maximum(np.abs(tensors[1][2]), 1e-30)
         assert (np.abs(tensors[n][2] - tensors[1][2]) / denom).max() < 1e-9
+        assert tensors[n].tobytes() == tensors[1].tobytes()
 
 
 def test_encode_pgm_dump(tmp_path):
@@ -124,6 +132,12 @@ def test_encode_data_error_leaves_no_output(tmp_path):
                     + bytes(17))
     out = tmp_path / "x.hten"
     assert main(["encode", "--in", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    # a duration whose temporal binning overflows int64
+    long = tmp_path / "long.hevs"
+    long.write_bytes(write_events_binary(EventStream.from_arrays(
+        (8, 8), [1, 2], [1, 1], [0, 2 ** 60], [1, 1])))
+    assert main(["encode", "--in", str(long), "--out", str(out)]) == 2
     assert not out.exists()
 
 

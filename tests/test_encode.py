@@ -8,6 +8,7 @@ from evholo import (
     ConfigInvalid,
     EncodeConfig,
     EventStream,
+    TooLarge,
     encode_chsr,
     encode_view,
     export_channel_image,
@@ -19,19 +20,23 @@ def chsr_reference(stream, t_bins, h_bins):
     """Naive single-loop encoder: one event at a time, scalar math only.
 
     Deliberately shares no vectorized machinery with the implementation.
+    Works on raw streams too: bins count from the smallest timestamp, and
+    a polarity outside {-1, +1} adds to channel 2 only.
     """
     w, h = stream.geometry
     ts = [int(t) for t in stream.events["t"]]
-    dur = (max(ts) - min(ts)) if ts else 0
+    t0 = min(ts) if ts else 0
+    dur = (max(ts) - t0) if ts else 0
     out = np.zeros((3, t_bins, h_bins))
     dropped = 0
     for e in stream:
         if not (0 <= e.x < w and 0 <= e.y < h):
             dropped += 1
             continue
-        tb = (e.t * t_bins) // (dur + 1)
+        tb = ((e.t - t0) * t_bins) // (dur + 1)
         yb = (e.y * h_bins) // h
-        out[0 if e.p > 0 else 1, tb, yb] += 1
+        if e.p in (1, -1):
+            out[0 if e.p == 1 else 1, tb, yb] += 1
         out[2, tb, yb] += math.sin(math.pi * e.x / w)
     return out, dropped
 
@@ -88,13 +93,26 @@ def test_phi_endpoints_accumulate_in_one_cell():
     assert t.data[0, 0, yb] == 1.0 and t.data[1, 0, yb] == 1.0
 
 
+def raw_stream(n, geometry=(100, 80), seed=0):
+    """Unsorted stream with t_min > 0, out-of-bounds events on every side
+    and some polarity-7 events, as a directly constructed stream may be."""
+    s = random_stream(n, geometry=geometry, seed=seed, oob_fraction=0.05)
+    rng = np.random.default_rng(seed + 1)
+    ev = s.events[rng.permutation(n)]
+    x, p = ev["x"].copy(), ev["p"].copy()
+    x[:20] = -rng.integers(1, 5, 20)
+    p[20:20 + n // 50] = 7
+    return EventStream.from_arrays(geometry, x, ev["y"], ev["t"] + 12_345, p)
+
+
 def test_matches_naive_reference_on_large_random_stream():
-    s = random_stream(100_000, geometry=(100, 80), seed=2, oob_fraction=0.03)
-    ref, ref_dropped = chsr_reference(s, 224, 80)
-    t = encode_chsr(s)
-    assert t.dropped == ref_dropped
-    assert np.array_equal(t.data[:2], ref[:2])
-    assert np.allclose(t.data[2], ref[2], rtol=1e-12, atol=1e-12)
+    for s in (random_stream(100_000, geometry=(100, 80), seed=2, oob_fraction=0.03),
+              raw_stream(20_000, seed=14)):
+        ref, ref_dropped = chsr_reference(s, 224, 80)
+        t = encode_chsr(s)
+        assert t.dropped == ref_dropped
+        assert np.array_equal(t.data[:2], ref[:2])
+        assert np.allclose(t.data[2], ref[2], rtol=1e-12, atol=1e-12)
 
 
 def test_count_conservation_with_dropped():
@@ -155,6 +173,10 @@ def test_worker_counts_agree():
     # fixed worker count is bit-reproducible
     assert encode_chsr(s, workers=3).data.tobytes() == \
         encode_chsr(s, workers=3).data.tobytes()
+    # all three channels, the holographic one included, are bit-identical
+    # for any worker count
+    for workers in (2, 8):
+        assert encode_chsr(s, workers=workers).data.tobytes() == base.data.tobytes()
 
 
 def test_th_view_equals_chsr_density_channels():
@@ -205,6 +227,26 @@ def test_config_validation():
         EncodeConfig(h_bins=-1)
     with pytest.raises(ConfigInvalid):
         EncodeConfig(normalize="sqrt")
+    with pytest.raises(ConfigInvalid):
+        encode_chsr(random_stream(10), workers=0)
+
+
+def test_temporal_binning_overflow_is_rejected():
+    # (duration + 1) * t_bins overflows int64: both events used to land in row 0
+    s = EventStream.from_arrays((8, 8), [0, 0], [0, 0], [0, 2 ** 60], [1, 1])
+    with pytest.raises(TooLarge):
+        encode_chsr(s)
+    with pytest.raises(TooLarge):
+        encode_view(s, "tw")
+    assert encode_view(s, "hw").data.sum() == 2.0  # no temporal axis
+    # the longest duration that still fits bins exactly
+    dur = (2 ** 63 - 1) // 224 - 1
+    s = EventStream.from_arrays((8, 8), [0, 0], [0, 0], [0, dur], [1, 1])
+    t = encode_chsr(s)
+    assert t.data[0, 0, 0] == 1.0 and t.data[0, 223, 0] == 1.0
+    s = EventStream.from_arrays((8, 8), [0, 0], [0, 0], [0, dur + 1], [1, 1])
+    with pytest.raises(TooLarge):
+        encode_chsr(s)
 
 
 def test_per_channel_max_normalization():

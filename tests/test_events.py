@@ -15,9 +15,11 @@ from evholo import (
 from evholo.errors import (
     BadMagic,
     BadPolarity,
+    BadTimestamp,
     EmptyInput,
     GeometryMissing,
     MalformedLine,
+    ParseError,
     TruncatedRecord,
 )
 from evholo.events import HEVS_HEADER, HEVS_RECORD
@@ -47,6 +49,12 @@ def test_csv_stable_sort_preserves_tie_order():
         _csv(["# geometry 10x10", "x,y,t,p", "1,0,50,1", "2,0,50,1", "3,0,40,1"])
     )
     assert [(e.x, e.t) for e in s] == [(3, 0), (1, 10), (2, 10)]
+    # an unsorted HEVS file with tied timestamps takes the same stable sort
+    raw = EventStream.from_arrays((10, 10), [1, 2, 3, 4, 5, 6], [0] * 6,
+                                  [50, 50, 40, 50, 40, 60], [1] * 6)
+    s = parse_events_binary(write_events_binary(raw))
+    assert [(e.x, e.t) for e in s] == [(3, 0), (5, 0), (1, 10), (2, 10),
+                                       (4, 10), (6, 20)]
 
 
 def test_csv_zero_polarity_maps_to_negative():
@@ -116,6 +124,25 @@ def test_hevs_round_trip_field_identical():
     assert parsed == s
     # bit-exact on the wire too
     assert write_events_binary(parsed) == write_events_binary(s)
+    # a column-wise selection is a stream of its own and round-trips too
+    mask = s.events["p"] == 1
+    kept = EventStream(s.geometry, s.events[mask])
+    assert len(kept) == mask.sum()
+    assert kept[0] == s[int(np.argmax(mask))]
+    assert parse_events_binary(write_events_binary(kept)) == kept.normalized()
+
+
+def test_normalized_shifts_without_mutating_input():
+    sorted_raw = EventStream.from_arrays((8, 8), [1, 2, 3], [0, 0, 0],
+                                         [5, 7, 7], [1, -1, 1])
+    unsorted_raw = EventStream.from_arrays((8, 8), [1, 2, 3], [0, 0, 0],
+                                           [7, 5, 7], [1, -1, 1])
+    for raw, want in ((sorted_raw, [(1, 0), (2, 2), (3, 2)]),
+                      (unsorted_raw, [(2, 0), (1, 2), (3, 2)])):
+        before = [tuple(e) for e in raw]
+        n = raw.normalized()
+        assert [(e.x, e.t) for e in n] == want
+        assert [tuple(e) for e in raw] == before
 
 
 def test_hevs_header_only_is_empty_stream():
@@ -147,6 +174,22 @@ def test_hevs_bad_polarity_offset():
     with pytest.raises(BadPolarity) as exc:
         parse_events_binary(bytes(blob))
     assert exc.value.offset == HEVS_HEADER + HEVS_RECORD + 12
+
+
+def test_hevs_timestamp_beyond_int64_is_rejected():
+    s = EventStream.from_arrays((8, 8), [1, 2, 3], [1, 1, 1], [0, 4, 9], [1, 1, 1])
+    blob = bytearray(write_events_binary(s))
+    off = HEVS_HEADER + 2 * HEVS_RECORD + 4  # third record's t field
+    blob[off:off + 8] = (2 ** 63 + 5).to_bytes(8, "little")
+    with pytest.raises(BadTimestamp) as exc:
+        parse_events_binary(bytes(blob))
+    assert isinstance(exc.value, ParseError)
+    assert exc.value.offset == off
+    assert exc.value.value == 2 ** 63 + 5
+    assert str(off) in str(exc.value)
+    # the largest int64 timestamp still parses
+    blob[off:off + 8] = (2 ** 63 - 1).to_bytes(8, "little")
+    assert parse_events_binary(bytes(blob))[2].t == 2 ** 63 - 1
 
 
 def test_hevs_zero_polarity_maps_to_negative():
