@@ -90,8 +90,8 @@ def _parse_geometry_flag(text: str) -> tuple[int, int]:
     if not m:
         raise UsageError(f"--geometry: expected WxH (e.g. 346x260), got {text!r}")
     w, h = int(m.group(1)), int(m.group(2))
-    if w < 1 or h < 1:
-        raise UsageError(f"--geometry: dimensions must be >= 1, got {text!r}")
+    if not (1 <= w <= 0xFFFF and 1 <= h <= 0xFFFF):  # HEVS stores u16 sides
+        raise UsageError(f"--geometry: dimensions must be in 1..65535, got {text!r}")
     return w, h
 
 

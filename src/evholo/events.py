@@ -249,7 +249,7 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
 
     Geometry comes from a ``# geometry WxH`` comment line or the explicit
     argument (the argument wins). Line numbers in errors are 1-based
-    physical line numbers.
+    physical line numbers; a field outside int64 is a `MalformedLine` too.
     """
     try:
         text = data.decode("utf-8")
@@ -291,8 +291,21 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
-    cols = np.array(rows, dtype=np.int64).T.copy()  # one contiguous row per field
+    try:
+        cols = np.array(rows, dtype=np.int64).T.copy()  # one contiguous row per field
+    except OverflowError:
+        raise _int64_overflow(text, rows) from None
     return EventStream.from_arrays(geom, *cols).normalized()
+
+
+def _int64_overflow(text: str, rows: list) -> MalformedLine:
+    """The error for the first CSV row with a field outside int64."""
+    lo, hi = -(1 << 63), (1 << 63) - 1
+    i = next(i for i, row in enumerate(rows) if not all(lo <= v <= hi for v in row))
+    # every line that is neither blank nor a comment is the header or one row
+    lines = [n for n, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.strip().startswith("#")]
+    return MalformedLine(lines[i + 1], "field outside the int64 range")
 
 
 def write_events_csv(stream: EventStream) -> bytes:
@@ -347,6 +360,9 @@ def parse_events_binary(data: bytes) -> EventStream:
 def write_events_binary(stream: EventStream) -> bytes:
     """Serialize a stream to HEVS bytes."""
     ev = stream.events
+    w, h = stream.geometry
+    if max(w, h) >= 1 << 16:
+        raise ValueError(f"geometry {w}x{h} outside u16 range")
     if len(ev):
         for field, limit in (("x", 1 << 16), ("y", 1 << 16)):
             vals = ev[field]
@@ -354,7 +370,6 @@ def write_events_binary(stream: EventStream) -> bytes:
                 raise ValueError(f"{field} values outside u16 range")
         if ev["t"].min() < 0:
             raise ValueError("negative timestamps are not representable")
-    w, h = stream.geometry
     header = (
         HEVS_MAGIC
         + bytes([1, 0, 0, 0])

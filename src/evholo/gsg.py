@@ -13,6 +13,10 @@ the probe loss L = sum(x_out * upstream); everything else is reachable
 through the generic central-difference machinery, which doubles as the
 oracle for the analytic path.
 
+Inputs are validated once, at each public entry, which then calls the
+unchecked 64-bit cores `_conv`, `_filter` and `_gate`; `GsgParams` checks
+its own arrays when it is built.
+
 Gradient convention: each complex weight is two real parameters (re, im),
 and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
 """
@@ -26,6 +30,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
+from .spectral import half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
 
@@ -43,13 +48,8 @@ PARAM_SECTIONS = (
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # branch on sign so exp never overflows
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # the tanh form cannot overflow for any finite v
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
 
 
 def _as_feature(x) -> np.ndarray:
@@ -69,7 +69,7 @@ class GsgParams:
     """Immutable parameter bundle for one gating block.
 
     spectral_weight holds one complex weight per retained half-spectrum bin
-    per channel: shape C x rows x (cols // 2 + 1) for the feature shape it
+    per channel: shape C x rows x half_cols(cols) for the feature shape it
     will be applied to.
     """
 
@@ -88,26 +88,19 @@ class GsgParams:
         w = np.asarray(self.spectral_weight, dtype=np.complex128)
         if w.ndim != 3 or w.shape[0] != c:
             raise ShapeMismatch(
-                f"spectral_weight must be (C={c}, rows, cols//2+1), got {w.shape}"
+                f"spectral_weight must be (C={c}, rows, half_cols(cols)), got {w.shape}"
             )
-        vec = {}
-        for name in ("ln_gamma", "ln_beta", "gate_bias"):
+        arrays = {"dw_kernel": dw, "spectral_weight": w}
+        for name, shape in (("ln_gamma", (c,)), ("ln_beta", (c,)),
+                            ("gate_weight", (c, c)), ("gate_bias", (c,))):
             v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (c,):
-                raise ShapeMismatch(f"{name} must have shape ({c},), got {v.shape}")
-            vec[name] = v
-        gw = np.asarray(self.gate_weight, dtype=np.float64)
-        if gw.shape != (c, c):
-            raise ShapeMismatch(f"gate_weight must be ({c}, {c}), got {gw.shape}")
-        for name, arr in (("dw_kernel", dw), ("spectral_weight", w),
-                          ("gate_weight", gw), *vec.items()):
+            if v.shape != shape:
+                raise ShapeMismatch(f"{name} must have shape {shape}, got {v.shape}")
+            arrays[name] = v
+        for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise NonFinite(f"{name} contains NaN or Inf")
-        object.__setattr__(self, "dw_kernel", dw)
-        object.__setattr__(self, "spectral_weight", w)
-        object.__setattr__(self, "gate_weight", gw)
-        for name, v in vec.items():
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, arr)
 
     @property
     def channels(self) -> int:
@@ -121,7 +114,7 @@ class GsgParams:
         dw[:, 1, 1] = 1.0
         return cls(
             dw_kernel=dw,
-            spectral_weight=np.ones((channels, rows, cols // 2 + 1), dtype=np.complex128),
+            spectral_weight=np.ones((channels, rows, half_cols(cols)), dtype=np.complex128),
             ln_gamma=np.ones(channels),
             ln_beta=np.zeros(channels),
             gate_weight=np.zeros((channels, channels)),
@@ -132,7 +125,7 @@ class GsgParams:
     def random(cls, channels: int, rows: int, cols: int, seed: int = 0) -> "GsgParams":
         """Smooth random parameters near the identity point, for testing."""
         rng = np.random.default_rng(seed)
-        hw = cols // 2 + 1
+        hw = half_cols(cols)
         w = 1.0 + 0.3 * (rng.standard_normal((channels, rows, hw))
                          + 1j * rng.standard_normal((channels, rows, hw)))
         return cls(
@@ -145,17 +138,77 @@ class GsgParams:
         )
 
 
-def _check_params_for(x: np.ndarray, params: GsgParams, need_spectral: bool) -> None:
+def _check_weights(x: np.ndarray, w: np.ndarray) -> None:
+    """w must be C x rows x half_cols(cols) for feature x; given a
+    params.spectral_weight this also checks the params' channel count."""
     c, rows, cols = x.shape
-    if params.channels != c:
+    expected = (c, rows, half_cols(cols))
+    if w.shape != expected:
         raise ShapeMismatch(
-            f"params built for {params.channels} channels, input has {c}"
+            f"spectral weights shape {w.shape} does not match feature shape "
+            f"{x.shape} (expected {expected})"
         )
-    if need_spectral and params.spectral_weight.shape != (c, rows, cols // 2 + 1):
+
+
+def _loss_inputs(x_in, params: GsgParams, upstream):
+    """Validated (x_in, upstream) for gsg_loss and grad_spectral_weight."""
+    a = _as_feature(x_in)
+    _check_weights(a, params.spectral_weight)
+    u = _as_feature(upstream)
+    if u.shape != a.shape:
         raise ShapeMismatch(
-            f"spectral_weight shape {params.spectral_weight.shape} does not match "
-            f"feature shape {x.shape} (expected {(c, rows, cols // 2 + 1)})"
+            f"upstream shape {u.shape} does not match input shape {a.shape}"
         )
+    return a, u
+
+
+def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 cross-correlation with zero padding 1."""
+    x64 = x.astype(np.float64, copy=False)
+    rows, cols = x.shape[1], x.shape[2]
+    xp = np.pad(x64, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros_like(x64)
+    for i in range(3):
+        for j in range(3):
+            out += k[:, i, j][:, None, None] * xp[:, i:i + rows, j:j + cols]
+    return out
+
+
+def _filter(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rfft2(x), irfft2(rfft2(x) * w)) per channel."""
+    xf = np.fft.rfft2(x.astype(np.float64, copy=False), axes=(1, 2))
+    return xf, np.fft.irfft2(xf * w, s=x.shape[1:], axes=(1, 2))
+
+
+def _gating_forward(z: np.ndarray, params: GsgParams):
+    """Gating internals in 64 bit; returns everything backward needs."""
+    z64 = z.astype(np.float64, copy=False)
+    g = params.ln_gamma[:, None, None]
+    b = params.ln_beta[:, None, None]
+    zc = z64 - z64.mean(axis=0)
+    inv = 1.0 / np.sqrt((zc * zc).mean(axis=0) + LN_EPS)
+    zhat = zc * inv
+    nrm = g * zhat + b
+    sig_n = _sigmoid(nrm)
+    carrier = nrm * sig_n
+    q = np.einsum("ij,jrc->irc", params.gate_weight, z64) + params.gate_bias[:, None, None]
+    gate = _sigmoid(q)
+    return zhat, inv, nrm, sig_n, carrier, gate
+
+
+def _gate(z: np.ndarray, params: GsgParams) -> np.ndarray:
+    """SiLU(LN(z)) * sigmoid(gate_weight @ z + gate_bias)."""
+    *_, carrier, gate = _gating_forward(z, params)
+    return carrier * gate
+
+
+def _forward(a: np.ndarray, params: GsgParams) -> np.ndarray:
+    """The block on validated input, cast back to a.dtype after each stage,
+    exactly as the public stage functions cast."""
+    dt = a.dtype
+    x_local = _conv(a, params.dw_kernel).astype(dt, copy=False)
+    z = _filter(x_local, params.spectral_weight)[1].astype(dt, copy=False)
+    return a + _gate(z, params).astype(dt, copy=False)
 
 
 def depthwise_conv3x3(x, kernels) -> np.ndarray:
@@ -168,47 +221,17 @@ def depthwise_conv3x3(x, kernels) -> np.ndarray:
         )
     if not np.isfinite(k).all():
         raise NonFinite("kernels contain NaN or Inf")
-    x64 = a.astype(np.float64)
-    rows, cols = a.shape[1], a.shape[2]
-    xp = np.pad(x64, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros_like(x64)
-    for i in range(3):
-        for j in range(3):
-            out += k[:, i, j][:, None, None] * xp[:, i:i + rows, j:j + cols]
-    return out.astype(a.dtype)
+    return _conv(a, k).astype(a.dtype, copy=False)
 
 
 def spectral_filter(x_local, w) -> np.ndarray:
     """Per channel: irfft2(rfft2(x_c) * w_c). Output is exactly real-typed."""
     a = _as_feature(x_local)
     wc = np.asarray(w, dtype=np.complex128)
-    c, rows, cols = a.shape
-    if wc.shape != (c, rows, cols // 2 + 1):
-        raise ShapeMismatch(
-            f"weights shape {wc.shape} does not match feature shape {a.shape} "
-            f"(expected {(c, rows, cols // 2 + 1)})"
-        )
+    _check_weights(a, wc)
     if not np.isfinite(wc).all():
         raise NonFinite("weights contain NaN or Inf")
-    z = np.fft.rfft2(a.astype(np.float64), axes=(1, 2))
-    out = np.fft.irfft2(z * wc, s=(rows, cols), axes=(1, 2))
-    return out.astype(a.dtype)
-
-
-def _gating_forward(z64: np.ndarray, params: GsgParams):
-    """Shared forward internals (64-bit); returns everything backward needs."""
-    g = params.ln_gamma[:, None, None]
-    b = params.ln_beta[:, None, None]
-    mu = z64.mean(axis=0)
-    zc = z64 - mu
-    inv = 1.0 / np.sqrt((zc * zc).mean(axis=0) + LN_EPS)
-    zhat = zc * inv
-    nrm = g * zhat + b
-    sig_n = _sigmoid(nrm)
-    carrier = nrm * sig_n
-    q = np.einsum("ij,jrc->irc", params.gate_weight, z64) + params.gate_bias[:, None, None]
-    gate = _sigmoid(q)
-    return zhat, inv, nrm, sig_n, carrier, gate
+    return _filter(a, wc)[1].astype(a.dtype, copy=False)
 
 
 def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
@@ -219,30 +242,25 @@ def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
     projection squashed by a sigmoid.
     """
     a = _as_feature(z)
-    _check_params_for(a, params, need_spectral=False)
-    *_, carrier, gate = _gating_forward(a.astype(np.float64), params)
-    return (carrier * gate).astype(a.dtype)
+    if params.channels != a.shape[0]:
+        raise ShapeMismatch(
+            f"params built for {params.channels} channels, input has {a.shape[0]}"
+        )
+    return _gate(a, params).astype(a.dtype, copy=False)
 
 
 def gsg_forward(x_in, params: GsgParams) -> np.ndarray:
     """x_in + gated_reconstruction(spectral_filter(depthwise_conv3x3(x_in)))."""
     a = _as_feature(x_in)
-    _check_params_for(a, params, need_spectral=True)
-    x_local = depthwise_conv3x3(a, params.dw_kernel)
-    z = spectral_filter(x_local, params.spectral_weight)
-    return a + gated_reconstruction(z, params)
+    _check_weights(a, params.spectral_weight)
+    return _forward(a, params)
 
 
 def gsg_loss(x_in, params: GsgParams, upstream) -> float:
     """Probe loss sum(gsg_forward(x_in) * upstream) used for gradient checks."""
-    a = _as_feature(x_in)
-    u = _as_feature(upstream)
-    if u.shape != a.shape:
-        raise ShapeMismatch(
-            f"upstream shape {u.shape} does not match input shape {a.shape}"
-        )
-    out = gsg_forward(a.astype(np.float64), params)
-    return float((out * u.astype(np.float64)).sum())
+    a, u = _loss_inputs(x_in, params, upstream)
+    out = _forward(a.astype(np.float64, copy=False), params)
+    return float((out * u.astype(np.float64, copy=False)).sum())
 
 
 def _gating_backward(z64: np.ndarray, params: GsgParams, dout: np.ndarray) -> np.ndarray:
@@ -259,21 +277,6 @@ def _gating_backward(z64: np.ndarray, params: GsgParams, dout: np.ndarray) -> np
     return inv * (dzhat - m1 - zhat * m2) + dz_gate
 
 
-def _half_spectrum_weights(cols: int) -> np.ndarray:
-    """Adjoint column weights: 1 at self-conjugate columns, 2 elsewhere.
-
-    Columns 0 (and cols//2 for even widths) appear once in the half-spectrum
-    layout; every other retained column stands for itself and its discarded
-    conjugate mirror, so its contribution to the loss is doubled.
-    """
-    hw = cols // 2 + 1
-    c = np.full(hw, 2.0)
-    c[0] = 1.0
-    if cols % 2 == 0:
-        c[-1] = 1.0
-    return c
-
-
 def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     """Analytic dL/dW for L = sum(gsg_forward(x_in) * upstream).
 
@@ -284,78 +287,58 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     scaled by 1/(rows*cols) with the Hermitian column double-counting),
     then the elementwise product rule against conj(rfft2(x_local)).
     """
-    a = _as_feature(x_in)
-    _check_params_for(a, params, need_spectral=True)
-    u = _as_feature(upstream)
-    if u.shape != a.shape:
-        raise ShapeMismatch(
-            f"upstream shape {u.shape} does not match input shape {a.shape}"
-        )
-    x64 = a.astype(np.float64)
-    u64 = u.astype(np.float64)
+    a, u = _loss_inputs(x_in, params, upstream)
     rows, cols = a.shape[1], a.shape[2]
-
-    x_local = depthwise_conv3x3(x64, params.dw_kernel)
-    zf = np.fft.rfft2(x_local, axes=(1, 2))
-    z = np.fft.irfft2(zf * params.spectral_weight, s=(rows, cols), axes=(1, 2))
-    u_z = _gating_backward(z, params, u64)
-    col_w = _half_spectrum_weights(cols)[None, None, :]
+    zf, z = _filter(_conv(a, params.dw_kernel), params.spectral_weight)
+    u_z = _gating_backward(z, params, u.astype(np.float64, copy=False))
+    col_w = half_spectrum_weights(cols)[None, None, :]
     g_s = np.fft.rfft2(u_z, axes=(1, 2)) * (col_w / (rows * cols))
     return g_s * np.conj(zf)
 
 
-def _param_layout(params: GsgParams) -> list[tuple[str, int]]:
-    w = params.spectral_weight.size
-    c = params.channels
-    return [
-        ("dw_kernel", params.dw_kernel.size),
-        ("spectral_weight_re", w),
-        ("spectral_weight_im", w),
-        ("ln_gamma", c),
-        ("ln_beta", c),
-        ("gate_weight", params.gate_weight.size),
-        ("gate_bias", c),
-    ]
+def _sections(params: GsgParams) -> dict[str, np.ndarray]:
+    """Name -> real array for every section, in PARAM_SECTIONS order."""
+    w = params.spectral_weight
+    split = {"spectral_weight_re": w.real, "spectral_weight_im": w.imag}
+    return {name: split[name] if name in split else getattr(params, name)
+            for name in PARAM_SECTIONS}
+
+
+def _from_sections(sections) -> GsgParams:
+    """Inverse of `_sections`: build GsgParams from a name -> array mapping."""
+    re, im = sections["spectral_weight_re"], sections["spectral_weight_im"]
+    if re.shape != im.shape:
+        raise ShapeMismatch(
+            f"spectral weight halves disagree: {re.shape} vs {im.shape}"
+        )
+    # re + 1j * im would turn an Inf into NaN with a warning
+    w = np.array(re, dtype=np.complex128)
+    w.imag = im
+    real = {name: sections[name] for name in PARAM_SECTIONS if name not in
+            ("spectral_weight_re", "spectral_weight_im")}
+    return GsgParams(spectral_weight=w, **real)
 
 
 def param_component_count(params: GsgParams) -> int:
     """Total scalar parameter components (complex weights count twice)."""
-    return sum(size for _, size in _param_layout(params))
+    return sum(a.size for a in _sections(params).values())
 
 
 def flatten_params(params: GsgParams) -> np.ndarray:
     """All scalar components as one vector, in PARAM_SECTIONS order."""
-    w = params.spectral_weight
-    return np.concatenate([
-        params.dw_kernel.ravel(),
-        w.real.ravel(),
-        w.imag.ravel(),
-        params.ln_gamma,
-        params.ln_beta,
-        params.gate_weight.ravel(),
-        params.gate_bias,
-    ])
+    return np.concatenate([a.ravel() for a in _sections(params).values()])
 
 
 def unflatten_params(template: GsgParams, theta: np.ndarray) -> GsgParams:
     """Rebuild a GsgParams with template's shapes from a flat vector."""
-    expected = param_component_count(template)
-    if theta.shape != (expected,):
-        raise ShapeMismatch(f"expected {expected} components, got {theta.shape}")
-    parts = []
-    offset = 0
-    for _, size in _param_layout(template):
-        parts.append(theta[offset:offset + size])
-        offset += size
-    wshape = template.spectral_weight.shape
-    return GsgParams(
-        dw_kernel=parts[0].reshape(template.dw_kernel.shape),
-        spectral_weight=(parts[1] + 1j * parts[2]).reshape(wshape),
-        ln_gamma=parts[3],
-        ln_beta=parts[4],
-        gate_weight=parts[5].reshape(template.gate_weight.shape),
-        gate_bias=parts[6],
-    )
+    sections = _sections(template)
+    ends = np.cumsum([a.size for a in sections.values()])
+    if theta.shape != (ends[-1],):
+        raise ShapeMismatch(f"expected {ends[-1]} components, got {theta.shape}")
+    return _from_sections({
+        name: theta[end - a.size:end].reshape(a.shape)
+        for (name, a), end in zip(sections.items(), ends)
+    })
 
 
 def spectral_weight_selectors(params: GsgParams) -> range:
@@ -414,16 +397,7 @@ def check_spectral_weight_gradients(x_in, params: GsgParams, upstream,
 
 def params_to_archive(params: GsgParams) -> bytes:
     """Serialize to the multi-tensor archive (sections in PARAM_SECTIONS order)."""
-    w = params.spectral_weight
-    return tensorio.write_archive([
-        ("dw_kernel", params.dw_kernel),
-        ("spectral_weight_re", np.ascontiguousarray(w.real)),
-        ("spectral_weight_im", np.ascontiguousarray(w.imag)),
-        ("ln_gamma", params.ln_gamma),
-        ("ln_beta", params.ln_beta),
-        ("gate_weight", params.gate_weight),
-        ("gate_bias", params.gate_bias),
-    ])
+    return tensorio.write_archive(_sections(params))
 
 
 def params_from_archive(data: bytes) -> GsgParams:
@@ -432,16 +406,4 @@ def params_from_archive(data: bytes) -> GsgParams:
     missing = [name for name in PARAM_SECTIONS if name not in arch]
     if missing:
         raise ParseError(f"params archive missing sections: {', '.join(missing)}")
-    re, im = arch["spectral_weight_re"], arch["spectral_weight_im"]
-    if re.shape != im.shape:
-        raise ShapeMismatch(
-            f"spectral weight halves disagree: {re.shape} vs {im.shape}"
-        )
-    return GsgParams(
-        dw_kernel=arch["dw_kernel"],
-        spectral_weight=re + 1j * im,
-        ln_gamma=arch["ln_gamma"],
-        ln_beta=arch["ln_beta"],
-        gate_weight=arch["gate_weight"],
-        gate_bias=arch["gate_bias"],
-    )
+    return _from_sections(arch)

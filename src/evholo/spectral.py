@@ -33,6 +33,19 @@ def half_cols(cols: int) -> int:
     return cols // 2 + 1
 
 
+def half_spectrum_weights(cols: int) -> np.ndarray:
+    """Half-spectrum column multiplicities: 1 for column 0 (and cols // 2
+    if cols is even), 2 for columns that also stand for a discarded mirror.
+
+    Parseval: sum(weights * |rfft2(x)|**2) / (rows * cols) == sum(x**2).
+    """
+    weights = np.full(half_cols(cols), 2.0)
+    weights[0] = 1.0
+    if cols % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def _as_real_2d(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:

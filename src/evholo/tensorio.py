@@ -15,7 +15,7 @@ HARC layout:
     magic   4 bytes  b"HARC"
     version u8       1
     count   u16
-    entries: { name_len u16, name UTF-8, embedded HTEN }
+    entries: { name_len u16, name UTF-8 (else ParseError), embedded HTEN }
 
 Files are byte-identical across platforms for identical inputs.
 """
@@ -32,6 +32,7 @@ from .errors import (
     DtypeUnknown,
     DuplicateName,
     LengthMismatch,
+    ParseError,
     ShapeMismatch,
 )
 
@@ -102,7 +103,10 @@ def _read_tensor_at(data: bytes, offset: int) -> tuple[np.ndarray, int]:
             f"payload needs {payload_len} bytes, only {len(data) - dims_end} available"
         )
     arr = np.frombuffer(data, dtype=dt, count=count, offset=dims_end)
-    return arr.reshape(dims), end
+    try:  # a zero dim lets the other dims exceed what NumPy can address
+        return arr.reshape(dims), end
+    except ValueError:
+        raise LengthMismatch(f"dims {dims} exceed the addressable array size") from None
 
 
 def read_tensor(data: bytes) -> np.ndarray:
@@ -149,7 +153,10 @@ def read_archive(data: bytes) -> dict[str, np.ndarray]:
             raise LengthMismatch("archive ends inside an entry header")
         (name_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
+        try:
+            name = data[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"section name at byte offset {offset} is not UTF-8") from None
         offset += name_len
         arr, offset = _read_tensor_at(data, offset)
         if name in result:

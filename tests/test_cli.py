@@ -42,10 +42,20 @@ def test_gen_default_geometry(tmp_path):
 
 
 def test_gen_bad_geometry_flag(tmp_path, capsys):
-    rc = main(["gen", "--f0", "1", "--duration", "1", "--geometry", "346by260",
-               "--out", str(tmp_path / "x.hevs")])
-    assert rc == 1
-    assert "--geometry" in capsys.readouterr().err
+    # 70000 does not fit the u16 width field of the HEVS header
+    for geometry in ("346by260", "70000x10"):
+        rc = main(["gen", "--f0", "1", "--duration", "1", "--geometry", geometry,
+                   "--out", str(tmp_path / "x.hevs")])
+        assert rc == 1
+        assert "--geometry" in capsys.readouterr().err
+        assert not (tmp_path / "x.hevs").exists()
+
+
+def test_validate_csv_field_outside_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("# geometry 4x4\nx,y,t,p\n0,0,0,1\n1,1,9223372036854775813,1\n")
+    assert main(["validate", "--in", str(path)]) == 2
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_validate_reports_counters(tmp_path, capsys):
@@ -250,6 +260,21 @@ def test_gsg_demo_shape_mismatch_exits_2(tmp_path, capsys):
     assert main(["gsg-demo", "--in", str(src), "--params", str(archive),
                  "--out", str(tmp_path / "y.hten")]) == 2
     capsys.readouterr()
+
+
+def test_gsg_demo_params_name_not_utf8_exits_2(tmp_path, capsys):
+    src = tmp_path / "x.hten"
+    src.write_bytes(write_tensor(np.zeros((2, 6, 6))))
+    blob = bytearray(params_to_archive(GsgParams.random(2, 6, 6)))
+    blob[9] = 0xFF  # first byte of the first section name
+    archive = tmp_path / "bad.harc"
+    archive.write_bytes(bytes(blob))
+    out = tmp_path / "y.hten"
+    assert main(["gsg-demo", "--in", str(src), "--params", str(archive),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_gsg_demo_rejects_2d_tensor(tmp_path, capsys):

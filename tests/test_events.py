@@ -74,6 +74,19 @@ def test_csv_non_numeric_field():
     assert exc.value.line_no == 3
 
 
+def test_csv_field_outside_int64_is_malformed_line_with_number():
+    lines = ["# geometry 4x4", "", "x,y,t,p", "0,0,5,1", "# note", "1,1,9223372036854775813,1"]
+    with pytest.raises(MalformedLine) as exc:
+        parse_events_csv(_csv(lines))
+    assert exc.value.line_no == 6
+    with pytest.raises(MalformedLine) as exc:
+        parse_events_csv(_csv(["x,y,t,p", "-9223372036854775809,0,0,1"]), geometry=(4, 4))
+    assert exc.value.line_no == 2
+    # the int64 extremes themselves still parse
+    lines[-1] = "1,1,9223372036854775807,1"
+    assert parse_events_csv(_csv(lines))[1].t == 2 ** 63 - 6
+
+
 def test_csv_wrong_field_count():
     with pytest.raises(MalformedLine):
         parse_events_csv(_csv(["x,y,t,p", "1,2,3"]), geometry=(4, 4))
@@ -190,6 +203,14 @@ def test_hevs_timestamp_beyond_int64_is_rejected():
     # the largest int64 timestamp still parses
     blob[off:off + 8] = (2 ** 63 - 1).to_bytes(8, "little")
     assert parse_events_binary(bytes(blob))[2].t == 2 ** 63 - 1
+
+
+def test_hevs_write_rejects_geometry_beyond_u16():
+    with pytest.raises(ValueError, match="u16"):
+        write_events_binary(EventStream.empty((70000, 10)))
+    with pytest.raises(ValueError, match="u16"):
+        write_events_binary(EventStream.from_arrays((10, 1 << 16), [1], [1], [0], [1]))
+    assert len(write_events_binary(EventStream.empty((65535, 65535)))) == HEVS_HEADER
 
 
 def test_hevs_zero_polarity_maps_to_negative():

@@ -204,6 +204,20 @@ def test_single_channel_ln_degeneracy():
     assert np.abs(out - silu(0.8)).max() < 1e-6
 
 
+def test_extreme_gate_logits_do_not_overflow():
+    """Gate and LN logits of +-800 saturate the sigmoids to exactly 0 and 1
+    without any floating-point exception."""
+    z = np.random.default_rng(21).standard_normal((2, 5, 6))
+    p = _params(2, 5, 6, ln_gamma=np.zeros(2), ln_beta=np.array([800.0, -800.0]),
+                gate_weight=np.zeros((2, 2)), gate_bias=np.array([800.0, -800.0]))
+    with np.errstate(all="raise"):
+        out = gated_reconstruction(z, p)
+        fwd = gsg_forward(z, p)
+    assert np.array_equal(out[0], np.full((5, 6), 800.0))
+    assert not out[1].any()
+    assert np.array_equal(fwd, z + out)
+
+
 def test_gating_rejects_nonfinite():
     p = _params(2, 4, 4)
     z = np.zeros((2, 4, 4))
@@ -221,6 +235,18 @@ def test_forward_identity_composition():
     p = GsgParams.identity(3, 8, 8)
     expected = x + silu(layernorm_ref(x, np.ones(3), np.zeros(3)))
     assert np.abs(gsg_forward(x, p) - expected).max() < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_is_bit_equal_to_stage_composition(dtype):
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((3, 9, 10)).astype(dtype)
+    p = GsgParams.random(3, 9, 10, seed=8)
+    staged = x + gated_reconstruction(
+        spectral_filter(depthwise_conv3x3(x, p.dw_kernel), p.spectral_weight), p)
+    out = gsg_forward(x, p)
+    assert out.dtype == dtype
+    assert np.array_equal(out, staged)
 
 
 def test_forward_closed_gate_is_residual():
@@ -352,6 +378,17 @@ def test_params_archive_missing_section():
     entries = read_archive(params_to_archive(p))
     del entries["ln_gamma"]
     with pytest.raises(ParseError):
+        params_from_archive(write_archive(entries))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_params_archive_nonfinite_weight(bad):
+    from evholo import read_archive, write_archive
+    entries = read_archive(params_to_archive(GsgParams.random(2, 4, 4)))
+    im = entries["spectral_weight_im"].copy()
+    im[1, 2, 0] = bad
+    entries["spectral_weight_im"] = im
+    with pytest.raises(NonFinite):  # and no RuntimeWarning on the way
         params_from_archive(write_archive(entries))
 
 

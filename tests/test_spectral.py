@@ -18,7 +18,7 @@ from evholo import (
     rate_spectrum,
     rfft2,
 )
-from evholo.spectral import half_cols
+from evholo.spectral import half_cols, half_spectrum_weights
 
 
 def test_zeros_transform_to_zeros():
@@ -56,10 +56,8 @@ def test_parseval_with_half_spectrum_double_counting():
     for rows, cols in [(4, 4), (5, 7), (8, 9), (16, 16)]:
         x = rng.standard_normal((rows, cols))
         z = rfft2(x)
-        weights = np.full(half_cols(cols), 2.0)
-        weights[0] = 1.0
-        if cols % 2 == 0:
-            weights[-1] = 1.0
+        weights = half_spectrum_weights(cols)
+        assert weights.shape == (half_cols(cols),)
         spec_energy = (weights * np.abs(z) ** 2).sum() / (rows * cols)
         time_energy = (x ** 2).sum()
         assert abs(spec_energy - time_energy) / time_energy < 1e-10

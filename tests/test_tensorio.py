@@ -7,6 +7,7 @@ from evholo.errors import (
     DtypeUnknown,
     DuplicateName,
     LengthMismatch,
+    ParseError,
     ShapeMismatch,
 )
 
@@ -120,3 +121,18 @@ def test_archive_truncated_entry():
     blob = write_archive([("a", np.ones(4))])
     with pytest.raises(LengthMismatch):
         read_archive(blob[:-4])
+
+
+def test_archive_name_not_utf8_is_parse_error_with_offset():
+    blob = bytearray(write_archive([("abc", np.ones(2))]))
+    blob[9] = 0xFF  # first name byte, after magic, version, count, name_len
+    with pytest.raises(ParseError) as exc:
+        read_archive(bytes(blob))
+    assert "offset 9" in str(exc.value)
+
+
+def test_zero_dim_with_unaddressable_dims_rejected():
+    header = b"HTEN" + bytes([1, 2, 2, 0])
+    blob = header + (0).to_bytes(8, "little") + (1 << 63).to_bytes(8, "little")
+    with pytest.raises(LengthMismatch):
+        read_tensor(blob)
