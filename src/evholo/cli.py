@@ -1,8 +1,9 @@
 """Command-line pipeline: gen, validate, encode, spectrum, gsg-demo, bench.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing input files),
-2 data error (unparseable or inconsistent input). Output files are written
-to a temp file and atomically renamed, so no partial files survive errors.
+2 data error (unparseable or inconsistent input, or a size that cannot be
+allocated). Output files are written to a temp file and atomically renamed,
+so no partial files survive errors.
 """
 
 from __future__ import annotations
@@ -100,16 +101,19 @@ def _fmt(v: float) -> str:
 
 
 def cmd_gen(args) -> int:
-    if not args.f0 > 0:
-        raise UsageError(f"--f0 must be > 0, got {args.f0}")
-    if not args.duration > 0:
-        raise UsageError(f"--duration must be > 0, got {args.duration}")
-    if args.rate_base < 0:
-        raise UsageError(f"--rate-base must be >= 0, got {args.rate_base}")
-    if args.rate_peak < args.rate_base:
+    if not 0 < args.f0 < np.inf:
+        raise UsageError(f"--f0 must be finite and > 0, got {args.f0}")
+    if not 0 < args.duration < np.inf:
+        raise UsageError(f"--duration must be finite and > 0, got {args.duration}")
+    if not 0 <= args.rate_base < np.inf:
+        raise UsageError(f"--rate-base must be finite and >= 0, got {args.rate_base}")
+    if not args.rate_base <= args.rate_peak < np.inf:
         raise UsageError(
-            f"--rate-peak must be >= --rate-base, got {args.rate_peak} < {args.rate_base}"
+            f"--rate-peak must be finite and >= --rate-base ({args.rate_base}), "
+            f"got {args.rate_peak}"
         )
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     geometry = _parse_geometry_flag(args.geometry)
     spec = PeriodicGenSpec(
         f0=args.f0,
@@ -329,6 +333,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -17,7 +17,8 @@ shift-invariant for sub-streams extracted from a larger one. The +1 on
 duration lets the final event land in the last bin without a special
 case. Out-of-geometry events are dropped and counted, never clamped.
 Temporal bins are computed exactly in int64; a stream whose
-(duration + 1) * t_bins does not fit raises `TooLarge`.
+(duration + 1) * t_bins does not fit raises `TooLarge`, and so does a
+plane whose 2 * rows * cols int64 counts do not fit int64 in bytes.
 
 Each encoder makes one vectorized pass over the stream's int64 columns:
 phi is looked up in a W-entry table, both polarity counts come from one
@@ -155,8 +156,13 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi,
         v, extent = (y, h) if which == "y" else (x, w)
         return v if bins == extent else (v * bins) // extent
 
-    flat = axis_bin(rows_of, row_bins) * col_bins + axis_bin(cols_of, col_bins)
     size = row_bins * col_bins
+    # 2 * size (cell, polarity) int64 counts: keys and byte size must fit int64
+    if 16 * size > _INT64_MAX:
+        raise TooLarge(
+            f"{row_bins} x {col_bins} bins: {16 * size} bytes of counts overflow int64"
+        )
+    flat = axis_bin(rows_of, row_bins) * col_bins + axis_bin(cols_of, col_bins)
     # One count over (cell, polarity) keys: even = positive, odd = negative.
     neg = p == -1
     key = flat * 2 + neg
@@ -179,8 +185,8 @@ def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
     cell; channel 2 accumulates phi(x) over all in-geometry events
     regardless of polarity. An empty stream yields the all-zero tensor
     with dropped = 0. `workers` must be >= 1 and leaves the result
-    unchanged. Raises `TooLarge` when (duration + 1) * t_bins overflows
-    int64.
+    unchanged. Raises `TooLarge` when (duration + 1) * t_bins, or the byte
+    size of 2 * t_bins * h_bins int64 counts, overflows int64.
     """
     cfg = (config or EncodeConfig()).resolved(stream.geometry)
     planes, dropped = _histograms(

@@ -99,7 +99,7 @@ class NonFinite(EvholoError, ValueError):
 
 class TooLarge(EvholoError, ValueError):
     """Operand above a size guard: a brute-force oracle input too big, or a
-    stream whose temporal binning would overflow int64."""
+    stream or plane whose binning would overflow int64."""
 
 
 class BadBin(EvholoError, ValueError):

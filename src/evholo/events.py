@@ -28,6 +28,7 @@ with `BadTimestamp`.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -40,6 +41,7 @@ from .errors import (
     EmptyInput,
     GeometryMissing,
     MalformedLine,
+    ParseError,
     SpecInvalid,
     TruncatedRecord,
 )
@@ -230,15 +232,19 @@ class PeriodicGenSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.f0 > 0:
-            raise SpecInvalid(f"f0 must be > 0, got {self.f0}")
-        if not self.duration_s > 0:
-            raise SpecInvalid(f"duration_s must be > 0, got {self.duration_s}")
-        if self.base_rate < 0 or self.peak_rate < self.base_rate:
+        if not 0 < self.f0 < np.inf:
+            raise SpecInvalid(f"f0 must be finite and > 0, got {self.f0}")
+        if not 0 < self.duration_s < np.inf:
+            raise SpecInvalid(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if not 0 <= self.base_rate <= self.peak_rate < 2.0 ** 62 / self.duration_s:
             raise SpecInvalid(
-                f"need peak_rate >= base_rate >= 0, got "
-                f"base={self.base_rate} peak={self.peak_rate}"
+                f"need peak_rate >= base_rate >= 0 and peak_rate * duration_s < 2**62, "
+                f"got base={self.base_rate} peak={self.peak_rate} duration={self.duration_s}"
             )
+        if not np.isfinite(self.motion_amplitude):
+            raise SpecInvalid(f"motion_amplitude {self.motion_amplitude} is not finite")
+        if self.seed < 0:
+            raise SpecInvalid(f"seed must be >= 0, got {self.seed}")
         w, h = self.geometry
         if w < 1 or h < 1:
             raise SpecInvalid(f"geometry must be positive, got {self.geometry}")
@@ -248,8 +254,8 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     """Parse CSV event bytes into a normalized stream.
 
     Geometry comes from a ``# geometry WxH`` comment line or the explicit
-    argument (the argument wins). Line numbers in errors are 1-based
-    physical line numbers; a field outside int64 is a `MalformedLine` too.
+    argument (the argument wins). The first defective line, a field outside
+    int64 included, raises `MalformedLine` with its 1-based line number.
     """
     try:
         text = data.decode("utf-8")
@@ -258,7 +264,7 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
 
     file_geometry: tuple[int, int] | None = None
     header_seen = False
-    rows: list[tuple[int, int, int, int]] = []
+    values = array("q")  # x, y, t, p of each row, back to back
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -267,6 +273,8 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
             m = _GEOMETRY_RE.match(stripped)
             if m:
                 file_geometry = (int(m.group(1)), int(m.group(2)))
+                if 0 in file_geometry:
+                    raise MalformedLine(line_no, "geometry side must be >= 1")
             continue
         if not header_seen:
             if stripped != _CSV_HEADER:
@@ -277,35 +285,24 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
         if len(fields) != 4:
             raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
         try:
-            x, y, t, p = (int(f) for f in fields)
+            values.extend(map(int, fields))
         except ValueError:
             raise MalformedLine(line_no, "non-numeric field") from None
+        except OverflowError:
+            raise MalformedLine(line_no, "field outside the int64 range") from None
+        p = values[-1]
         if p == 0:
-            p = -1
+            values[-1] = -1
         elif p not in (-1, 1):
             raise MalformedLine(line_no, f"polarity {p} not in {{-1, 0, 1}}")
-        rows.append((x, y, t, p))
 
-    if not rows:
+    if not values:
         raise EmptyInput("no event data lines")
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
-    try:
-        cols = np.array(rows, dtype=np.int64).T.copy()  # one contiguous row per field
-    except OverflowError:
-        raise _int64_overflow(text, rows) from None
-    return EventStream.from_arrays(geom, *cols).normalized()
-
-
-def _int64_overflow(text: str, rows: list) -> MalformedLine:
-    """The error for the first CSV row with a field outside int64."""
-    lo, hi = -(1 << 63), (1 << 63) - 1
-    i = next(i for i, row in enumerate(rows) if not all(lo <= v <= hi for v in row))
-    # every line that is neither blank nor a comment is the header or one row
-    lines = [n for n, line in enumerate(text.splitlines(), start=1)
-             if line.strip() and not line.strip().startswith("#")]
-    return MalformedLine(lines[i + 1], "field outside the int64 range")
+    x, y, t, p = np.frombuffer(values, dtype=np.int64).reshape(-1, 4).T
+    return EventStream.from_arrays(geom, x, y, t, p).normalized()
 
 
 def write_events_csv(stream: EventStream) -> bytes:
@@ -334,6 +331,8 @@ def parse_events_binary(data: bytes) -> EventStream:
         raise BadMagic(f"unsupported HEVS version {version}")
     w = int.from_bytes(data[8:10], "little")
     h = int.from_bytes(data[10:12], "little")
+    if 0 in (w, h):
+        raise ParseError(f"HEVS geometry {w}x{h} has a zero side")
     count = int.from_bytes(data[12:20], "little")
     need = HEVS_HEADER + count * HEVS_RECORD
     if len(data) < need:

@@ -154,7 +154,8 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
 
     Bin index is floor(t_seconds / bin_dt); the final event (exactly at the
     duration boundary) is clamped into the last bin so the series always
-    sums to the event count. Empty streams give a single zero bin.
+    sums to the event count. Empty streams give a single zero bin. Raises
+    `TooLarge` when the byte size of the bin counts does not fit int64.
     """
     if not bin_dt > 0:
         raise BadBin(f"bin_dt must be > 0, got {bin_dt}")
@@ -162,6 +163,8 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
         return RateSeries(bin_dt=bin_dt, values=np.zeros(1, dtype=np.int64))
     t_s = stream.events["t"].astype(np.float64) / 1e6
     duration_s = stream.duration / 1e6
+    if duration_s / bin_dt >= 2.0 ** 60:  # int64 counts, 8 bytes each
+        raise TooLarge(f"{duration_s / bin_dt:.3g} rate bins overflow int64 in bytes")
     n = max(1, int(np.ceil(duration_s / bin_dt)))
     idx = np.floor(t_s / bin_dt).astype(np.int64)
     np.clip(idx, 0, n - 1, out=idx)

@@ -33,6 +33,17 @@ def test_gen_rejects_zero_f0(tmp_path, capsys):
     assert not (tmp_path / "x.hevs").exists()
 
 
+def test_gen_rejects_non_finite_and_negative_flags(tmp_path, capsys):
+    out = tmp_path / "x.hevs"
+    for flag, value in (("--seed", "-1"), ("--duration", "inf"), ("--rate-peak", "inf"),
+                        ("--rate-base", "nan"), ("--f0", "inf"), ("--f0", "nan")):
+        flags = {"--f0": "1", "--duration": "1", flag: value}
+        rc = main(["gen", *(a for kv in flags.items() for a in kv), "--out", str(out)])
+        assert rc == 1, (flag, value)
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_gen_default_geometry(tmp_path):
     path = gen(tmp_path, duration="1")
     blob = path.read_bytes()
@@ -56,6 +67,18 @@ def test_validate_csv_field_outside_int64_exits_2(tmp_path, capsys):
     path.write_text("# geometry 4x4\nx,y,t,p\n0,0,0,1\n1,1,9223372036854775813,1\n")
     assert main(["validate", "--in", str(path)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_validate_zero_geometry_side_exits_2(tmp_path, capsys):
+    csv = tmp_path / "zero.csv"
+    csv.write_text("# geometry 0x5\nx,y,t,p\n0,0,0,1\n")
+    assert main(["validate", "--in", str(csv)]) == 2
+    assert "line 1" in capsys.readouterr().err
+    hevs = tmp_path / "zero.hevs"
+    hevs.write_bytes(b"HEVS\x01" + bytes(3) + (0).to_bytes(2, "little")
+                     + (5).to_bytes(2, "little") + bytes(8))
+    assert main(["validate", "--in", str(hevs)]) == 2
+    assert "zero side" in capsys.readouterr().err
 
 
 def test_validate_reports_counters(tmp_path, capsys):
@@ -301,6 +324,27 @@ def test_bench_zero_repeat_exits_1(tmp_path, capsys):
     assert main(["bench", "--synthetic", "10", "--repeat", "0",
                  "--out-json", str(tmp_path / "b.json")]) == 1
     capsys.readouterr()
+
+
+def test_sizes_beyond_the_address_space_exit_2(tmp_path, capsys):
+    # each size is 700 PiB or more (or overflows int64), beyond what any machine
+    # can map, so nothing is allocated
+    one_s = gen(tmp_path, duration="1")
+    big = tmp_path / "big.csv"
+    big.write_text("# geometry 4000000000x4000000000\nx,y,t,p\n0,0,0,1\n1,1,5,1\n")
+    out = tmp_path / "x.out"
+    for argv in (
+        ["spectrum", "--in", str(one_s), "--bin-dt", "1e-17", "--out-csv", str(out)],
+        ["spectrum", "--in", str(one_s), "--bin-dt", "1e-300", "--out-csv", str(out)],
+        ["encode", "--in", str(big), "--t-bins", "100000000", "--out", str(out)],
+        ["encode", "--in", str(big), "--view", "hw", "--out", str(out)],
+        ["bench", "--synthetic", "100000000000000000", "--out-json", str(out)],
+        ["gen", "--f0", "1", "--duration", "1e300", "--out", str(out)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):

@@ -249,6 +249,19 @@ def test_temporal_binning_overflow_is_rejected():
         encode_chsr(s)
 
 
+def test_plane_size_overflow_is_rejected():
+    # 2 * 4e9 * 4e9 (cell, polarity) counts: neither the keys nor their bytes fit int64
+    s = EventStream.from_arrays((4_000_000_000, 4_000_000_000), [0, 1], [0, 1], [0, 5], [1, 1])
+    with pytest.raises(TooLarge):
+        encode_view(s, "hw")
+    with pytest.raises(TooLarge):
+        encode_chsr(s, EncodeConfig(t_bins=2 ** 40))
+    # a plane just under the guard gets past it and fails to allocate its
+    # 2**63 - 128 bytes of counts instead, far beyond any address space
+    with pytest.raises(MemoryError):
+        encode_view(EventStream.from_arrays((8, 2 ** 56 - 1), [0], [0], [0], [1]), "hw")
+
+
 def test_per_channel_max_normalization():
     s = random_stream(5000, seed=12)
     t = encode_chsr(s, EncodeConfig(normalize="per_channel_max"))

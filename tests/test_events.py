@@ -87,6 +87,22 @@ def test_csv_field_outside_int64_is_malformed_line_with_number():
     assert parse_events_csv(_csv(lines))[1].t == 2 ** 63 - 6
 
 
+def test_csv_first_defective_line_wins():
+    # a field outside int64 on line 3 comes before the bad polarity on line 5
+    lines = ["# geometry 4x4", "x,y,t,p", "0,0,9223372036854775808,1", "1,1,1,1", "2,2,2,7"]
+    with pytest.raises(MalformedLine) as exc:
+        parse_events_csv(_csv(lines))
+    assert exc.value.line_no == 3
+    assert "int64" in str(exc.value)
+
+
+def test_csv_zero_geometry_side_is_malformed_line():
+    for geometry in ("0x5", "5x0"):
+        with pytest.raises(MalformedLine) as exc:
+            parse_events_csv(_csv(["x,y,t,p", "0,0,0,1", f"# geometry {geometry}"]))
+        assert exc.value.line_no == 3
+
+
 def test_csv_wrong_field_count():
     with pytest.raises(MalformedLine):
         parse_events_csv(_csv(["x,y,t,p", "1,2,3"]), geometry=(4, 4))
@@ -205,6 +221,16 @@ def test_hevs_timestamp_beyond_int64_is_rejected():
     assert parse_events_binary(bytes(blob))[2].t == 2 ** 63 - 1
 
 
+def test_hevs_zero_geometry_side_is_parse_error():
+    blob = write_events_binary(EventStream.from_arrays((8, 8), [1], [1], [0], [1]))
+    for off in (8, 10):  # the W and H fields of the header
+        zeroed = blob[:off] + bytes(2) + blob[off + 2:]
+        with pytest.raises(ParseError, match="zero side"):
+            parse_events_binary(zeroed)
+        with pytest.raises(ParseError, match="zero side"):
+            parse_events_binary(zeroed[:HEVS_HEADER - 8] + bytes(8))  # count 0
+
+
 def test_hevs_write_rejects_geometry_beyond_u16():
     with pytest.raises(ValueError, match="u16"):
         write_events_binary(EventStream.empty((70000, 10)))
@@ -291,12 +317,16 @@ def test_generator_events_inside_geometry_sorted_t0():
 def test_generator_spec_invariants():
     good = dict(f0=1.0, duration_s=1.0, base_rate=0.0, peak_rate=10.0,
                 geometry=(4, 4), motion_amplitude=1.0, seed=0)
-    with pytest.raises(SpecInvalid):
-        PeriodicGenSpec(**{**good, "f0": 0.0})
-    with pytest.raises(SpecInvalid):
-        PeriodicGenSpec(**{**good, "duration_s": -1.0})
-    with pytest.raises(SpecInvalid):
-        PeriodicGenSpec(**{**good, "base_rate": 20.0})
+    PeriodicGenSpec(**good)
+    for field, value in (("f0", 0.0), ("duration_s", -1.0), ("base_rate", 20.0),
+                         ("f0", np.inf), ("f0", np.nan), ("duration_s", np.inf),
+                         ("duration_s", np.nan), ("base_rate", np.nan),
+                         ("peak_rate", np.inf), ("peak_rate", np.nan),
+                         ("motion_amplitude", np.inf), ("motion_amplitude", np.nan),
+                         ("seed", -1),
+                         ("duration_s", 1e300)):  # peak_rate * duration_s beyond 2**62
+        with pytest.raises(SpecInvalid):
+            PeriodicGenSpec(**{**good, field: value})
 
 
 def test_parse_then_validate_reports_zero_defects():

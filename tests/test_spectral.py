@@ -126,6 +126,13 @@ def test_rate_series_bin_edges():
     assert list(rs.values) == [2, 1, 1]
 
 
+def test_rate_series_bin_count_overflow_is_rejected():
+    s = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [0, 1_000_000], [1, 1])
+    for bin_dt in (1e-300, 2.0 ** -60):
+        with pytest.raises(TooLarge):
+            event_rate_series(s, bin_dt)
+
+
 def test_rate_series_bad_bin():
     s = EventStream.empty((4, 4))
     with pytest.raises(BadBin):
