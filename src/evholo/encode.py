@@ -21,9 +21,10 @@ Temporal bins are computed exactly in int64; a stream whose
 plane whose 2 * rows * cols int64 counts do not fit int64 in bytes.
 
 Each encoder makes one vectorized pass over the stream's int64 columns:
-phi is looked up in a W-entry table, both polarity counts come from one
-`bincount`, and the holographic channel from one weighted `bincount` in
-event order, so the output does not depend on the worker count.
+phi is looked up in a W-entry table (computed per event when there are
+fewer events than W), both polarity counts come from one `bincount`, and
+the holographic channel from one weighted `bincount` in event order, so
+the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi,
     counts = np.bincount(key, minlength=2 * size).reshape(size, 2).T
     planes = [counts[0].astype(np.float64), counts[1].astype(np.float64)]
     if with_phi:
-        phi_x = phi(np.arange(w), w)[x]  # W-entry table, bit-identical to phi(x, w)
+        # a W-entry table when events outnumber columns; bit-identical either way
+        phi_x = phi(x, w) if len(x) < w else phi(np.arange(w), w)[x]
         planes.append(np.bincount(flat, weights=phi_x, minlength=size))
     return [plane.reshape(row_bins, col_bins) for plane in planes], dropped
 

@@ -22,7 +22,8 @@ Two interchange formats are supported:
 Parsers are lossless: out-of-bounds coordinates are retained and only
 flagged by `validate_stream`; encoders decide their own domain. An HEVS
 timestamp of 2**63 or more does not fit the int64 column and is rejected
-with `BadTimestamp`.
+with `BadTimestamp`; a stream whose timestamps span more than int64 is
+rejected with `TooLarge` when normalized.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ from .errors import (
     MalformedLine,
     ParseError,
     SpecInvalid,
+    TooLarge,
     TruncatedRecord,
 )
 
 _FIELDS = ("x", "y", "t", "p")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 HEVS_MAGIC = b"HEVS"
 HEVS_HEADER = 20  # magic4 + version1 + reserved3 + W2 + H2 + count8
@@ -62,6 +65,11 @@ _HEVS_RECORD_DTYPE = np.dtype(
 
 _GEOMETRY_RE = re.compile(r"^#\s*geometry\s+(\d+)\s*x\s*(\d+)\s*$")
 _CSV_HEADER = "x,y,t,p"
+# the header line, where the bulk CSV path starts
+_CSV_HEADER_RE = re.compile(rb"^x,y,t,p\n", re.M)
+_CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
+_CSV_CHUNK = 1 << 18  # bytes of rows per bulk pass, cut at a newline
+_POW10 = [np.int64(10) ** j for j in range(18)]
 
 
 class Event(NamedTuple):
@@ -160,12 +168,15 @@ class EventStream:
 
         An already sorted stream skips the sort: the result shares its x, y
         and p columns with this stream and gets a shifted copy of t. The
-        input is never modified.
+        input is never modified. Raises `TooLarge` when t_max - t_min does
+        not fit int64.
         """
         ev = self.events
         if len(ev) and not np.all(ev.t[:-1] <= ev.t[1:]):
             ev = ev[np.argsort(ev.t, kind="stable")]
         t = ev.t
+        if len(t) and int(t[-1]) - int(t[0]) > _INT64_MAX:
+            raise TooLarge(f"timestamps span {int(t[-1]) - int(t[0])} us, beyond int64")
         if len(t) and t[0] != 0:
             t = t - t[0]
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
@@ -256,15 +267,50 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     Geometry comes from a ``# geometry WxH`` comment line or the explicit
     argument (the argument wins). The first defective line, a field outside
     int64 included, raises `MalformedLine` with its 1-based line number.
+
+    Rows after an ASCII preamble that ends in the line ``x,y,t,p`` are
+    parsed in bulk when every one of them is ``-?[0-9]{1,18}`` four times,
+    joined by ``,`` and ended by ``\n``, with a polarity in {-1, 0, 1}.
+    Any other input goes through the line walk, which alone raises.
     """
+    header = _CSV_HEADER_RE.search(data)
+    start = header.end() if header else 0
+    cols = _csv_body_columns(data, start) if header and data[:start].isascii() else None
+    if cols is None:
+        return _parse_csv_lines(data, geometry)
+    # The preamble alone through the line walk: the same geometry, and the
+    # same first error, since the rows after it are clean.
+    _, file_geometry = _walk_csv_lines(data[:start].decode("ascii"))
+    return _csv_stream(geometry, file_geometry, cols)
+
+
+def _parse_csv_lines(data: bytes, geometry: tuple[int, int] | None) -> EventStream:
+    """`parse_events_csv` by the line walk alone: the fallback and the oracle."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise MalformedLine(0, f"not UTF-8: {e}") from None
+    values, file_geometry = _walk_csv_lines(text)
+    if not values:
+        raise EmptyInput("no event data lines")
+    cols = np.frombuffer(values, dtype=np.int64).reshape(-1, 4).T
+    return _csv_stream(geometry, file_geometry, cols)
 
+
+def _csv_stream(geometry, file_geometry, cols) -> EventStream:
+    """The normalized stream of x, y, t, p columns; `geometry` wins."""
+    geom = geometry if geometry is not None else file_geometry
+    if geom is None:
+        raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
+    return EventStream.from_arrays(geom, *cols).normalized()
+
+
+def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
+    """Walk the lines once: x, y, t, p of each row back to back (polarity 0
+    mapped to -1) and the last geometry comment's sides."""
     file_geometry: tuple[int, int] | None = None
     header_seen = False
-    values = array("q")  # x, y, t, p of each row, back to back
+    values = array("q")
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -295,14 +341,66 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
             values[-1] = -1
         elif p not in (-1, 1):
             raise MalformedLine(line_no, f"polarity {p} not in {{-1, 0, 1}}")
+    return values, file_geometry
 
-    if not values:
-        raise EmptyInput("no event data lines")
-    geom = geometry if geometry is not None else file_geometry
-    if geom is None:
-        raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
-    x, y, t, p = np.frombuffer(values, dtype=np.int64).reshape(-1, 4).T
-    return EventStream.from_arrays(geom, x, y, t, p).normalized()
+
+def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
+    """The rows of ``data[start:]`` as a 4 x n int64 array (x, y, t, p with
+    polarity 0 mapped to -1), or None when any row is outside the fast
+    grammar. Works in chunks of whole rows to bound the temporaries."""
+    n = data.count(b"\n", start)
+    if 8 * n > len(data) - start:  # a row takes at least 8 bytes, "0,0,0,0\n"
+        return None
+    cols = np.empty((4, n), dtype=np.int64)
+    row = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _CSV_CHUNK) + 1
+        if stop <= start:  # no final newline, or a row longer than a chunk
+            return None
+        rows = _csv_chunk(np.frombuffer(data, np.uint8, stop - start, start), cols[:, row:])
+        if rows is None:
+            return None
+        row += rows
+        start = stop
+    p = cols[3]
+    if not len(p) or not ((p >= -1) & (p <= 1)).all():
+        return None
+    p[p == 0] = -1
+    return cols
+
+
+def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
+    """Parse whole rows ``b`` (ending in ``\n``) into ``out[:, :rows]``.
+
+    Every byte is classified first: digit, ``-``, or a separator (``,`` or
+    ``\n``). Each row's separators must read ``,,,\n``, each field one
+    optional leading ``-`` and 1 to 18 digits. A field's value is summed
+    from its digits right to left, one digit position per pass.
+    """
+    ends = np.flatnonzero((b == 44) | (b == 10))  # ',' and '\n' end a field
+    d = b - np.uint8(48)
+    n_minus = np.count_nonzero(b == 45)
+    if len(ends) % 4 or np.count_nonzero(d <= 9) + n_minus + len(ends) != len(b):
+        return None
+    if not (b[ends].reshape(-1, 4) == _CSV_ROW_SEPS).all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    neg = b[starts] == 45
+    ndig = ends - starts - neg
+    if np.count_nonzero(neg) != n_minus or ndig.min() < 1 or ndig.max() > 18:
+        return None
+    ends, ndig, neg = ends.reshape(-1, 4), ndig.reshape(-1, 4), neg.reshape(-1, 4)
+    for c in range(4):
+        last = ends[:, c] - 1
+        nd = ndig[:, c]
+        v = out[c, :len(last)]
+        v[:] = d[last]
+        for j in range(1, int(nd.max())):
+            v += d[last - j] * (nd > j) * _POW10[j]
+        np.negative(v, out=v, where=neg[:, c])
+    return len(ends)
 
 
 def write_events_csv(stream: EventStream) -> bytes:

@@ -15,7 +15,8 @@ oracle for the analytic path.
 
 Inputs are validated once, at each public entry, which then calls the
 unchecked 64-bit cores `_conv`, `_filter` and `_gate`; `GsgParams` checks
-its own arrays when it is built.
+its own arrays when it is built. A finite input too large for the math
+(an overflow or an Inf - Inf anywhere in an entry) raises `NonFinite`.
 
 Gradient convention: each complex weight is two real parameters (re, im),
 and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
@@ -23,6 +24,7 @@ and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +64,19 @@ def _as_feature(x) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFinite("feature tensor contains NaN or Inf")
     return a
+
+
+def _no_overflow(entry):
+    """Make a float overflow or invalid operation inside `entry` a
+    `NonFinite`, instead of an Inf, a NaN or a saturated value in its result."""
+    @functools.wraps(entry)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return entry(*args, **kwargs)
+        except FloatingPointError as e:
+            raise NonFinite(f"{entry.__name__}: {e}, input too large") from None
+    return run
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,7 @@ def _forward(a: np.ndarray, params: GsgParams) -> np.ndarray:
     return a + _gate(z, params).astype(dt, copy=False)
 
 
+@_no_overflow
 def depthwise_conv3x3(x, kernels) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, stride 1, zero padding 1, no bias."""
     a = _as_feature(x)
@@ -224,6 +240,7 @@ def depthwise_conv3x3(x, kernels) -> np.ndarray:
     return _conv(a, k).astype(a.dtype, copy=False)
 
 
+@_no_overflow
 def spectral_filter(x_local, w) -> np.ndarray:
     """Per channel: irfft2(rfft2(x_c) * w_c). Output is exactly real-typed."""
     a = _as_feature(x_local)
@@ -234,6 +251,7 @@ def spectral_filter(x_local, w) -> np.ndarray:
     return _filter(a, wc)[1].astype(a.dtype, copy=False)
 
 
+@_no_overflow
 def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
     """SiLU(LN(z)) * sigmoid(gate_weight @ z + gate_bias), per location.
 
@@ -249,6 +267,7 @@ def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
     return _gate(a, params).astype(a.dtype, copy=False)
 
 
+@_no_overflow
 def gsg_forward(x_in, params: GsgParams) -> np.ndarray:
     """x_in + gated_reconstruction(spectral_filter(depthwise_conv3x3(x_in)))."""
     a = _as_feature(x_in)
@@ -256,6 +275,7 @@ def gsg_forward(x_in, params: GsgParams) -> np.ndarray:
     return _forward(a, params)
 
 
+@_no_overflow
 def gsg_loss(x_in, params: GsgParams, upstream) -> float:
     """Probe loss sum(gsg_forward(x_in) * upstream) used for gradient checks."""
     a, u = _loss_inputs(x_in, params, upstream)
@@ -277,6 +297,7 @@ def _gating_backward(z64: np.ndarray, params: GsgParams, dout: np.ndarray) -> np
     return inv * (dzhat - m1 - zhat * m2) + dz_gate
 
 
+@_no_overflow
 def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     """Analytic dL/dW for L = sum(gsg_forward(x_in) * upstream).
 

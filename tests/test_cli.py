@@ -69,6 +69,15 @@ def test_validate_csv_field_outside_int64_exits_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_validate_timestamp_span_beyond_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "span.csv"
+    path.write_text("# geometry 4x4\nx,y,t,p\n"
+                    "0,0,-9223372036854775808,1\n0,0,9223372036854775807,1\n")
+    assert main(["validate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "int64" in err
+
+
 def test_validate_zero_geometry_side_exits_2(tmp_path, capsys):
     csv = tmp_path / "zero.csv"
     csv.write_text("# geometry 0x5\nx,y,t,p\n0,0,0,1\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ def test_plane_size_overflow_is_rejected():
     # 2**63 - 128 bytes of counts instead, far beyond any address space
     with pytest.raises(MemoryError):
         encode_view(EventStream.from_arrays((8, 2 ** 56 - 1), [0], [0], [0], [1]), "hw")
+
+
+def test_few_events_on_a_wide_sensor_skip_the_phi_table():
+    # a W-entry phi table for 2 events on a 2e6-wide sensor peaked at 48 MB
+    w = 2_000_000
+    s = EventStream.from_arrays((w, 1), [0, w - 1], [0, 0], [0, 5], [1, -1])
+    tracemalloc.start()
+    try:
+        t = encode_chsr(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert t.data[2].sum() == phi(np.arange(w), w)[w - 1]  # bit-identical to the table
 
 
 def test_per_channel_max_normalization():

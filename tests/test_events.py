@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,18 @@ from evholo.errors import (
     EmptyInput,
     GeometryMissing,
     MalformedLine,
+    EvholoError,
     ParseError,
+    TooLarge,
     TruncatedRecord,
 )
-from evholo.events import HEVS_HEADER, HEVS_RECORD
+from evholo.events import (
+    _CSV_CHUNK,
+    HEVS_HEADER,
+    HEVS_RECORD,
+    _csv_body_columns,
+    _parse_csv_lines,
+)
 
 
 def _csv(lines):
@@ -137,6 +147,95 @@ def test_csv_round_trip():
     )
     again = parse_events_csv(write_events_csv(src))
     assert again == src
+
+
+def assert_same_as_line_walk(data, geometry=None):
+    """`parse_events_csv` gives what the line walk alone gives: the same
+    geometry and x, y, t, p values and dtypes, or the same error."""
+    try:
+        want = _parse_csv_lines(data, geometry)
+    except EvholoError as e:
+        with pytest.raises(EvholoError) as got:
+            parse_events_csv(data, geometry)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+        return
+    got = parse_events_csv(data, geometry)
+    assert got.geometry == want.geometry
+    for f in ("x", "y", "t", "p"):
+        a, b = got.events[f], want.events[f]
+        assert a.dtype == b.dtype and np.array_equal(a, b), f
+
+
+_HEAD = "# geometry 16x12\nx,y,t,p\n"
+# rows of 8 bytes: the chunk's last row is the one that ends on its last byte
+_BOUNDARY_ROWS = ["1,2,3,1"] * (_CSV_CHUNK // 8 + 5)
+_BOUNDARY_ROWS[_CSV_CHUNK // 8 - 1] = "1,2,3,2"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_HEAD + " 5,1,2,1\n", id="leading-space"),
+    pytest.param(_HEAD + "+5,1,2,1\n", id="plus"),
+    pytest.param(_HEAD + "1_0,1,2,1\n", id="underscore"),
+    pytest.param(_HEAD + "\u0663,1,2,1\n", id="arabic-indic-digit"),
+    pytest.param(_HEAD + "-0,1,2,1\n", id="minus-zero"),
+    pytest.param(_HEAD + "--1,1,2,1\n", id="double-minus"),
+    pytest.param(_HEAD + "-,1,2,1\n", id="bare-minus"),
+    pytest.param(_HEAD + "1-2,1,2,1\n", id="inner-minus"),
+    pytest.param(_HEAD + "1,1,2,00\n", id="polarity-00"),
+    pytest.param(_HEAD + "1,2\n3,1\n", id="two-fields-per-row"),
+    pytest.param(_HEAD.replace("\n", "\r\n") + "1,1,2,1\r\n3,3,4,0\r\n", id="crlf"),
+    pytest.param("# geometry 16x12\n# a\x0bb\nx,y,t,p\n1,1,2,1\n", id="vt-in-preamble"),
+    pytest.param("# geometry 16x12\n# \u2028 \x85\nx,y,t,p\n1,1,2,1\n", id="unicode-breaks-in-preamble"),
+    pytest.param(_HEAD + "1,1,1234567890123456789,1\n", id="19-digit-t"),
+    pytest.param(_HEAD + "1,1,2,1\n# geometry 20x20\n3,3,4,-1\n", id="body-geometry"),
+    pytest.param(_HEAD + "1,1,2,1\n\n3,3,4,-1\n", id="body-blank-line"),
+    pytest.param(_HEAD + "1,1,2,1\n3,3,4,-1", id="no-final-newline"),
+    pytest.param(_HEAD + "\n".join(_BOUNDARY_ROWS) + "\n", id="p2-ends-chunk"),
+])
+def test_csv_edge_cases_match_the_line_walk(text):
+    assert_same_as_line_walk(text.encode())
+    assert_same_as_line_walk(text.encode(), geometry=(5, 7))
+
+
+def test_csv_rows_parse_in_bulk():
+    data = _csv(["# geometry 16x12", "x,y,t,p", "3,-4,-17,0",
+                 "0,11,999999999999999999,1", "15,0,-999999999999999999,-1"])
+    cols = _csv_body_columns(data, data.index(b"x,y,t,p") + 8)
+    assert cols.tolist() == [[3, 0, 15], [-4, 11, 0],
+                             [-17, 10 ** 18 - 1, 1 - 10 ** 18], [-1, 1, -1]]
+    # several chunks of rows, every field width from 1 to 18 digits
+    rng = np.random.default_rng(9)
+    n = 60_000
+    vals = rng.integers(-10 ** 18 + 1, 10 ** 18, (3, n)) // 10 ** rng.integers(0, 18, (3, n))
+    rows = [f"{x},{y},{t},{p}" for x, y, t, p in
+            zip(*vals.tolist(), rng.choice([-1, 0, 1], n).tolist())]
+    data = _csv(["# geometry 16x12", "x,y,t,p", *rows])
+    assert len(data) > 3 * _CSV_CHUNK
+    assert _csv_body_columns(data, data.index(b"x,y,t,p") + 8) is not None
+    assert_same_as_line_walk(data)
+
+
+def test_csv_blank_lines_do_not_size_the_columns():
+    # newlines that cannot all be rows must not size the bulk columns
+    # (32 bytes each): this input peaked at 35 MB, the line walk alone at 9.5
+    data = _csv(["# geometry 4x4", "x,y,t,p", "1,1,2,1"]) + b"\n" * 1_000_000
+    tracemalloc.start()
+    try:
+        assert len(parse_events_csv(data)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
+def test_normalized_rejects_a_timestamp_span_beyond_int64():
+    data = _csv(["# geometry 4x4", "x,y,t,p",
+                 "0,0,-9223372036854775808,1", "0,0,9223372036854775807,1"])
+    with pytest.raises(TooLarge):
+        parse_events_csv(data)  # t used to wrap to [0, -1], duration 1
+    # the widest span that fits shifts exactly
+    s = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [-1, 2 ** 63 - 2], [1, 1])
+    assert s.normalized().events.t.tolist() == [0, 2 ** 63 - 1]
 
 
 def test_hevs_round_trip_field_identical():

@@ -3,13 +3,22 @@ event parsers with hypothesis.
 
 Whatever the bytes, each reader returns or raises an `EvholoError`; any
 other exception, or a NumPy RuntimeWarning (an error under this suite's
-warning filter), fails the test. `evholo validate` on a fuzzed event file
-exits 0 or 2. Runs are derandomized and bounded so the suite stays fast
-and reproducible.
+warning filter), fails the test. On any CSV bytes, `parse_events_csv`
+gives what its line walk alone gives. `evholo validate` on a fuzzed event
+file exits 0 or 2; `encode`, `spectrum` and `gsg-demo` on fuzzed inputs
+exit 0, 1 or 2 with at most one line of error and write no output on
+failure. Runs are derandomized and bounded so the suite stays fast and
+reproducible.
 """
 
+import contextlib
+import io
+import shutil
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_events import assert_same_as_line_walk
 
 from evholo import (
     EventStream,
@@ -23,6 +32,7 @@ from evholo import (
 from evholo.cli import main
 from evholo.errors import EvholoError
 from evholo.gsg import GsgParams, params_from_archive, params_to_archive
+from evholo.tensorio import write_tensor
 
 VALID = params_to_archive(GsgParams.random(2, 3, 4, seed=3))
 READERS = (read_tensor, read_archive, params_from_archive)
@@ -38,12 +48,64 @@ CSV_LINES = st.lists(st.one_of(
     st.text(alphabet="0123456789-,x# \t", max_size=24),
 ), max_size=8).map(lambda lines: "\n".join(lines).encode())
 BYTE = st.one_of(st.sampled_from(b"\x00\xff,-9\n"), st.integers(0, 255))
+
+
+def mutated(blob: bytes):
+    """`blob` with one byte replaced."""
+    return st.tuples(st.integers(0, len(blob) - 1), BYTE).map(
+        lambda m: blob[:m[0]] + bytes([m[1]]) + blob[m[0] + 1:])
+
+
+def truncated(blob: bytes):
+    return st.integers(0, len(blob)).map(lambda n: blob[:n])
+
+
+def fuzzed(blob: bytes):
+    return st.one_of(mutated(blob), truncated(blob))
+
+
 # a valid event file with one byte replaced, or cut short
-MUTATED = st.sampled_from(EVENT_FILES).flatmap(lambda f: st.tuples(
-    st.just(f), st.integers(0, len(f) - 1), BYTE
-)).map(lambda m: m[0][:m[1]] + bytes([m[2]]) + m[0][m[1] + 1:])
-TRUNCATED = st.sampled_from(EVENT_FILES).flatmap(
-    lambda f: st.integers(0, len(f)).map(lambda n: f[:n]))
+MUTATED = st.sampled_from(EVENT_FILES).flatmap(mutated)
+TRUNCATED = st.sampled_from(EVENT_FILES).flatmap(truncated)
+
+
+# CSV documents near the bulk path's grammar: a preamble, then rows with
+# values of 1 to 20 digits (int64 edges included); near-clean documents add
+# one odd line, noisy ones odd preambles, line ends and lines as well
+INT = st.one_of(st.integers(-999, 99_999), st.integers(-10 ** 18 + 1, 10 ** 18 - 1)).map(str)
+EDGE = st.sampled_from(["-0", "00", "999999999999999999", "0000000000000000001",
+                        "9223372036854775807", "-9223372036854775808",
+                        "9223372036854775808", "-99999999999999999999"])
+POLARITY = st.sampled_from(["1", "-1", "0", "00", "-0", "1", "-1", "2"])
+ROW = st.one_of(st.tuples(INT, INT, INT, POLARITY),
+                st.tuples(INT, EDGE, INT, POLARITY)).map(",".join)
+ODD = st.one_of(
+    st.sampled_from(["", " ", "# geometry 20x20", "# note", "x,y,t,p", "1,2,3",
+                     "1,2,3,1,5", "+5,1,2,1", "1_0,1,2,1", " 5,1,2,1", "\u0663,1,2,1",
+                     "--1,1,2,1", "-,1,2,1", "1-2,1,2,1", "1,2,3,1\x0b", "1,2,3,1\r",
+                     "1,2,3,-2", "1,2,3,12", "1,,3,1", "1,2,3,1,"]),
+    st.text(alphabet="0123456789-+_ ,\t\r\x0b\u0663#", max_size=12),
+)
+PREAMBLE = st.lists(st.sampled_from(
+    ["# geometry 16x12", "# geometry 7x5", "# geometry 0x3", "", " ", "# a\x0bb",
+     "# \u2028", "x,y,t,p", " x,y,t,p", "1,2,3,1"]), max_size=3)
+CLEAN_PREAMBLE = st.sampled_from([[], ["# geometry 16x12"], ["", "# c", "# geometry 7x5"]])
+
+
+def csv_doc(preamble, rows, odd=(), eol="\n", final_eol=True):
+    lines = preamble + ["x,y,t,p"] + rows
+    for i, line in odd:
+        lines.insert(len(preamble) + 1 + i, line)
+    return (eol.join(lines) + eol * final_eol).encode()
+
+
+CLEAN_DOCS = st.builds(csv_doc, CLEAN_PREAMBLE, st.lists(ROW, min_size=1, max_size=4))
+NEAR_CLEAN_DOCS = st.builds(csv_doc, CLEAN_PREAMBLE, st.lists(ROW, max_size=3),
+                            st.lists(st.tuples(st.integers(0, 3), ODD), min_size=1, max_size=1))
+NOISY_DOCS = st.builds(csv_doc, PREAMBLE, st.lists(ROW, max_size=6),
+                       st.lists(st.tuples(st.integers(0, 6), ODD), max_size=2),
+                       st.sampled_from(["\n", "\n", "\r\n"]), st.booleans())
+CSV_DOCS = st.one_of(CLEAN_DOCS, NEAR_CLEAN_DOCS, NOISY_DOCS)
 
 
 def read_all(blob: bytes, readers=READERS) -> None:
@@ -106,3 +168,54 @@ def test_validate_exit_code_on_fuzzed_event_files(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzzed_events"
     path.write_bytes(blob)
     assert main(["validate", "--in", str(path)]) in (0, 2)
+
+
+@FUZZ
+@given(st.one_of(CLEAN_DOCS, NEAR_CLEAN_DOCS, CLEAN_DOCS.flatmap(fuzzed), NOISY_DOCS,
+                 CSV_LINES, MUTATED), st.sampled_from([None, (5, 7)]))
+def test_csv_parser_equals_its_line_walk(blob, geometry):
+    assert_same_as_line_walk(blob, geometry)
+
+
+HTEN = write_tensor(np.random.default_rng(0).standard_normal((2, 4, 6)))
+HARC = params_to_archive(GsgParams.random(2, 4, 6, seed=1))
+
+
+def run_fuzzed(tmp_path_factory, argv, files):
+    """`main(argv)` with {d} in argv the directory of `files`: it exits 0, 1
+    or 2, says why in one line when it fails, and then leaves no output."""
+    d = tmp_path_factory.getbasetemp() / "fuzzed_cli"
+    shutil.rmtree(d, ignore_errors=True)
+    d.mkdir()
+    for name, blob in files.items():
+        (d / name).write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([a.format(d=d) for a in argv])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert sorted(p.name for p in d.iterdir()) == sorted(files)
+
+
+@FUZZ
+@given(st.one_of(CSV_LINES, CSV_DOCS, fuzzed(EVENT_FILES[1])))
+def test_encode_on_fuzzed_csv(tmp_path_factory, blob):
+    run_fuzzed(tmp_path_factory, ["encode", "--in", "{d}/ev.csv", "--t-bins", "8",
+                                  "--out", "{d}/out.hten"], {"ev.csv": blob})
+
+
+@FUZZ
+@given(fuzzed(EVENT_FILES[1]))
+def test_spectrum_on_fuzzed_csv(tmp_path_factory, blob):
+    # one changed byte keeps every timestamp below 100 us, so the rate
+    # series stays a few bins long
+    run_fuzzed(tmp_path_factory, ["spectrum", "--in", "{d}/ev.csv", "--bin-dt", "1e-5",
+                                  "--out-csv", "{d}/spec.csv"], {"ev.csv": blob})
+
+
+@FUZZ
+@given(st.one_of(st.tuples(fuzzed(HTEN), st.just(HARC)), st.tuples(st.just(HTEN), fuzzed(HARC))))
+def test_gsg_demo_on_fuzzed_tensor_and_params(tmp_path_factory, blobs):
+    run_fuzzed(tmp_path_factory, ["gsg-demo", "--in", "{d}/x.hten", "--params", "{d}/p.harc",
+                                  "--out", "{d}/out.hten"], dict(zip(["x.hten", "p.harc"], blobs)))

@@ -218,6 +218,23 @@ def test_extreme_gate_logits_do_not_overflow():
     assert np.array_equal(fwd, z + out)
 
 
+def test_finite_input_too_large_for_the_math_is_nonfinite():
+    # one value of 1e200: LN squares it past float64 (found by fuzzing gsg-demo)
+    p = GsgParams.random(2, 4, 6, seed=1)
+    x = np.random.default_rng(3).standard_normal((2, 4, 6))
+    x[0, 1, 2] = 1e200
+    u = np.ones_like(x)
+    for run in (lambda: gsg_forward(x, p), lambda: gated_reconstruction(x, p),
+                lambda: gsg_loss(x, p, u), lambda: grad_spectral_weight(x, p, u),
+                lambda: spectral_filter(np.full((2, 4, 6), 1e307), p.spectral_weight)):
+        with pytest.raises(NonFinite):
+            run()
+    # an f32 stage output beyond the f32 range, from f32 input in range
+    big = np.full((2, 4, 6), 3e38, dtype=np.float32)
+    with pytest.raises(NonFinite):
+        depthwise_conv3x3(big, np.ones((2, 3, 3)))
+
+
 def test_gating_rejects_nonfinite():
     p = _params(2, 4, 4)
     z = np.zeros((2, 4, 4))
