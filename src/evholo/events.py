@@ -348,8 +348,10 @@ def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
     """The rows of ``data[start:]`` as a 4 x n int64 array (x, y, t, p with
     polarity 0 mapped to -1), or None when any row is outside the fast
     grammar. Works in chunks of whole rows to bound the temporaries."""
+    if not data.endswith(b"\n"):  # declines before any bulk work
+        return None
     n = data.count(b"\n", start)
-    if 8 * n > len(data) - start:  # a row takes at least 8 bytes, "0,0,0,0\n"
+    if not n or 8 * n > len(data) - start:  # a row takes at least 8 bytes, "0,0,0,0\n"
         return None
     cols = np.empty((4, n), dtype=np.int64)
     row = 0
@@ -362,10 +364,6 @@ def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
             return None
         row += rows
         start = stop
-    p = cols[3]
-    if not len(p) or not ((p >= -1) & (p <= 1)).all():
-        return None
-    p[p == 0] = -1
     return cols
 
 
@@ -374,8 +372,9 @@ def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
 
     Every byte is classified first: digit, ``-``, or a separator (``,`` or
     ``\n``). Each row's separators must read ``,,,\n``, each field one
-    optional leading ``-`` and 1 to 18 digits. A field's value is summed
-    from its digits right to left, one digit position per pass.
+    optional leading ``-`` and 1 to 18 digits, the polarity one digit of
+    at most 1. A field's value is summed from its digits right to left,
+    one digit position per pass; polarity 0 then becomes -1.
     """
     ends = np.flatnonzero((b == 44) | (b == 10))  # ',' and '\n' end a field
     d = b - np.uint8(48)
@@ -392,14 +391,20 @@ def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
     if np.count_nonzero(neg) != n_minus or ndig.min() < 1 or ndig.max() > 18:
         return None
     ends, ndig, neg = ends.reshape(-1, 4), ndig.reshape(-1, 4), neg.reshape(-1, 4)
+    if ndig[:, 3].max() > 1 or d[ends[:, 3] - 1].max() > 1:
+        return None
     for c in range(4):
         last = ends[:, c] - 1
         nd = ndig[:, c]
         v = out[c, :len(last)]
         v[:] = d[last]
         for j in range(1, int(nd.max())):
-            v += d[last - j] * (nd > j) * _POW10[j]
+            # int64 by dtype, not by promotion: under NumPy 1.x a uint8
+            # digit times 10**j stays in a narrow unsigned type and wraps
+            v += np.multiply(d[last - j] * (nd > j), _POW10[j], dtype=np.int64)
         np.negative(v, out=v, where=neg[:, c])
+    p = out[3, :len(ends)]
+    p[p == 0] = -1
     return len(ends)
 
 

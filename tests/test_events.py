@@ -215,6 +215,17 @@ def test_csv_rows_parse_in_bulk():
     assert_same_as_line_walk(data)
 
 
+def test_csv_digit_layers_sum_in_int64(monkeypatch):
+    # Python-int powers of ten promote weakly, as every scalar did under
+    # NumPy 1.x, where a uint8 digit times 10**j kept a narrow type and wrapped
+    monkeypatch.setattr("evholo.events._POW10", [10 ** j for j in range(18)])
+    data = _csv(["# geometry 16x12", "x,y,t,p", "399,-7,999999999999999999,0",
+                 "12345678901,0,-123456789012345678,1"])
+    cols = _csv_body_columns(data, data.index(b"x,y,t,p") + 8)
+    assert cols.tolist() == [[399, 12345678901], [-7, 0],
+                             [10 ** 18 - 1, -123456789012345678], [-1, 1]]
+
+
 def test_csv_blank_lines_do_not_size_the_columns():
     # newlines that cannot all be rows must not size the bulk columns
     # (32 bytes each): this input peaked at 35 MB, the line walk alone at 9.5
