@@ -6,40 +6,38 @@ import time
 
 import numpy as np
 
-from .encode import EncodeConfig, encode_chsr
+from .encode import encode_chsr
 from .errors import SpecInvalid
 from .events import EventStream
 
 
-def synthetic_uniform_stream(n_events: int, geometry: tuple[int, int] = (346, 260),
-                             duration_us: int = 10_000_000,
-                             seed: int = 0) -> EventStream:
-    """Seeded stream with exactly n_events uniform events, for benchmarking."""
+def synthetic_uniform_stream(n_events: int) -> EventStream:
+    """Seeded stream with exactly n_events uniform events over 10 s on a
+    346x260 sensor, for benchmarking."""
     if n_events < 0:
         raise SpecInvalid(f"n_events must be >= 0, got {n_events}")
-    w, h = geometry
-    rng = np.random.default_rng(seed)
+    w, h = 346, 260
+    rng = np.random.default_rng(0)
     x = rng.integers(0, w, n_events)
     y = rng.integers(0, h, n_events)
-    t = np.sort(rng.integers(0, duration_us, n_events))
+    t = np.sort(rng.integers(0, 10_000_000, n_events))
     p = rng.choice(np.array([-1, 1], dtype=np.int64), n_events)
-    return EventStream.from_arrays(geometry, x, y, t, p).normalized()
+    return EventStream.from_arrays((w, h), x, y, t, p).normalized()
 
 
-def encode_throughput(stream: EventStream, repeats: int,
-                      config: EncodeConfig | None = None,
-                      workers: int = 1) -> dict:
-    """Time encode_chsr over `repeats` runs and summarize.
+def encode_throughput(stream: EventStream, repeats: int, workers: int = 1) -> dict:
+    """Time encode_chsr (default config) over `repeats` runs and summarize.
 
     events_per_sec is derived from the mean wall time, so the two timing
-    fields and the rate are mutually consistent.
+    fields and the rate are mutually consistent. `workers` must be >= 1 and
+    leaves the result unchanged.
     """
     if repeats < 1:
         raise SpecInvalid(f"repeats must be >= 1, got {repeats}")
     samples_ms = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        encode_chsr(stream, config, workers=workers)
+        encode_chsr(stream, workers=workers)
         samples_ms.append((time.perf_counter() - t0) * 1e3)
     mean_ms = float(np.mean(samples_ms))
     return {

@@ -152,7 +152,7 @@ def cmd_encode(args) -> int:
     if args.view == "chsr":
         tensor = encode_chsr(stream, cfg, workers=args.threads)
     else:
-        tensor = encode_view(stream, args.view, cfg, workers=args.threads)
+        tensor = encode_view(stream, args.view, cfg)
     _atomic_write(args.out, tensorio.write_tensor(tensor.data))
     if args.pgm_dir is not None:
         os.makedirs(args.pgm_dir, exist_ok=True)
@@ -206,14 +206,13 @@ def cmd_gsg_demo(args) -> int:
     data = tensorio.read_tensor(Path(args.infile).read_bytes())
     if data.ndim != 3:
         raise ShapeMismatch(f"expected a 3D feature tensor, got shape {data.shape}")
-    x = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
     if args.identity_init:
-        params = GsgParams.identity(x.shape[0], x.shape[1], x.shape[2])
+        params = GsgParams.identity(*data.shape)
     else:
         params = params_from_archive(Path(args.params).read_bytes())
 
     if args.check_grads:
-        crop = _grad_check_crop(x)
+        crop = _grad_check_crop(data)
         check_params = GsgParams.random(*crop.shape, seed=0)
         upstream = np.random.default_rng(1).standard_normal(crop.shape)
         err = check_spectral_weight_gradients(crop, check_params, upstream)
@@ -223,7 +222,7 @@ def cmd_gsg_demo(args) -> int:
                   file=sys.stderr)
             return EXIT_DATA
 
-    out = gsg_forward(x, params)
+    out = gsg_forward(data, params)
     _atomic_write(args.out, tensorio.write_tensor(out))
     print(f"wrote={args.out} shape={'x'.join(str(d) for d in out.shape)}")
     return EXIT_OK

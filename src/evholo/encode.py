@@ -23,8 +23,7 @@ plane whose 2 * rows * cols int64 counts do not fit int64 in bytes.
 Each encoder makes one vectorized pass over the stream's int64 columns:
 phi is looked up in a W-entry table (computed per event when there are
 fewer events than W), both polarity counts come from one `bincount`, and
-the holographic channel from one weighted `bincount` in event order, so
-the output does not depend on the worker count.
+the holographic channel from one weighted `bincount` in event order.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ from typing import Literal
 import numpy as np
 
 from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
-from .events import EventStream
+from .events import _INT64_MAX, EventStream
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
 ViewKind = Literal["hw", "tw", "th"]
 
 _NORMALIZE_MODES = ("none", "per_channel_max", "log1p")
 _VIEW_KINDS = ("hw", "tw", "th")
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def phi(x, w_sensor: int):
@@ -121,16 +119,8 @@ def _normalize(data: np.ndarray, mode: str) -> np.ndarray:
     return np.log1p(data)
 
 
-def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi,
-                workers):
-    """Bin the stream once into (pos, neg[, phi]) planes of row_bins x col_bins.
-
-    `workers` is validated and otherwise ignored: one vectorized pass is
-    faster than splitting the stream, and every channel is bit-identical
-    for any worker count.
-    """
-    if workers < 1:
-        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
+def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
+    """Bin the stream once into (pos, neg[, phi]) planes of row_bins x col_bins."""
     w, h = stream.geometry
     ev = stream.events
     x, y, t, p = ev.x, ev.y, ev.t, ev.p
@@ -187,25 +177,24 @@ def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
     cell; channel 2 accumulates phi(x) over all in-geometry events
     regardless of polarity. An empty stream yields the all-zero tensor
     with dropped = 0. `workers` must be >= 1 and leaves the result
-    unchanged. Raises `TooLarge` when (duration + 1) * t_bins, or the byte
-    size of 2 * t_bins * h_bins int64 counts, overflows int64.
+    unchanged: one vectorized pass is faster than splitting the stream.
+    Raises `TooLarge` when (duration + 1) * t_bins, or the byte size of
+    2 * t_bins * h_bins int64 counts, overflows int64.
     """
+    if workers < 1:
+        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
     cfg = (config or EncodeConfig()).resolved(stream.geometry)
-    planes, dropped = _histograms(
-        stream, "t", cfg.t_bins, "y", cfg.h_bins, True, workers
-    )
+    planes, dropped = _histograms(stream, "t", cfg.t_bins, "y", cfg.h_bins, True)
     data = _normalize(np.stack(planes), cfg.normalize)
     return ChsrTensor(data=data, dropped=dropped, config=cfg)
 
 
 def encode_view(stream: EventStream, view: ViewKind,
-                config: EncodeConfig | None = None,
-                workers: int = 1) -> ViewTensor:
+                config: EncodeConfig | None = None) -> ViewTensor:
     """Encode the 2-channel polarity density projection onto one plane.
 
     The TH view equals channels 0-1 of `encode_chsr` under the same config.
     """
-    view = view.lower()
     if view not in _VIEW_KINDS:
         raise ConfigInvalid(f"view must be one of {_VIEW_KINDS}, got {view!r}")
     cfg = (config or EncodeConfig()).resolved(stream.geometry)
@@ -214,7 +203,7 @@ def encode_view(stream: EventStream, view: ViewKind,
         "tw": ("t", cfg.t_bins, "x", cfg.w_bins),
         "th": ("t", cfg.t_bins, "y", cfg.h_bins),
     }[view]
-    planes, dropped = _histograms(stream, *axes, False, workers)
+    planes, dropped = _histograms(stream, *axes, False)
     data = _normalize(np.stack(planes), cfg.normalize)
     return ViewTensor(view=view, data=data, dropped=dropped, config=cfg)
 

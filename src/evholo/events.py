@@ -127,8 +127,8 @@ class EventStream:
 
     `events` holds the events as `EventColumns`: one contiguous int64
     array per field, so ``events["t"]`` is a plain array and
-    ``events[mask]`` a column-wise selection. A structured array or any
-    other mapping with x, y, t, p fields is converted on construction.
+    ``events[mask]`` a column-wise selection. Any other `events` raises
+    `TypeError`; `from_arrays` builds the columns from four sequences.
     Normalized streams are timestamp-sorted with t starting at 0; raw
     (directly constructed) streams may violate that, which is what
     `validate_stream` reports on.
@@ -139,8 +139,8 @@ class EventStream:
 
     def __post_init__(self):
         if not isinstance(self.events, EventColumns):
-            object.__setattr__(
-                self, "events", EventColumns(*(self.events[f] for f in _FIELDS))
+            raise TypeError(
+                f"events must be EventColumns, got {type(self.events).__name__}"
             )
         w, h = self.geometry
         if w < 1 or h < 1:
@@ -311,7 +311,8 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
     file_geometry: tuple[int, int] | None = None
     header_seen = False
     values = array("q")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # only LF ends a line: splitlines() would also break a comment at \x0b or U+2028
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -413,9 +414,9 @@ def write_events_csv(stream: EventStream) -> bytes:
     w, h = stream.geometry
     lines = [f"# geometry {w}x{h}", _CSV_HEADER]
     ev = stream.events
-    lines.extend(
-        f"{x},{y},{t},{p}" for x, y, t, p in zip(ev["x"], ev["y"], ev["t"], ev["p"])
-    )
+    # Python ints from `tolist()` format about twice as fast as NumPy scalars
+    cols = (getattr(ev, f).tolist() for f in _FIELDS)
+    lines.extend(f"{x},{y},{t},{p}" for x, y, t, p in zip(*cols))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

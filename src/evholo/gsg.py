@@ -397,8 +397,7 @@ def finite_difference_oracle(x_in, params: GsgParams, upstream,
     return central_difference(loss_at, theta, param_selector, h)
 
 
-def check_spectral_weight_gradients(x_in, params: GsgParams, upstream,
-                                    h: float = 1e-6) -> float:
+def check_spectral_weight_gradients(x_in, params: GsgParams, upstream) -> float:
     """Max relative error of the analytic spectral-weight gradient against
     the finite-difference oracle over every weight component.
 
@@ -410,7 +409,7 @@ def check_spectral_weight_gradients(x_in, params: GsgParams, upstream,
     scale = float(np.abs(an).max()) if an.size else 0.0
     worst = 0.0
     for i, sel in enumerate(spectral_weight_selectors(params)):
-        fd = finite_difference_oracle(x_in, params, upstream, sel, h)
+        fd = finite_difference_oracle(x_in, params, upstream, sel)
         denom = max(abs(an[i]), abs(fd), 1e-3 * scale, 1e-12)
         worst = max(worst, abs(an[i] - fd) / denom)
     return worst

@@ -109,11 +109,12 @@ def raw_stream(n, geometry=(100, 80), seed=0):
 def test_matches_naive_reference_on_large_random_stream():
     for s in (random_stream(100_000, geometry=(100, 80), seed=2, oob_fraction=0.03),
               raw_stream(20_000, seed=14)):
-        ref, ref_dropped = chsr_reference(s, 224, 80)
-        t = encode_chsr(s)
-        assert t.dropped == ref_dropped
-        assert np.array_equal(t.data[:2], ref[:2])
-        assert np.allclose(t.data[2], ref[2], rtol=1e-12, atol=1e-12)
+        for h_bins in (None, 33, 7, 1):  # None: the sensor's 80 rows
+            ref, ref_dropped = chsr_reference(s, 224, h_bins or 80)
+            t = encode_chsr(s, EncodeConfig(h_bins=h_bins))
+            assert t.dropped == ref_dropped
+            assert np.array_equal(t.data[:2], ref[:2])
+            assert np.allclose(t.data[2], ref[2], rtol=1e-12, atol=1e-12)
 
 
 def test_count_conservation_with_dropped():
@@ -195,6 +196,17 @@ def test_hw_view_single_event():
     assert v.data.sum() == 1.0
 
 
+def test_hw_view_down_bins_both_axes():
+    s = random_stream(20_000, geometry=(100, 80), seed=21, oob_fraction=0.02)
+    v = encode_view(s, "hw", EncodeConfig(h_bins=9, w_bins=13))
+    x, y, p = s.events["x"], s.events["y"], s.events["p"]
+    inb = (x < 100) & (y < 80)
+    want = np.zeros((2, 9, 13))
+    np.add.at(want, ((p[inb] == -1).astype(int), y[inb] * 9 // 80, x[inb] * 13 // 100), 1)
+    assert v.dropped == len(s) - np.count_nonzero(inb) > 0
+    assert np.array_equal(v.data, want)
+
+
 def test_view_shapes():
     s = random_stream(100, geometry=(346, 260))
     assert encode_view(s, "hw").data.shape == (2, 260, 346)
@@ -217,8 +229,9 @@ def test_view_is_nonnegative_integers():
 
 
 def test_unknown_view_rejected():
-    with pytest.raises(ConfigInvalid):
-        encode_view(random_stream(10), "tx")
+    for view in ("tx", "HW"):
+        with pytest.raises(ConfigInvalid):
+            encode_view(random_stream(10), view)
 
 
 def test_config_validation():

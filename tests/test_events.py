@@ -170,6 +170,8 @@ _HEAD = "# geometry 16x12\nx,y,t,p\n"
 # rows of 8 bytes: the chunk's last row is the one that ends on its last byte
 _BOUNDARY_ROWS = ["1,2,3,1"] * (_CSV_CHUNK // 8 + 5)
 _BOUNDARY_ROWS[_CSV_CHUNK // 8 - 1] = "1,2,3,2"
+# line boundaries to str.splitlines, not to the CSV format
+_NON_LF_BREAKS = "\x0b\x1c\u2028"
 
 
 @pytest.mark.parametrize("text", [
@@ -183,6 +185,8 @@ _BOUNDARY_ROWS[_CSV_CHUNK // 8 - 1] = "1,2,3,2"
     pytest.param(_HEAD + "1-2,1,2,1\n", id="inner-minus"),
     pytest.param(_HEAD + "1,1,2,00\n", id="polarity-00"),
     pytest.param(_HEAD + "1,2\n3,1\n", id="two-fields-per-row"),
+    pytest.param(_HEAD + "10,20,30\n" * 4, id="three-fields-per-row"),
+    pytest.param(_HEAD + " " * _CSV_CHUNK + "1,1,2,1\n", id="row-longer-than-a-chunk"),
     pytest.param(_HEAD.replace("\n", "\r\n") + "1,1,2,1\r\n3,3,4,0\r\n", id="crlf"),
     pytest.param("# geometry 16x12\n# a\x0bb\nx,y,t,p\n1,1,2,1\n", id="vt-in-preamble"),
     pytest.param("# geometry 16x12\n# \u2028 \x85\nx,y,t,p\n1,1,2,1\n", id="unicode-breaks-in-preamble"),
@@ -190,11 +194,19 @@ _BOUNDARY_ROWS[_CSV_CHUNK // 8 - 1] = "1,2,3,2"
     pytest.param(_HEAD + "1,1,2,1\n# geometry 20x20\n3,3,4,-1\n", id="body-geometry"),
     pytest.param(_HEAD + "1,1,2,1\n\n3,3,4,-1\n", id="body-blank-line"),
     pytest.param(_HEAD + "1,1,2,1\n3,3,4,-1", id="no-final-newline"),
+    *(pytest.param(_HEAD + f"# note{c}1,1,5,1\n3,3,4,1\n", id=f"break-{ord(c):x}-in-comment")
+      for c in _NON_LF_BREAKS),
     pytest.param(_HEAD + "\n".join(_BOUNDARY_ROWS) + "\n", id="p2-ends-chunk"),
 ])
 def test_csv_edge_cases_match_the_line_walk(text):
     assert_same_as_line_walk(text.encode())
     assert_same_as_line_walk(text.encode(), geometry=(5, 7))
+
+
+def test_csv_only_lf_ends_a_line():
+    for c in _NON_LF_BREAKS:
+        s = parse_events_csv((_HEAD + f"# note{c}1,1,5,1\n3,3,4,1\n").encode())
+        assert [tuple(e) for e in s] == [(3, 3, 0, 1)], repr(c)
 
 
 def test_csv_rows_parse_in_bulk():
@@ -282,6 +294,14 @@ def test_normalized_shifts_without_mutating_input():
         n = raw.normalized()
         assert [(e.x, e.t) for e in n] == want
         assert [tuple(e) for e in raw] == before
+
+
+def test_event_stream_takes_only_event_columns():
+    s = EventStream.from_arrays((4, 4), [1], [2], [3], [1])
+    rec = np.zeros(1, dtype=[(f, np.int64) for f in "xytp"])
+    for events in (rec, {f: s.events[f] for f in "xytp"}):
+        with pytest.raises(TypeError, match="EventColumns"):
+            EventStream((4, 4), events)
 
 
 def test_hevs_header_only_is_empty_stream():

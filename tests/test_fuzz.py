@@ -5,10 +5,10 @@ Whatever the bytes, each reader returns or raises an `EvholoError`; any
 other exception, or a NumPy RuntimeWarning (an error under this suite's
 warning filter), fails the test. On any CSV bytes, `parse_events_csv`
 gives what its line walk alone gives. `evholo validate` on a fuzzed event
-file exits 0 or 2; `encode`, `spectrum` and `gsg-demo` on fuzzed inputs
-exit 0, 1 or 2 with at most one line of error and write no output on
-failure. Runs are derandomized and bounded so the suite stays fast and
-reproducible.
+file exits 0 or 2; `encode`, `spectrum`, `gsg-demo` and `bench --in` on
+fuzzed inputs exit 0, 1 or 2 with at most one line of error and write no
+output on failure. Runs are derandomized and bounded so the suite stays
+fast and reproducible.
 """
 
 import contextlib
@@ -212,6 +212,15 @@ def test_spectrum_on_fuzzed_csv(tmp_path_factory, blob):
     # series stays a few bins long
     run_fuzzed(tmp_path_factory, ["spectrum", "--in", "{d}/ev.csv", "--bin-dt", "1e-5",
                                   "--out-csv", "{d}/spec.csv"], {"ev.csv": blob})
+
+
+@FUZZ
+@given(fuzzed(EVENT_FILES[1]))
+def test_bench_on_fuzzed_csv(tmp_path_factory, blob):
+    # one changed byte keeps the geometry and the timestamps small, so the
+    # default 224 temporal bins and the sensor rows stay cheap to encode
+    run_fuzzed(tmp_path_factory, ["bench", "--in", "{d}/ev.csv", "--repeat", "1",
+                                  "--out-json", "{d}/b.json"], {"ev.csv": blob})
 
 
 @FUZZ
