@@ -20,10 +20,14 @@ Temporal bins are computed exactly in int64; a stream whose
 (duration + 1) * t_bins does not fit raises `TooLarge`, and so does a
 plane whose 2 * rows * cols int64 counts do not fit int64 in bytes.
 
-Each encoder makes one vectorized pass over the stream's int64 columns:
-phi is looked up in a W-entry table (computed per event when there are
-fewer events than W), both polarity counts come from one `bincount`, and
-the holographic channel from one weighted `bincount` in event order.
+Each encoder makes one vectorized pass over the stream's columns, of
+whatever integer dtype: every bin is computed in one int64 array, widened
+before any arithmetic (under NEP 50 a uint16 column times an int stays
+uint16 and wraps), and the cell index is built in place. phi is looked up
+in a W-entry table (computed per event when there are fewer events than
+W), the holographic channel comes from one weighted `bincount` in event
+order, and both polarity counts from one more `bincount` over keys built in
+place on the cell index.
 """
 
 from __future__ import annotations
@@ -119,6 +123,11 @@ def _normalize(data: np.ndarray, mode: str) -> np.ndarray:
     return np.log1p(data)
 
 
+def _outside(v: np.ndarray, extent: int) -> bool:
+    """Whether some value of v lies outside [0, extent)."""
+    return bool(v.max() >= extent) or (v.dtype.kind == "i" and bool(v.min() < 0))
+
+
 def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     """Bin the stream once into (pos, neg[, phi]) planes of row_bins x col_bins."""
     w, h = stream.geometry
@@ -126,26 +135,35 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     x, y, t, p = ev.x, ev.y, ev.t, ev.p
     t_min = int(t.min()) if len(t) else 0
     duration = int(t.max()) - t_min if len(t) else 0
-    # Viewed as uint64, negative coordinates exceed any bound, so one
-    # comparison per axis covers both ends.
-    ux, uy = x.view(np.uint64), y.view(np.uint64)
     dropped = 0
-    if len(x) and (ux.max() >= w or uy.max() >= h):
-        inb = (ux < w) & (uy < h)
+    if len(x) and (_outside(x, w) or _outside(y, h)):
+        inb = (x >= 0) & (x < w) & (y >= 0) & (y < h)
         dropped = len(x) - int(np.count_nonzero(inb))
         x, y, t, p = x[inb], y[inb], t[inb], p[inb]
 
-    def axis_bin(which, bins):
+    def axis_bin(which, bins, fresh=False):
+        """The bins of one axis: the column itself when they equal it and
+        not `fresh`, else a new int64 array, widened before any arithmetic."""
         if which == "t":
             if (duration + 1) * bins > _INT64_MAX:
                 raise TooLarge(
                     f"(duration + 1) * t_bins = {(duration + 1) * bins} "
                     f"overflows int64 temporal binning"
                 )
-            shifted = t - t_min if t_min else t
-            return (shifted * bins) // (duration + 1)
+            b = t.astype(np.int64)
+            if t_min:
+                b -= t_min
+            b *= bins
+            b //= duration + 1
+            return b
         v, extent = (y, h) if which == "y" else (x, w)
-        return v if bins == extent else (v * bins) // extent
+        if bins == extent and not fresh:
+            return v
+        b = v.astype(np.int64)
+        if bins != extent:
+            b *= bins
+            b //= extent
+        return b
 
     size = row_bins * col_bins
     # 2 * size (cell, polarity) int64 counts: keys and byte size must fit int64
@@ -153,19 +171,27 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         raise TooLarge(
             f"{row_bins} x {col_bins} bins: {16 * size} bytes of counts overflow int64"
         )
-    flat = axis_bin(rows_of, row_bins) * col_bins + axis_bin(cols_of, col_bins)
-    # One count over (cell, polarity) keys: even = positive, odd = negative.
+    flat = axis_bin(rows_of, row_bins, fresh=True)
+    flat *= col_bins
+    flat += axis_bin(cols_of, col_bins)
+    if with_phi:
+        # a W-entry table when events outnumber columns; bit-identical either way
+        phi_x = phi(x, w) if len(x) < w else phi(np.arange(w), w)[x]
+        phi_plane = np.bincount(flat, weights=phi_x, minlength=size)
+        del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
+    # One count over (cell, polarity) keys, made in place from the cells:
+    # even = positive, odd = negative.
     neg = p == -1
-    key = flat * 2 + neg
     signed = neg | (p == 1)
+    key = flat
+    key *= 2
+    key += neg
     if not signed.all():
         key = key[signed]
     counts = np.bincount(key, minlength=2 * size).reshape(size, 2).T
     planes = [counts[0].astype(np.float64), counts[1].astype(np.float64)]
     if with_phi:
-        # a W-entry table when events outnumber columns; bit-identical either way
-        phi_x = phi(x, w) if len(x) < w else phi(np.arange(w), w)[x]
-        planes.append(np.bincount(flat, weights=phi_x, minlength=size))
+        planes.append(phi_plane)
     return [plane.reshape(row_bins, col_bins) for plane in planes], dropped
 
 

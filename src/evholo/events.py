@@ -7,9 +7,23 @@ a timestamp in integer microseconds, and a brightness-change polarity in
 already sorted, as HEVS files written by this package are, skips the sort.
 
 In memory a stream stores its events column-wise (`EventColumns`): four
-contiguous int64 arrays x, y, t and p, one value per event, rather than
-one 32-byte record per event. ``events["t"]`` is the timestamp column and
-``events[mask]`` selects events from all four columns at once.
+integer arrays x, y, t and p, one value per event. ``events["t"]`` is the
+timestamp column and ``events[mask]`` selects events from all four columns
+at once. The column dtypes follow the source, so that nothing is widened
+before it has to be:
+
+    HEVS        read-only views of the record fields in the input bytes,
+                the idiom of `tensorio.read_tensor`: x and y uint16, t
+                int64, p int8. p is copied (1 byte per event) only when a
+                polarity 0 must become -1; normalizing makes one shifted
+                int64 copy of t unless t already starts at 0
+    CSV         int64, which holds any negative or out-of-bounds
+                coordinate that `validate_stream` must count
+    from_arrays the dtype of an ndarray of a kept integer dtype (see
+                `EventColumns`), else int64
+
+Code that does arithmetic on a column widens it to int64 first: under
+NumPy 2 (NEP 50) a uint16 column times a Python int stays uint16 and wraps.
 
 Two interchange formats are supported:
 
@@ -50,6 +64,9 @@ from .errors import (
 
 _FIELDS = ("x", "y", "t", "p")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Column dtypes kept as given; any other input becomes int64. uint64 is left
+# out: mixed with int64 it promotes to float64 and loses precision.
+_KEPT_DTYPES = frozenset(map(np.dtype, ("i1", "i2", "i4", "i8", "u1", "u2", "u4")))
 
 HEVS_MAGIC = b"HEVS"
 HEVS_HEADER = 20  # magic4 + version1 + reserved3 + W2 + H2 + count8
@@ -82,7 +99,11 @@ class Event(NamedTuple):
 
 
 class EventColumns:
-    """Four equal-length, contiguous int64 columns x, y, t, p.
+    """Four equal-length integer columns x, y, t, p.
+
+    A column that is an ndarray of a native-order int8/16/32/64 or
+    uint8/16/32 dtype is kept as given, strided or read-only views
+    included; anything else becomes a contiguous int64 array.
 
     Indexed like a structured array with those fields: ``cols["x"]`` is a
     column, ``cols[i]`` with an integer is one `Event`, and any other index
@@ -93,7 +114,8 @@ class EventColumns:
     __slots__ = _FIELDS
 
     def __init__(self, x, y, t, p):
-        cols = [np.ascontiguousarray(c, dtype=np.int64) for c in (x, y, t, p)]
+        cols = [c if isinstance(c, np.ndarray) and c.dtype in _KEPT_DTYPES
+                else np.ascontiguousarray(c, dtype=np.int64) for c in (x, y, t, p)]
         n = len(cols[0])
         if any(c.ndim != 1 or len(c) != n for c in cols):
             raise ValueError(
@@ -125,8 +147,8 @@ class EventColumns:
 class EventStream:
     """An ordered event collection with its sensor geometry.
 
-    `events` holds the events as `EventColumns`: one contiguous int64
-    array per field, so ``events["t"]`` is a plain array and
+    `events` holds the events as `EventColumns`: one integer array per
+    field, so ``events["t"]`` is a plain array and
     ``events[mask]`` a column-wise selection. Any other `events` raises
     `TypeError`; `from_arrays` builds the columns from four sequences.
     Normalized streams are timestamp-sorted with t starting at 0; raw
@@ -167,9 +189,9 @@ class EventStream:
         """Stable-sort by timestamp and shift so t_min = 0.
 
         An already sorted stream skips the sort: the result shares its x, y
-        and p columns with this stream and gets a shifted copy of t. The
-        input is never modified. Raises `TooLarge` when t_max - t_min does
-        not fit int64.
+        and p columns with this stream and gets a shifted int64 copy of t.
+        The input is never modified. Raises `TooLarge` when t_max - t_min
+        does not fit int64.
         """
         ev = self.events
         if len(ev) and not np.all(ev.t[:-1] <= ev.t[1:]):
@@ -178,7 +200,8 @@ class EventStream:
         if len(t) and int(t[-1]) - int(t[0]) > _INT64_MAX:
             raise TooLarge(f"timestamps span {int(t[-1]) - int(t[0])} us, beyond int64")
         if len(t) and t[0] != 0:
-            t = t - t[0]
+            t = t.astype(np.int64)
+            t -= t[0]
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
 
     def __len__(self) -> int:
@@ -333,8 +356,9 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
             raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
         try:
             values.extend(map(int, fields))
-        except ValueError:
-            raise MalformedLine(line_no, "non-numeric field") from None
+        except ValueError:  # non-numeric, or past Python's limit on digits
+            del values[len(values) - len(values) % 4:]
+            values.extend(_long_csv_field(f, line_no) for f in fields)
         except OverflowError:
             raise MalformedLine(line_no, "field outside the int64 range") from None
         p = values[-1]
@@ -343,6 +367,21 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
         elif p not in (-1, 1):
             raise MalformedLine(line_no, f"polarity {p} not in {{-1, 0, 1}}")
     return values, file_geometry
+
+
+def _long_csv_field(field: str, line_no: int) -> int:
+    """A field that `int` refused: non-numeric, or longer than Python's
+    limit on digits, which leading zeros alone can reach without changing
+    the value; more significant digits than int64 holds are out of range."""
+    text = field.strip()
+    body = text.lstrip("+-")
+    sign, digits = text[:len(text) - len(body)], body.lstrip("0") or "0"
+    if len(sign) > 1 or not digits.isdecimal():
+        raise MalformedLine(line_no, "non-numeric field") from None
+    value = int(sign + digits) if len(digits) <= 19 else _INT64_MAX + 1
+    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise MalformedLine(line_no, "field outside the int64 range") from None
+    return value
 
 
 def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
@@ -424,8 +463,13 @@ def parse_events_binary(data: bytes) -> EventStream:
     """Parse HEVS bytes into a normalized stream.
 
     Same semantics as the CSV path; round-trips with `write_events_binary`
-    bit-exactly for normalized streams.
+    bit-exactly for normalized streams. The x, y and p columns of the
+    result are read-only views of `data` (p is a copy when some polarity
+    is 0), so any other buffer than `bytes`, which may change later, is
+    copied once first.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if data[:4] != HEVS_MAGIC:
         raise BadMagic(f"expected {HEVS_MAGIC!r} magic")
     if len(data) < HEVS_HEADER:
@@ -450,13 +494,14 @@ def parse_events_binary(data: bytes) -> EventStream:
     if bad.any():
         i = int(bad.argmax())
         raise BadPolarity(HEVS_HEADER + i * HEVS_RECORD + 12, int(p[i]))
-    # u64 -> i64 maps exactly the timestamps >= 2**63 onto negative values
-    t = recs["t"].astype(np.int64)
+    # u64 viewed as i64 maps exactly the timestamps >= 2**63 onto negative values
+    t = recs["t"].view(np.int64)
     if t.min() < 0:
         i = int((t < 0).argmax())
         raise BadTimestamp(HEVS_HEADER + i * HEVS_RECORD + 4, int(recs["t"][i]))
-    p = p.astype(np.int64)
-    p[p == 0] = -1
+    if not p.all():  # polarity 0 becomes -1 in a copy, never in the input
+        p = p.copy()
+        p[p == 0] = -1
     return EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p).normalized()
 
 
@@ -501,7 +546,8 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     w, h = stream.geometry
     oob = (ev["x"] < 0) | (ev["x"] >= w) | (ev["y"] < 0) | (ev["y"] >= h)
     nonmono = np.zeros(n, dtype=bool)
-    nonmono[1:] = np.diff(ev["t"]) < 0
+    # a comparison, not np.diff, which wraps for narrow or unsigned columns
+    nonmono[1:] = ev["t"][1:] < ev["t"][:-1]
     badp = (ev["p"] != -1) & (ev["p"] != 1)
     nonmono &= ~oob
     badp &= ~oob & ~nonmono

@@ -13,7 +13,10 @@ from evholo import (
     encode_chsr,
     encode_view,
     export_channel_image,
+    parse_events_binary,
     phi,
+    validate_stream,
+    write_events_binary,
 )
 
 
@@ -288,6 +291,46 @@ def test_few_events_on_a_wide_sensor_skip_the_phi_table():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert t.data[2].sum() == phi(np.arange(w), w)[w - 1]  # bit-identical to the table
+
+
+def _assert_same_encodings(a, b, config):
+    ta, tb = encode_chsr(a, config), encode_chsr(b, config)
+    assert ta.dropped == tb.dropped and np.array_equal(ta.data, tb.data)
+    for view in ("hw", "tw", "th"):
+        va, vb = encode_view(a, view, config), encode_view(b, view, config)
+        assert va.dropped == vb.dropped and np.array_equal(va.data, vb.data), view
+    assert validate_stream(a) == validate_stream(b)
+
+
+@pytest.mark.parametrize("bins", [300, 250])
+def test_uint16_hevs_columns_do_not_wrap(bins):
+    """Under NEP 50 a uint16 column times an int stays uint16: y * h_bins,
+    x * w_bins and the row bins times the column count all pass 65535
+    here, so the encoder must widen before any arithmetic."""
+    rng = np.random.default_rng(21)
+    n = 3000
+    wide = EventStream.from_arrays(
+        (300, 300), rng.integers(0, 300, n), rng.integers(0, 300, n),
+        np.sort(rng.integers(0, 50_000, n)), rng.choice([-1, 1], n)).normalized()
+    wide.events.y[:2] = 299
+    parsed = parse_events_binary(write_events_binary(wide))
+    assert parsed.events.x.dtype == parsed.events.y.dtype == np.uint16
+    assert parsed == wide
+    _assert_same_encodings(parsed, wide, EncodeConfig(t_bins=300, h_bins=bins, w_bins=bins))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32])
+def test_narrow_columns_encode_like_int64(dtype):
+    """Out-of-geometry events, negative ones included for signed dtypes,
+    are dropped alike whatever the column dtype."""
+    s = random_stream(2000, geometry=(90, 70), t_max=120, seed=4, oob_fraction=0.1)
+    if np.dtype(dtype).kind == "i":
+        s.events.x[::97] = -3
+    ev = s.events
+    narrow = EventStream.from_arrays(s.geometry, *(ev[f].astype(dtype) for f in "xyt"),
+                                     ev.p.astype(np.int8))
+    assert narrow.events.x.dtype == dtype
+    _assert_same_encodings(narrow, s, EncodeConfig(t_bins=40, h_bins=33, w_bins=51))
 
 
 def test_per_channel_max_normalization():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evholo import (
+    EventColumns,
     EventStream,
     PeriodicGenSpec,
     SpecInvalid,
@@ -95,6 +96,26 @@ def test_csv_field_outside_int64_is_malformed_line_with_number():
     # the int64 extremes themselves still parse
     lines[-1] = "1,1,9223372036854775807,1"
     assert parse_events_csv(_csv(lines))[1].t == 2 ** 63 - 6
+
+
+def test_csv_field_past_the_digit_limit():
+    """Python's `int` refuses more than 4300 digits; leading zeros never
+    change a field's value, so they alone never make it malformed."""
+    def t_of(field):
+        return parse_events_csv(_csv(["# geometry 4x4", "x,y,t,p", "0,0,0,1",
+                                      f"1,1,{field},1"])).events.t.tolist()
+
+    assert t_of("0" * 4200 + "5") == t_of("0" * 4400 + "5") == [0, 5]
+    assert t_of(" -" + "0" * 4400 + "5 ") == [0, 5]  # -5 sorts first
+    assert t_of("0" * 4400 + "9223372036854775807")[1] == 2 ** 63 - 1
+    for field, reason in (("0" * 4400 + "9223372036854775808", "int64"),
+                          ("0" * 4400 + "1" * 20, "int64"),
+                          ("1" * 4400, "int64"),
+                          ("0" * 4400 + "5x", "non-numeric"),
+                          ("--" + "0" * 4400, "non-numeric")):
+        with pytest.raises(MalformedLine, match=reason) as exc:
+            t_of(field)
+        assert exc.value.line_no == 4
 
 
 def test_csv_first_defective_line_wins():
@@ -374,6 +395,71 @@ def test_hevs_zero_polarity_maps_to_negative():
     blob = bytearray(write_events_binary(s))
     blob[HEVS_HEADER + 12] = 0
     assert parse_events_binary(bytes(blob))[0].p == -1
+
+
+def _hevs_blob(n=50, seed=3):
+    rng = np.random.default_rng(seed)
+    return write_events_binary(EventStream.from_arrays(
+        (300, 200), rng.integers(0, 300, n), rng.integers(0, 200, n),
+        np.sort(rng.integers(5, 10_000, n)), rng.choice([-1, 1], n)))
+
+
+def test_hevs_columns_are_read_only_views_of_bytes():
+    data = _hevs_blob()
+    ev = parse_events_binary(data).events
+    # not copied: a change that brings the copy back fails here
+    for f in ("x", "y", "p"):
+        assert np.shares_memory(ev[f], np.frombuffer(data, np.uint8)), f
+        assert not ev[f].flags.writeable, f
+    assert (ev.x.dtype, ev.y.dtype, ev.t.dtype, ev.p.dtype) == (
+        np.uint16, np.uint16, np.int64, np.int8)
+    # t starts at 5, so normalizing made the one shifted copy
+    assert not np.shares_memory(ev.t, np.frombuffer(data, np.uint8))
+
+
+def test_hevs_mutable_buffers_are_copied_once():
+    data = _hevs_blob()
+    want = parse_events_binary(data)
+    for make in (bytearray, lambda b: memoryview(bytearray(b))):
+        buf = make(data)
+        got = parse_events_binary(buf)
+        assert not np.shares_memory(got.events.x, np.frombuffer(buf, np.uint8))
+        buf[HEVS_HEADER:] = bytes(len(buf) - HEVS_HEADER)
+        assert got == want
+
+
+def test_hevs_zero_polarity_remap_never_writes_into_the_input():
+    blob = bytearray(_hevs_blob())
+    for i in (0, 7, 49):
+        blob[HEVS_HEADER + i * HEVS_RECORD + 12] = 0
+    data = bytes(blob)
+    ev = parse_events_binary(data).events
+    assert ev.p.dtype == np.int8 and ev.p[[0, 7, 49]].tolist() == [-1, -1, -1]
+    assert not np.shares_memory(ev.p, np.frombuffer(data, np.uint8))
+    assert data == bytes(blob)
+    assert all(data[HEVS_HEADER + i * HEVS_RECORD + 12] == 0 for i in (0, 7, 49))
+
+
+def test_event_columns_keep_narrow_integer_dtypes_only():
+    kept = ("i1", "i2", "i4", "i8", "u1", "u2", "u4")
+    for dt in kept:
+        a = np.arange(3, dtype=dt)
+        assert EventColumns(a, a, a, a).x is a, dt
+    for a in (np.arange(3, dtype=np.uint64), np.arange(3, dtype=">i4"),
+              np.arange(3.0), [0, 1, 2], np.arange(3) > 0):
+        c = EventColumns(a, a, a, a).x
+        assert c.dtype == np.int64 and c.flags.c_contiguous
+
+
+def test_validate_narrow_columns_count_every_defect():
+    """np.diff on an int8 column wraps 101 -> -100 into +55; the ordering
+    check must not."""
+    cols = [np.array(v, dtype=np.int8) for v in
+            ([0, 1, -1, 2, 3], [0] * 5, [5, 100, 101, -100, -99], [1, 1, 1, 1, 0])]
+    rep = validate_stream(EventStream.from_arrays((4, 4), *cols))
+    assert (rep.out_of_bounds, rep.non_monotonic, rep.bad_polarity) == (1, 1, 1)
+    wide = EventStream.from_arrays((4, 4), *(c.astype(np.int64) for c in cols))
+    assert validate_stream(wide) == rep
 
 
 def test_validate_clean_stream():
