@@ -327,10 +327,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except EvholoError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (EvholoError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as e:

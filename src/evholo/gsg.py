@@ -13,10 +13,12 @@ the probe loss L = sum(x_out * upstream); everything else is reachable
 through the generic central-difference machinery, which doubles as the
 oracle for the analytic path.
 
-Inputs are validated once, at each public entry, which then calls the
-unchecked 64-bit cores `_conv`, `_filter` and `_gate`; `GsgParams` checks
-its own arrays when it is built. A finite input too large for the math
-(an overflow or an Inf - Inf anywhere in an entry) raises `NonFinite`.
+Inputs are validated once, at each public entry, which then runs the
+unchecked 64-bit chain `_conv` -> `_filter` -> `_gate`; `GsgParams` checks
+its own arrays when it is built. The chain returns the output and a tape of
+its intermediates, which `grad_spectral_weight` hands to `_gate_backward`
+instead of recomputing them. A finite input too large for the math (an
+overflow or an Inf - Inf anywhere in an entry) raises `NonFinite`.
 
 Gradient convention: each complex weight is two real parameters (re, im),
 and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
-from .spectral import half_cols, half_spectrum_weights
+from .spectral import _checked, half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
 
@@ -96,26 +98,15 @@ class GsgParams:
     gate_bias: np.ndarray
 
     def __post_init__(self):
-        dw = np.asarray(self.dw_kernel, dtype=np.float64)
-        if dw.ndim != 3 or dw.shape[1:] != (3, 3):
-            raise ShapeMismatch(f"dw_kernel must be (C, 3, 3), got {dw.shape}")
+        dw = _checked("dw_kernel", self.dw_kernel, np.float64, (None, 3, 3))
+        object.__setattr__(self, "dw_kernel", dw)
         c = dw.shape[0]
-        w = np.asarray(self.spectral_weight, dtype=np.complex128)
-        if w.ndim != 3 or w.shape[0] != c:
-            raise ShapeMismatch(
-                f"spectral_weight must be (C={c}, rows, half_cols(cols)), got {w.shape}"
-            )
-        arrays = {"dw_kernel": dw, "spectral_weight": w}
-        for name, shape in (("ln_gamma", (c,)), ("ln_beta", (c,)),
-                            ("gate_weight", (c, c)), ("gate_bias", (c,))):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != shape:
-                raise ShapeMismatch(f"{name} must have shape {shape}, got {v.shape}")
-            arrays[name] = v
-        for name, arr in arrays.items():
-            if not np.isfinite(arr).all():
-                raise NonFinite(f"{name} contains NaN or Inf")
-            object.__setattr__(self, name, arr)
+        for name, dtype, shape in (("spectral_weight", np.complex128, (c, None, None)),
+                                   ("ln_gamma", np.float64, (c,)),
+                                   ("ln_beta", np.float64, (c,)),
+                                   ("gate_weight", np.float64, (c, c)),
+                                   ("gate_bias", np.float64, (c,))):
+            object.__setattr__(self, name, _checked(name, getattr(self, name), dtype, shape))
 
     @property
     def channels(self) -> int:
@@ -169,12 +160,7 @@ def _loss_inputs(x_in, params: GsgParams, upstream):
     """Validated (x_in, upstream) for gsg_loss and grad_spectral_weight."""
     a = _as_feature(x_in)
     _check_weights(a, params.spectral_weight)
-    u = _as_feature(upstream)
-    if u.shape != a.shape:
-        raise ShapeMismatch(
-            f"upstream shape {u.shape} does not match input shape {a.shape}"
-        )
-    return a, u
+    return a, _checked("upstream", upstream, np.float64, a.shape)
 
 
 def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -195,48 +181,38 @@ def _filter(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xf, np.fft.irfft2(xf * w, s=x.shape[1:], axes=(1, 2))
 
 
-def _gating_forward(z: np.ndarray, params: GsgParams):
-    """Gating internals in 64 bit; returns everything backward needs."""
+def _gate(z: np.ndarray, params: GsgParams):
+    """(SiLU(LN(z)) * sigmoid(gate_weight @ z + gate_bias), tape) in 64 bit;
+    the tape holds every intermediate `_gate_backward` reads."""
     z64 = z.astype(np.float64, copy=False)
-    g = params.ln_gamma[:, None, None]
-    b = params.ln_beta[:, None, None]
-    zc = z64 - z64.mean(axis=0)
-    inv = 1.0 / np.sqrt((zc * zc).mean(axis=0) + LN_EPS)
-    zhat = zc * inv
-    nrm = g * zhat + b
+    zhat = z64 - z64.mean(axis=0)
+    inv = 1.0 / np.sqrt((zhat * zhat).mean(axis=0) + LN_EPS)
+    zhat *= inv
+    nrm = params.ln_gamma[:, None, None] * zhat + params.ln_beta[:, None, None]
     sig_n = _sigmoid(nrm)
     carrier = nrm * sig_n
-    q = np.einsum("ij,jrc->irc", params.gate_weight, z64) + params.gate_bias[:, None, None]
-    gate = _sigmoid(q)
-    return zhat, inv, nrm, sig_n, carrier, gate
+    gate = _sigmoid(np.einsum("ij,jrc->irc", params.gate_weight, z64)
+                    + params.gate_bias[:, None, None])
+    return carrier * gate, (zhat, inv, nrm, sig_n, carrier, gate)
 
 
-def _gate(z: np.ndarray, params: GsgParams) -> np.ndarray:
-    """SiLU(LN(z)) * sigmoid(gate_weight @ z + gate_bias)."""
-    *_, carrier, gate = _gating_forward(z, params)
-    return carrier * gate
-
-
-def _forward(a: np.ndarray, params: GsgParams) -> np.ndarray:
-    """The block on validated input, cast back to a.dtype after each stage,
-    exactly as the public stage functions cast."""
+def _forward(a: np.ndarray, params: GsgParams):
+    """(block output, tape) on validated input. The output is cast back to
+    a.dtype after each stage, exactly as the public stage functions cast;
+    the tape is (rfft2(x_local), *the tape of `_gate`)."""
     dt = a.dtype
     x_local = _conv(a, params.dw_kernel).astype(dt, copy=False)
-    z = _filter(x_local, params.spectral_weight)[1].astype(dt, copy=False)
-    return a + _gate(z, params).astype(dt, copy=False)
+    xf, z = _filter(x_local, params.spectral_weight)
+    del x_local  # the gate's temporaries are the peak of the chain
+    g, tape = _gate(z.astype(dt, copy=False), params)
+    return a + g.astype(dt, copy=False), (xf, *tape)
 
 
 @_no_overflow
 def depthwise_conv3x3(x, kernels) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, stride 1, zero padding 1, no bias."""
     a = _as_feature(x)
-    k = np.asarray(kernels, dtype=np.float64)
-    if k.ndim != 3 or k.shape[1:] != (3, 3) or k.shape[0] != a.shape[0]:
-        raise ShapeMismatch(
-            f"kernels must be ({a.shape[0]}, 3, 3), got {k.shape}"
-        )
-    if not np.isfinite(k).all():
-        raise NonFinite("kernels contain NaN or Inf")
+    k = _checked("kernels", kernels, np.float64, (a.shape[0], 3, 3))
     return _conv(a, k).astype(a.dtype, copy=False)
 
 
@@ -244,10 +220,8 @@ def depthwise_conv3x3(x, kernels) -> np.ndarray:
 def spectral_filter(x_local, w) -> np.ndarray:
     """Per channel: irfft2(rfft2(x_c) * w_c). Output is exactly real-typed."""
     a = _as_feature(x_local)
-    wc = np.asarray(w, dtype=np.complex128)
-    _check_weights(a, wc)
-    if not np.isfinite(wc).all():
-        raise NonFinite("weights contain NaN or Inf")
+    c, rows, cols = a.shape
+    wc = _checked("weights", w, np.complex128, (c, rows, half_cols(cols)))
     return _filter(a, wc)[1].astype(a.dtype, copy=False)
 
 
@@ -264,7 +238,7 @@ def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
         raise ShapeMismatch(
             f"params built for {params.channels} channels, input has {a.shape[0]}"
         )
-    return _gate(a, params).astype(a.dtype, copy=False)
+    return _gate(a, params)[0].astype(a.dtype, copy=False)
 
 
 @_no_overflow
@@ -272,20 +246,20 @@ def gsg_forward(x_in, params: GsgParams) -> np.ndarray:
     """x_in + gated_reconstruction(spectral_filter(depthwise_conv3x3(x_in)))."""
     a = _as_feature(x_in)
     _check_weights(a, params.spectral_weight)
-    return _forward(a, params)
+    return _forward(a, params)[0]
 
 
 @_no_overflow
 def gsg_loss(x_in, params: GsgParams, upstream) -> float:
     """Probe loss sum(gsg_forward(x_in) * upstream) used for gradient checks."""
     a, u = _loss_inputs(x_in, params, upstream)
-    out = _forward(a.astype(np.float64, copy=False), params)
-    return float((out * u.astype(np.float64, copy=False)).sum())
+    return float((_forward(a.astype(np.float64, copy=False), params)[0] * u).sum())
 
 
-def _gating_backward(z64: np.ndarray, params: GsgParams, dout: np.ndarray) -> np.ndarray:
-    """dL/dz for out = SiLU(LN(z)) * gate(z), given dL/dout."""
-    zhat, inv, nrm, sig_n, carrier, gate = _gating_forward(z64, params)
+def _gate_backward(tape, params: GsgParams, dout: np.ndarray) -> np.ndarray:
+    """dL/dz for out = SiLU(LN(z)) * gate(z), given the tape of `_gate`
+    and dL/dout."""
+    zhat, inv, nrm, sig_n, carrier, gate = tape
     d_carrier = dout * gate
     dq = dout * carrier * gate * (1.0 - gate)
     dz_gate = np.einsum("ij,irc->jrc", params.gate_weight, dq)
@@ -310,11 +284,11 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     """
     a, u = _loss_inputs(x_in, params, upstream)
     rows, cols = a.shape[1], a.shape[2]
-    zf, z = _filter(_conv(a, params.dw_kernel), params.spectral_weight)
-    u_z = _gating_backward(z, params, u.astype(np.float64, copy=False))
+    xf, *tape = _forward(a.astype(np.float64, copy=False), params)[1]
+    u_z = _gate_backward(tape, params, u)
     col_w = half_spectrum_weights(cols)[None, None, :]
     g_s = np.fft.rfft2(u_z, axes=(1, 2)) * (col_w / (rows * cols))
-    return g_s * np.conj(zf)
+    return g_s * np.conj(xf)
 
 
 def _sections(params: GsgParams) -> dict[str, np.ndarray]:

@@ -46,12 +46,22 @@ def half_spectrum_weights(cols: int) -> np.ndarray:
     return weights
 
 
-def _as_real_2d(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ShapeMismatch(f"expected a non-empty 2D real array, got shape {a.shape}")
+def _checked(name: str, value, dtype, shape: tuple) -> np.ndarray:
+    """`value` as a `dtype` array of `shape`, where None matches any extent;
+    any other shape is `ShapeMismatch`, and NaN or Inf is `NonFinite`."""
+    a = np.asarray(value, dtype=dtype)
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        want = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ShapeMismatch(f"{name} must have shape ({want}), got {a.shape}")
     if not np.isfinite(a).all():
-        raise NonFinite("input contains NaN or Inf")
+        raise NonFinite(f"{name} contains NaN or Inf")
+    return a
+
+
+def _as_real_2d(x) -> np.ndarray:
+    a = _checked("input", x, np.float64, (None, None))
+    if a.size == 0:
+        raise ShapeMismatch(f"expected a non-empty 2D real array, got shape {a.shape}")
     return a
 
 
@@ -66,15 +76,9 @@ def irfft2(z, cols: int) -> np.ndarray:
     `cols` is the true width of the original array; it cannot be inferred
     from the half spectrum when the width parity is unknown.
     """
-    a = np.asarray(z, dtype=np.complex128)
-    if a.ndim != 2 or a.size == 0:
+    a = _checked(f"half spectrum for cols={cols}", z, np.complex128, (None, half_cols(cols)))
+    if a.size == 0:
         raise ShapeMismatch(f"expected a non-empty 2D half spectrum, got shape {a.shape}")
-    if a.shape[1] != half_cols(cols):
-        raise ShapeMismatch(
-            f"half spectrum has {a.shape[1]} columns, expected {half_cols(cols)} for cols={cols}"
-        )
-    if not np.isfinite(a).all():
-        raise NonFinite("input contains NaN or Inf")
     return np.fft.irfft2(a, s=(a.shape[0], cols))
 
 

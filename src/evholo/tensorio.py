@@ -110,7 +110,10 @@ def _read_tensor_at(data: bytes, offset: int) -> tuple[np.ndarray, int]:
 
 
 def read_tensor(data: bytes) -> np.ndarray:
-    """Parse HTEN bytes back into an array (read-only view of the payload)."""
+    """Parse HTEN bytes back into an array (read-only view of the payload;
+    any other buffer than `bytes`, which may change later, is copied once)."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
     arr, end = _read_tensor_at(data, 0)
     if end != len(data):
         raise LengthMismatch(
@@ -138,7 +141,9 @@ def write_archive(entries: Sequence[tuple[str, np.ndarray]] | dict) -> bytes:
 
 
 def read_archive(data: bytes) -> dict[str, np.ndarray]:
-    """Parse HARC bytes into an ordered name -> array mapping."""
+    """Parse HARC bytes into an ordered name -> read-only array mapping."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if data[:4] != ARCHIVE_MAGIC:
         raise BadMagic(f"expected {ARCHIVE_MAGIC!r} archive magic")
     if len(data) < 7:

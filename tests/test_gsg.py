@@ -15,8 +15,10 @@ from evholo import (
     grad_spectral_weight,
     gsg_forward,
     gsg_loss,
+    irfft2,
     params_from_archive,
     params_to_archive,
+    rfft2,
     spectral_filter,
 )
 from evholo.errors import ParseError
@@ -300,6 +302,19 @@ def test_grad_zero_upstream():
     assert not g.any()
 
 
+@pytest.mark.parametrize("shape", [(2, 6, 6), (3, 9, 10)])
+def test_grad_and_loss_run_in_float64(shape):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(shape).astype(np.float32)
+    u = rng.standard_normal(shape).astype(np.float32)
+    x64, u64 = x.astype(np.float64), u.astype(np.float64)
+    p = GsgParams.random(*shape, seed=9)
+    g = grad_spectral_weight(x, p, u)
+    assert g.dtype == np.complex128
+    assert g.tobytes() == grad_spectral_weight(x64, p, u64).tobytes()
+    assert gsg_loss(x, p, u) == gsg_loss(x64, p, u64)
+
+
 def test_grad_single_component_1x4x4():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((1, 4, 4))
@@ -424,3 +439,43 @@ def test_params_validation():
             ln_gamma=np.ones(1), ln_beta=np.zeros(1),
             gate_weight=np.zeros((1, 1)), gate_bias=np.zeros(1),
         )
+
+
+# ---------------------------------------------------------------- array arguments
+
+_X = np.random.default_rng(24).standard_normal((2, 4, 6))
+_P = GsgParams.random(2, 4, 6, seed=4)
+_FIELDS = {name: getattr(_P, name) for name in
+           ("dw_kernel", "spectral_weight", "ln_gamma", "ln_beta", "gate_weight", "gate_bias")}
+
+# name -> (call with the array, a valid array, an array of the wrong shape)
+CHECKED_ARRAYS = {
+    **{name: (lambda v, name=name: GsgParams(**{**_FIELDS, name: v}), good, bad)
+       for name, (good, bad) in {
+           "dw_kernel": (_P.dw_kernel, np.zeros((2, 3, 4))),
+           "spectral_weight": (_P.spectral_weight, np.ones((3, 4, 4), dtype=complex)),
+           "ln_gamma": (_P.ln_gamma, np.ones(3)),
+           "ln_beta": (_P.ln_beta, np.zeros((2, 1))),
+           "gate_weight": (_P.gate_weight, np.zeros((2, 3))),
+           "gate_bias": (_P.gate_bias, np.zeros(())),
+       }.items()},
+    "conv kernels": (lambda v: depthwise_conv3x3(_X, v), _P.dw_kernel, np.zeros((3, 3, 3))),
+    "filter weights": (lambda v: spectral_filter(_X, v), _P.spectral_weight,
+                       np.ones((2, 4, 6), dtype=complex)),
+    "grad upstream": (lambda v: grad_spectral_weight(_X, _P, v), np.ones_like(_X),
+                      np.ones((2, 4, 5))),
+    "loss upstream": (lambda v: gsg_loss(_X, _P, v), np.ones_like(_X), np.ones((1, 2, 4, 6))),
+    "irfft2 half spectrum": (lambda v: irfft2(v, 6), rfft2(_X[0]), np.ones((4, 3), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_ARRAYS)
+def test_checked_array_rejects_wrong_shape_and_nonfinite(name):
+    call, good, bad = CHECKED_ARRAYS[name]
+    call(good)
+    with pytest.raises(ShapeMismatch):
+        call(bad)
+    nan = np.array(good, copy=True)
+    nan.flat[-1] = np.nan
+    with pytest.raises(NonFinite):
+        call(nan)

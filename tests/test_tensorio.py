@@ -136,3 +136,19 @@ def test_zero_dim_with_unaddressable_dims_rejected():
     blob = header + (0).to_bytes(8, "little") + (1 << 63).to_bytes(8, "little")
     with pytest.raises(LengthMismatch):
         read_tensor(blob)
+
+
+@pytest.mark.parametrize("make", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_readers_do_not_alias_a_mutable_buffer(make):
+    want = np.arange(4, dtype=np.float32)
+    buf = make(write_tensor(want))
+    got = read_tensor(buf)
+    buf[-4:] = bytes(4)
+    assert not got.flags.writeable
+    assert np.array_equal(got, want)
+    buf = make(write_archive([("a", want), ("b", 2 * want)]))
+    arch = read_archive(buf)
+    buf[-4:] = bytes(4)
+    assert not any(a.flags.writeable for a in arch.values())
+    assert np.array_equal(arch["a"], want) and np.array_equal(arch["b"], 2 * want)
