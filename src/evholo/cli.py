@@ -49,7 +49,7 @@ _GEOMETRY_FLAG_RE = re.compile(r"^(\d+)[xX](\d+)$")
 
 
 class UsageError(Exception):
-    """Bad flag values or missing input files; mapped to exit code 1."""
+    """Flags that are each valid but do not fit together; mapped to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,11 +74,6 @@ def _atomic_write(path, data: bytes) -> None:
             os.unlink(tmp)
 
 
-def _require_file(path: str, flag: str) -> None:
-    if not os.path.isfile(path):
-        raise UsageError(f"{flag}: no such file: {path}")
-
-
 def _load_stream(path: str):
     data = Path(path).read_bytes()
     if data[:4] == HEVS_MAGIC:
@@ -86,14 +81,31 @@ def _load_stream(path: str):
     return parse_events_csv(data)
 
 
-def _parse_geometry_flag(text: str) -> tuple[int, int]:
+def _flag(cast, ok, want: str):
+    """An argparse `type=` that returns `cast(text)` if `ok` holds for it; text
+    that `cast` cannot read keeps argparse's "invalid <cast> value" message."""
+    def convert(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+
+    convert.__name__ = cast.__name__
+    return convert
+
+
+_AT_LEAST_1 = _flag(int, lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = _flag(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _flag(float, lambda v: 0 < v < np.inf, "finite and > 0")
+_NON_NEGATIVE = _flag(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
+_FILE = _flag(str, os.path.isfile, "an existing file")
+
+
+def _geometry(text: str) -> tuple[int, int]:
     m = _GEOMETRY_FLAG_RE.match(text)
-    if not m:
-        raise UsageError(f"--geometry: expected WxH (e.g. 346x260), got {text!r}")
-    w, h = int(m.group(1)), int(m.group(2))
-    if not (1 <= w <= 0xFFFF and 1 <= h <= 0xFFFF):  # HEVS stores u16 sides
-        raise UsageError(f"--geometry: dimensions must be in 1..65535, got {text!r}")
-    return w, h
+    if not m or not all(1 <= int(side) <= 0xFFFF for side in m.groups()):  # HEVS: u16 sides
+        raise argparse.ArgumentTypeError(f"must be WxH with sides in 1..65535, got {text!r}")
+    return int(m.group(1)), int(m.group(2))
 
 
 def _fmt(v: float) -> str:
@@ -101,27 +113,17 @@ def _fmt(v: float) -> str:
 
 
 def cmd_gen(args) -> int:
-    if not 0 < args.f0 < np.inf:
-        raise UsageError(f"--f0 must be finite and > 0, got {args.f0}")
-    if not 0 < args.duration < np.inf:
-        raise UsageError(f"--duration must be finite and > 0, got {args.duration}")
-    if not 0 <= args.rate_base < np.inf:
-        raise UsageError(f"--rate-base must be finite and >= 0, got {args.rate_base}")
-    if not args.rate_base <= args.rate_peak < np.inf:
+    if args.rate_peak < args.rate_base:
         raise UsageError(
-            f"--rate-peak must be finite and >= --rate-base ({args.rate_base}), "
-            f"got {args.rate_peak}"
+            f"--rate-peak must be >= --rate-base ({args.rate_base}), got {args.rate_peak}"
         )
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    geometry = _parse_geometry_flag(args.geometry)
     spec = PeriodicGenSpec(
         f0=args.f0,
         duration_s=args.duration,
         base_rate=args.rate_base,
         peak_rate=args.rate_peak,
-        geometry=geometry,
-        motion_amplitude=geometry[0] / 8.0,
+        geometry=args.geometry,
+        motion_amplitude=args.geometry[0] / 8.0,
         seed=args.seed,
     )
     stream = generate_periodic_stream(spec)
@@ -131,7 +133,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _require_file(args.infile, "--in")
     report = validate_stream(_load_stream(args.infile))
     print(
         f"total={report.total} out_of_bounds={report.out_of_bounds} "
@@ -142,11 +143,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if args.t_bins < 1:
-        raise UsageError(f"--t-bins must be >= 1, got {args.t_bins}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    _require_file(args.infile, "--in")
     stream = _load_stream(args.infile)
     cfg = EncodeConfig(t_bins=args.t_bins, normalize=args.normalize)
     if args.view == "chsr":
@@ -165,9 +161,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not args.bin_dt > 0:
-        raise UsageError(f"--bin-dt must be > 0, got {args.bin_dt}")
-    _require_file(args.infile, "--in")
     stream = _load_stream(args.infile)
     series = event_rate_series(stream, args.bin_dt)
     spectrum = rate_spectrum(series)  # raises TooShort (exit 2) before any write
@@ -200,9 +193,6 @@ def _grad_check_crop(x: np.ndarray) -> np.ndarray:
 
 
 def cmd_gsg_demo(args) -> int:
-    _require_file(args.infile, "--in")
-    if args.params is not None:
-        _require_file(args.params, "--params")
     data = tensorio.read_tensor(Path(args.infile).read_bytes())
     if data.ndim != 3:
         raise ShapeMismatch(f"expected a 3D feature tensor, got shape {data.shape}")
@@ -229,14 +219,9 @@ def cmd_gsg_demo(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
     if args.infile is not None:
-        _require_file(args.infile, "--in")
         stream = _load_stream(args.infile)
     else:
-        if args.synthetic < 0:
-            raise UsageError(f"--synthetic must be >= 0, got {args.synthetic}")
         stream = synthetic_uniform_stream(args.synthetic)
     report = encode_throughput(stream, args.repeat)
     _atomic_write(args.out_json, (json.dumps(report, indent=2) + "\n").encode("ascii"))
@@ -253,39 +238,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a synthetic periodic event stream")
-    p.add_argument("--f0", type=float, required=True, help="oscillation frequency, Hz")
-    p.add_argument("--duration", type=float, required=True, help="stream length, seconds")
-    p.add_argument("--rate-base", type=float, default=1000.0,
+    p.add_argument("--f0", type=_POSITIVE, required=True, help="oscillation frequency, Hz")
+    p.add_argument("--duration", type=_POSITIVE, required=True, help="stream length, seconds")
+    p.add_argument("--rate-base", type=_NON_NEGATIVE, default=1000.0,
                    help="minimum event rate, events/s (default 1000)")
-    p.add_argument("--rate-peak", type=float, default=10000.0,
+    p.add_argument("--rate-peak", type=_NON_NEGATIVE, default=10000.0,
                    help="maximum event rate, events/s (default 10000)")
-    p.add_argument("--geometry", default="346x260", help="sensor WxH (default 346x260)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--geometry", type=_geometry, default="346x260",
+                   help="sensor WxH (default 346x260)")
+    p.add_argument("--seed", type=_AT_LEAST_0, default=0)
     p.add_argument("--out", required=True, help="output HEVS path")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="report stream integrity counters")
-    p.add_argument("--in", dest="infile", required=True, help="HEVS or CSV stream")
+    p.add_argument("--in", dest="infile", type=_FILE, required=True, help="HEVS or CSV stream")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("encode", help="encode a stream into a dense tensor")
-    p.add_argument("--in", dest="infile", required=True, help="HEVS or CSV stream")
+    p.add_argument("--in", dest="infile", type=_FILE, required=True, help="HEVS or CSV stream")
     p.add_argument("--view", choices=("chsr", "hw", "tw", "th"), default="chsr")
-    p.add_argument("--t-bins", type=int, default=224)
+    p.add_argument("--t-bins", type=_AT_LEAST_1, default=224)
     p.add_argument("--normalize", choices=("none", "per_channel_max", "log1p"),
                    default="none")
     p.add_argument("--out", required=True, help="output HTEN path")
     p.add_argument("--pgm-dir", default=None,
                    help="also dump each channel as a PGM image into this directory")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_AT_LEAST_1, default=1,
                    help="accepted for compatibility (must be >= 1); the encoder "
                         "runs one vectorized pass and the output is the same "
                         "for any value")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("spectrum", help="rate series, spectrum, and dominant tone")
-    p.add_argument("--in", dest="infile", required=True, help="HEVS or CSV stream")
-    p.add_argument("--bin-dt", type=float, default=0.01,
+    p.add_argument("--in", dest="infile", type=_FILE, required=True, help="HEVS or CSV stream")
+    p.add_argument("--bin-dt", type=_POSITIVE, default=0.01,
                    help="rate bin width, seconds (default 0.01)")
     p.add_argument("--out-csv", required=True,
                    help="spectrum CSV path; the rate series lands next to it "
@@ -293,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gsg-demo", help="run the gating operator on a tensor")
-    p.add_argument("--in", dest="infile", required=True, help="input HTEN tensor")
+    p.add_argument("--in", dest="infile", type=_FILE, required=True, help="input HTEN tensor")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--params", default=None, help="HARC params archive")
+    src.add_argument("--params", type=_FILE, default=None, help="HARC params archive")
     src.add_argument("--identity-init", action="store_true",
                      help="identity kernels, unit spectral weights, open gate")
     p.add_argument("--out", required=True, help="output HTEN path")
@@ -306,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure encoder throughput")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="infile", default=None, help="HEVS or CSV stream")
-    src.add_argument("--synthetic", type=int, default=None,
+    src.add_argument("--in", dest="infile", type=_FILE, help="HEVS or CSV stream")
+    src.add_argument("--synthetic", type=_AT_LEAST_0, default=None,
                      help="generate this many synthetic events instead")
-    p.add_argument("--repeat", type=int, default=5)
+    p.add_argument("--repeat", type=_AT_LEAST_1, default=5)
     p.add_argument("--out-json", required=True)
     p.set_defaults(func=cmd_bench)
 

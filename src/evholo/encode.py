@@ -38,7 +38,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
-from .events import _INT64_MAX, EventStream
+from .events import _INT64_MAX, EventStream, _positive_ints
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
 ViewKind = Literal["hw", "tw", "th"]
@@ -71,8 +71,8 @@ class EncodeConfig:
     def __post_init__(self):
         for name, value in (("t_bins", self.t_bins), ("h_bins", self.h_bins),
                             ("w_bins", self.w_bins)):
-            if value is not None and value < 1:
-                raise ConfigInvalid(f"{name} must be >= 1, got {value}")
+            if value is not None and not _positive_ints(value):
+                raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
         if self.normalize not in _NORMALIZE_MODES:
             raise ConfigInvalid(
                 f"normalize must be one of {_NORMALIZE_MODES}, got {self.normalize!r}"

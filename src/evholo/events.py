@@ -42,7 +42,9 @@ rejected with `TooLarge` when normalized.
 
 from __future__ import annotations
 
+import numbers
 import re
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -69,7 +71,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _KEPT_DTYPES = frozenset(map(np.dtype, ("i1", "i2", "i4", "i8", "u1", "u2", "u4")))
 
 HEVS_MAGIC = b"HEVS"
-HEVS_HEADER = 20  # magic4 + version1 + reserved3 + W2 + H2 + count8
+_HEVS_HEAD = struct.Struct("<4sB3xHHQ")  # magic, version, reserved, W, H, count
+HEVS_HEADER = _HEVS_HEAD.size
 HEVS_RECORD = 13  # x2 + y2 + t8 + p1
 _HEVS_RECORD_DTYPE = np.dtype(
     {
@@ -87,6 +90,11 @@ _CSV_HEADER_RE = re.compile(rb"^x,y,t,p\n", re.M)
 _CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _CSV_CHUNK = 1 << 18  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
+
+
+def _positive_ints(*values) -> bool:
+    """Whether every value is an integer, Python or NumPy, >= 1."""
+    return all(isinstance(v, numbers.Integral) and v >= 1 for v in values)
 
 
 class Event(NamedTuple):
@@ -165,8 +173,8 @@ class EventStream:
                 f"events must be EventColumns, got {type(self.events).__name__}"
             )
         w, h = self.geometry
-        if w < 1 or h < 1:
-            raise ValueError(f"geometry must be positive, got {self.geometry}")
+        if not _positive_ints(w, h):
+            raise ValueError(f"geometry sides must be integers >= 1, got {self.geometry}")
         object.__setattr__(self, "geometry", (int(w), int(h)))
 
     @classmethod
@@ -279,9 +287,8 @@ class PeriodicGenSpec:
             raise SpecInvalid(f"motion_amplitude {self.motion_amplitude} is not finite")
         if self.seed < 0:
             raise SpecInvalid(f"seed must be >= 0, got {self.seed}")
-        w, h = self.geometry
-        if w < 1 or h < 1:
-            raise SpecInvalid(f"geometry must be positive, got {self.geometry}")
+        if not _positive_ints(*self.geometry):
+            raise SpecInvalid(f"geometry sides must be integers >= 1, got {self.geometry}")
 
 
 def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> EventStream:
@@ -474,14 +481,11 @@ def parse_events_binary(data: bytes) -> EventStream:
         raise BadMagic(f"expected {HEVS_MAGIC!r} magic")
     if len(data) < HEVS_HEADER:
         raise TruncatedRecord(len(data))
-    version = data[4]
+    _, version, w, h, count = _HEVS_HEAD.unpack_from(data)
     if version != 1:
         raise BadMagic(f"unsupported HEVS version {version}")
-    w = int.from_bytes(data[8:10], "little")
-    h = int.from_bytes(data[10:12], "little")
     if 0 in (w, h):
         raise ParseError(f"HEVS geometry {w}x{h} has a zero side")
-    count = int.from_bytes(data[12:20], "little")
     need = HEVS_HEADER + count * HEVS_RECORD
     if len(data) < need:
         full = (len(data) - HEVS_HEADER) // HEVS_RECORD
@@ -518,13 +522,7 @@ def write_events_binary(stream: EventStream) -> bytes:
                 raise ValueError(f"{field} values outside u16 range")
         if ev["t"].min() < 0:
             raise ValueError("negative timestamps are not representable")
-    header = (
-        HEVS_MAGIC
-        + bytes([1, 0, 0, 0])
-        + int(w).to_bytes(2, "little")
-        + int(h).to_bytes(2, "little")
-        + len(ev).to_bytes(8, "little")
-    )
+    header = _HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(ev))
     recs = np.empty(len(ev), dtype=_HEVS_RECORD_DTYPE)
     recs["x"] = ev["x"]
     recs["y"] = ev["y"]

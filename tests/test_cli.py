@@ -29,7 +29,7 @@ def test_gen_rejects_zero_f0(tmp_path, capsys):
     rc = main(["gen", "--f0", "0", "--duration", "1",
                "--out", str(tmp_path / "x.hevs")])
     assert rc == 1
-    assert "--f0" in capsys.readouterr().err
+    assert "--f0" in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "x.hevs").exists()
 
 
@@ -40,7 +40,7 @@ def test_gen_rejects_non_finite_and_negative_flags(tmp_path, capsys):
         flags = {"--f0": "1", "--duration": "1", flag: value}
         rc = main(["gen", *(a for kv in flags.items() for a in kv), "--out", str(out)])
         assert rc == 1, (flag, value)
-        assert flag in capsys.readouterr().err
+        assert flag in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
 
 
@@ -58,7 +58,7 @@ def test_gen_bad_geometry_flag(tmp_path, capsys):
         rc = main(["gen", "--f0", "1", "--duration", "1", "--geometry", geometry,
                    "--out", str(tmp_path / "x.hevs")])
         assert rc == 1
-        assert "--geometry" in capsys.readouterr().err
+        assert "--geometry" in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "x.hevs").exists()
 
 
@@ -231,6 +231,18 @@ def test_spectrum_bad_bin_dt(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_bin_dt_must_be_finite(tmp_path, capsys):
+    # an infinite bin is a bad flag (exit 1), a finite one too wide for the
+    # stream is a data error (exit 2)
+    path = gen(tmp_path, duration="1")
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--in", str(path), "--bin-dt", "inf", "--out-csv", str(out)]) == 1
+    assert "argument --bin-dt: must be finite and > 0" in capsys.readouterr().err
+    assert main(["spectrum", "--in", str(path), "--bin-dt", "1e300", "--out-csv", str(out)]) == 2
+    assert "bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gsg_demo_identity_init(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 8, 8))
@@ -354,6 +366,83 @@ def test_sizes_beyond_the_address_space_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+#: Every checked flag with a bad value: (the flag the error line must name,
+#: argv without the output flag). {d} holds a valid stream, tensor and params.
+BAD_FLAGS = [
+    ("--f0", "gen --f0 0 --duration 1"),
+    ("--f0", "gen --f0 nan --duration 1"),
+    ("--f0", "gen --f0 x --duration 1"),
+    ("--duration", "gen --f0 1 --duration -1"),
+    ("--duration", "gen --f0 1 --duration inf"),
+    ("--rate-base", "gen --f0 1 --duration 1 --rate-base -1"),
+    ("--rate-base", "gen --f0 1 --duration 1 --rate-base inf"),
+    ("--rate-peak", "gen --f0 1 --duration 1 --rate-peak nan"),
+    ("--rate-peak", "gen --f0 1 --duration 1 --rate-base 5 --rate-peak 4"),
+    ("--rate-peak", "gen --f0 1 --duration 1 --rate-base 20000"),  # above the default peak
+    ("--seed", "gen --f0 1 --duration 1 --seed -1"),
+    ("--seed", "gen --f0 1 --duration 1 --seed 1.5"),
+    ("--geometry", "gen --f0 1 --duration 1 --geometry 0x5"),
+    ("--geometry", "gen --f0 1 --duration 1 --geometry 5x65536"),
+    ("--geometry", "gen --f0 1 --duration 1 --geometry 5x"),
+    pytest.param("--geometry", "gen --f0 1 --duration 1 --geometry 1" + "0" * 5000 + "x1",
+                 id="--geometry-beyond-the-int-digit-limit"),
+    ("--t-bins", "encode --in {d}/ev.hevs --t-bins 0"),
+    ("--t-bins", "encode --in {d}/ev.hevs --t-bins 2.5"),
+    ("--threads", "encode --in {d}/ev.hevs --threads 0"),
+    ("--in", "encode --in {d}/ghost.hevs"),
+    ("--in", "encode --in {d}"),
+    ("--bin-dt", "spectrum --in {d}/ev.hevs --bin-dt 0"),
+    ("--bin-dt", "spectrum --in {d}/ev.hevs --bin-dt -inf"),
+    ("--bin-dt", "spectrum --in {d}/ev.hevs --bin-dt nan"),
+    ("--in", "spectrum --in {d}/ghost.hevs"),
+    ("--in", "gsg-demo --in {d}/ghost.hten --params {d}/p.harc"),
+    ("--params", "gsg-demo --in {d}/x.hten --params {d}/ghost.harc"),
+    ("--repeat", "bench --in {d}/ev.hevs --repeat 0"),
+    ("--synthetic", "bench --synthetic -1"),
+    ("--in", "bench --in {d}/ghost.hevs"),
+]
+OUT_FLAG = {"gen": "--out", "encode": "--out", "spectrum": "--out-csv",
+            "gsg-demo": "--out", "bench": "--out-json"}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    assert main(["gen", "--f0", "3", "--duration", "2", "--out", str(d / "ev.hevs")]) == 0
+    (d / "x.hten").write_bytes(write_tensor(np.ones((2, 6, 6))))
+    (d / "p.harc").write_bytes(params_to_archive(GsgParams.random(2, 6, 6)))
+    return d
+
+
+def run_with_out_dir(tmp_path, valid_inputs, argv):
+    """`main` on `argv` with {d} filled in and the output flag pointing into an
+    empty directory; returns the exit code and what is in that directory."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = argv.format(d=valid_inputs).split()
+    rc = main([*args, OUT_FLAG[args[0]], str(out_dir / "result")])
+    return rc, sorted(p.name for p in out_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv", ["gen --f0 1 --duration 1", "encode --in {d}/ev.hevs",
+                                  "spectrum --in {d}/ev.hevs",
+                                  "gsg-demo --in {d}/x.hten --params {d}/p.harc",
+                                  "bench --in {d}/ev.hevs --repeat 1", "bench --synthetic 10"])
+def test_flag_table_valid_argvs_succeed(tmp_path, valid_inputs, capsys, argv):
+    rc, written = run_with_out_dir(tmp_path, valid_inputs, argv)
+    assert rc == 0 and written
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,argv", BAD_FLAGS)
+def test_bad_flag_exits_1_naming_it(tmp_path, valid_inputs, capsys, flag, argv):
+    rc, written = run_with_out_dir(tmp_path, valid_inputs, argv)
+    assert rc == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error:" in last and flag in last, last
+    assert written == []
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):

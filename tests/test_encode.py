@@ -242,10 +242,20 @@ def test_config_validation():
         EncodeConfig(t_bins=0)
     with pytest.raises(ConfigInvalid):
         EncodeConfig(h_bins=-1)
+    for field, value in (("t_bins", 2.5), ("h_bins", 2.5), ("w_bins", 2.5),
+                         ("t_bins", "3"), ("t_bins", np.float64(3)), ("h_bins", np.inf)):
+        with pytest.raises(ConfigInvalid, match=f"{field} must be an integer >= 1"):
+            EncodeConfig(**{field: value})
     with pytest.raises(ConfigInvalid):
         EncodeConfig(normalize="sqrt")
     with pytest.raises(ConfigInvalid):
         encode_chsr(random_stream(10), workers=0)
+    stream = random_stream(50)
+    numpy_sizes = EncodeConfig(t_bins=np.int64(6), h_bins=np.uint16(5), w_bins=np.int32(7))
+    int_sizes = EncodeConfig(t_bins=6, h_bins=5, w_bins=7)
+    for encode in (encode_chsr, lambda s, cfg: encode_view(s, "hw", cfg)):
+        assert (encode(stream, numpy_sizes).data.tobytes()
+                == encode(stream, int_sizes).data.tobytes())
 
 
 def test_temporal_binning_overflow_is_rejected():

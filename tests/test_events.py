@@ -325,6 +325,36 @@ def test_event_stream_takes_only_event_columns():
             EventStream((4, 4), events)
 
 
+def test_event_stream_geometry_sides_are_integers():
+    for geometry in ((2.5, 4), (4, 2.5), (np.inf, 4), (0, 4), ("4", 4), (np.float64(4), 4)):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            EventStream.from_arrays(geometry, [2], [1], [0], [1])
+    s = EventStream.from_arrays((np.int64(4), np.uint16(3)), [2], [1], [0], [1])
+    assert s.geometry == (4, 3) and all(type(side) is int for side in s.geometry)
+    assert validate_stream(s).clean
+
+
+def test_hevs_header_bytes():
+    blob = write_events_binary(EventStream.from_arrays((346, 260), [1], [2], [3], [-1]))
+    assert blob[:HEVS_HEADER] == (b"HEVS\x01\x00\x00\x00" + (346).to_bytes(2, "little")
+                                  + (260).to_bytes(2, "little") + (1).to_bytes(8, "little"))
+    assert HEVS_HEADER == 20
+
+
+def test_hevs_header_errors_in_order():
+    head = write_events_binary(EventStream.empty((8, 8)))
+    bad_version_zero_side = head[:4] + b"\x02" + head[5:8] + bytes(2) + head[10:]
+    # magic first, then length, then version, then the zero side
+    with pytest.raises(BadMagic, match="magic"):
+        parse_events_binary(b"NOPE" + bad_version_zero_side[4:12])
+    with pytest.raises(TruncatedRecord):
+        parse_events_binary(bad_version_zero_side[:12])
+    with pytest.raises(BadMagic, match="version 2"):
+        parse_events_binary(bad_version_zero_side)
+    with pytest.raises(ParseError, match="zero side"):
+        parse_events_binary(head[:8] + bytes(2) + head[10:])
+
+
 def test_hevs_header_only_is_empty_stream():
     blob = write_events_binary(EventStream.empty((64, 48)))
     assert len(blob) == HEVS_HEADER
@@ -540,9 +570,13 @@ def test_generator_spec_invariants():
                          ("peak_rate", np.inf), ("peak_rate", np.nan),
                          ("motion_amplitude", np.inf), ("motion_amplitude", np.nan),
                          ("seed", -1),
+                         ("geometry", (2.5, 4)), ("geometry", (4, 2.5)),
+                         ("geometry", (np.inf, 4)), ("geometry", (0, 4)),
                          ("duration_s", 1e300)):  # peak_rate * duration_s beyond 2**62
         with pytest.raises(SpecInvalid):
             PeriodicGenSpec(**{**good, field: value})
+    spec = PeriodicGenSpec(**{**good, "geometry": (np.int64(4), np.uint16(4))})
+    assert generate_periodic_stream(spec).geometry == (4, 4)
 
 
 def test_parse_then_validate_reports_zero_defects():
