@@ -1,9 +1,9 @@
 """Command-line pipeline: gen, validate, encode, spectrum, gsg-demo, bench.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing input files),
-2 data error (unparseable or inconsistent input, or a size that cannot be
-allocated). Output files are written to a temp file and atomically renamed,
-so no partial files survive errors.
+Exit codes: 0 success, 1 usage error (bad flags, missing input files or
+output directories), 2 data error (unparseable or inconsistent input, or a
+size that cannot be allocated). Output files are written to a temp file and
+atomically renamed, so no partial files survive errors.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ EXIT_DATA = 2
 
 GRAD_CHECK_GATE = 1e-4
 
-_GEOMETRY_FLAG_RE = re.compile(r"^(\d+)[xX](\d+)$")
+_GEOMETRY_FLAG_RE = re.compile(r"(\d+)[xX](\d+)")
 
 
 class UsageError(Exception):
@@ -99,10 +99,12 @@ _AT_LEAST_0 = _flag(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _flag(float, lambda v: 0 < v < np.inf, "finite and > 0")
 _NON_NEGATIVE = _flag(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 _FILE = _flag(str, os.path.isfile, "an existing file")
+_OUT = _flag(str, lambda path: os.path.isdir(os.path.dirname(path) or "."),
+             "a path in an existing directory")
 
 
 def _geometry(text: str) -> tuple[int, int]:
-    m = _GEOMETRY_FLAG_RE.match(text)
+    m = _GEOMETRY_FLAG_RE.fullmatch(text)
     if not m or not all(1 <= int(side) <= 0xFFFF for side in m.groups()):  # HEVS: u16 sides
         raise argparse.ArgumentTypeError(f"must be WxH with sides in 1..65535, got {text!r}")
     return int(m.group(1)), int(m.group(2))
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", type=_geometry, default="346x260",
                    help="sensor WxH (default 346x260)")
     p.add_argument("--seed", type=_AT_LEAST_0, default=0)
-    p.add_argument("--out", required=True, help="output HEVS path")
+    p.add_argument("--out", type=_OUT, required=True, help="output HEVS path")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="report stream integrity counters")
@@ -260,20 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-bins", type=_AT_LEAST_1, default=224)
     p.add_argument("--normalize", choices=("none", "per_channel_max", "log1p"),
                    default="none")
-    p.add_argument("--out", required=True, help="output HTEN path")
+    p.add_argument("--out", type=_OUT, required=True, help="output HTEN path")
     p.add_argument("--pgm-dir", default=None,
                    help="also dump each channel as a PGM image into this directory")
     p.add_argument("--threads", type=_AT_LEAST_1, default=1,
                    help="accepted for compatibility (must be >= 1); the encoder "
-                        "runs one vectorized pass and the output is the same "
-                        "for any value")
+                        "runs in one thread and the output is the same for any "
+                        "value")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("spectrum", help="rate series, spectrum, and dominant tone")
     p.add_argument("--in", dest="infile", type=_FILE, required=True, help="HEVS or CSV stream")
     p.add_argument("--bin-dt", type=_POSITIVE, default=0.01,
                    help="rate bin width, seconds (default 0.01)")
-    p.add_argument("--out-csv", required=True,
+    p.add_argument("--out-csv", type=_OUT, required=True,
                    help="spectrum CSV path; the rate series lands next to it "
                         "with a .rate suffix before the extension")
     p.set_defaults(func=cmd_spectrum)
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--params", type=_FILE, default=None, help="HARC params archive")
     src.add_argument("--identity-init", action="store_true",
                      help="identity kernels, unit spectral weights, open gate")
-    p.add_argument("--out", required=True, help="output HTEN path")
+    p.add_argument("--out", type=_OUT, required=True, help="output HTEN path")
     p.add_argument("--check-grads", action="store_true",
                    help="verify analytic spectral-weight gradients on a "
                         "down-sampled crop before writing output")
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--synthetic", type=_AT_LEAST_0, default=None,
                      help="generate this many synthetic events instead")
     p.add_argument("--repeat", type=_AT_LEAST_1, default=5)
-    p.add_argument("--out-json", required=True)
+    p.add_argument("--out-json", type=_OUT, required=True)
     p.set_defaults(func=cmd_bench)
 
     return parser

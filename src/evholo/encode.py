@@ -18,16 +18,27 @@ duration lets the final event land in the last bin without a special
 case. Out-of-geometry events are dropped and counted, never clamped.
 Temporal bins are computed exactly in int64; a stream whose
 (duration + 1) * t_bins does not fit raises `TooLarge`, and so does a
-plane whose 2 * rows * cols int64 counts do not fit int64 in bytes.
+tensor whose float64 planes do not fit int64 in bytes.
 
-Each encoder makes one vectorized pass over the stream's columns, of
-whatever integer dtype: every bin is computed in one int64 array, widened
-before any arithmetic (under NEP 50 a uint16 column times an int stays
-uint16 and wraps), and the cell index is built in place. phi is looked up
-in a W-entry table (computed per event when there are fewer events than
+The encoders work on the stream's columns as they are, of whatever integer
+dtype: every bin is widened to int64 before any arithmetic (under NEP 50 a
+uint16 column times an int stays uint16 and wraps), and the cell index is
+built in place. A stream sorted by t, as every normalized one is, holds
+each time bin as one contiguous slice: one `searchsorted` over the row
+thresholds finds where each row starts, and whole time bins are grouped
+into chunks of at most 2**17 events (a bin with more is a chunk of its
+own). Each chunk drops its out-of-geometry events, builds its rows with
+`np.repeat` and fills its own rows of the output, so the int64 and float64
+temporaries are sized by the chunk, not by the stream. No cell spans two
+chunks, so every cell sums the same events in the same order as one pass
+over the whole stream would, and the holographic channel is bit-identical
+to it (chunks cut at event counts would split a cell's float sum).
+Unsorted streams and the HW view are one chunk covering every row, binned
+by the multiply and floor-divide above. Within a chunk phi is looked up in
+a W-entry table (computed per event when the stream has fewer events than
 W), the holographic channel comes from one weighted `bincount` in event
-order, and both polarity counts from one more `bincount` over keys built in
-place on the cell index.
+order, and both polarity counts from one more `bincount` over keys built
+in place on the cell index.
 """
 
 from __future__ import annotations
@@ -38,13 +49,14 @@ from typing import Literal
 import numpy as np
 
 from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
-from .events import _INT64_MAX, EventStream, _positive_ints
+from .events import _INT64_MAX, EventStream, _ascending, _positive_ints
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
 ViewKind = Literal["hw", "tw", "th"]
 
 _NORMALIZE_MODES = ("none", "per_channel_max", "log1p")
 _VIEW_KINDS = ("hw", "tw", "th")
+_CHUNK = 2 ** 17  # events per chunk of whole time bins in a sorted stream
 
 
 def phi(x, w_sensor: int):
@@ -128,71 +140,115 @@ def _outside(v: np.ndarray, extent: int) -> bool:
     return bool(v.max() >= extent) or (v.dtype.kind == "i" and bool(v.min() < 0))
 
 
+def _scaled(v: np.ndarray, bins: int, extent: int, fresh: bool = False) -> np.ndarray:
+    """floor(v * bins / extent): v itself when bins equal extent and not
+    `fresh`, else a new int64 array, widened before any arithmetic."""
+    if bins == extent and not fresh:
+        return v
+    b = v.astype(np.int64)
+    if bins != extent:
+        b *= bins
+        b //= extent
+    return b
+
+
+def _row_edges(t: np.ndarray, t_min: int, span: int, row_bins: int) -> np.ndarray:
+    """Where each temporal row starts in sorted t, plus len(t) at the end.
+
+    Row r starts at the first event with t - t_min >= ceil(r * span /
+    row_bins). Only rows 1..row_bins-1 are searched, and only those whose
+    threshold is at most t_max: the others start at len(t).
+    """
+    thr = np.arange(1, row_bins, dtype=np.int64)
+    thr *= span
+    thr = -(-thr // row_bins)
+    thr = thr[:np.searchsorted(thr, span - 1, side="right")]
+    edges = np.full(row_bins + 1, len(t), dtype=np.int64)
+    edges[0] = 0
+    thr += t_min  # at most t_max, so it fits t's dtype
+    edges[1:1 + len(thr)] = np.searchsorted(t, thr.astype(t.dtype))
+    return edges
+
+
 def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
-    """Bin the stream once into (pos, neg[, phi]) planes of row_bins x col_bins."""
+    """Bin the stream into a (pos, neg[, phi]) x row_bins x col_bins array;
+    returns it and the count of dropped out-of-geometry events."""
     w, h = stream.geometry
     ev = stream.events
     x, y, t, p = ev.x, ev.y, ev.t, ev.p
-    t_min = int(t.min()) if len(t) else 0
-    duration = int(t.max()) - t_min if len(t) else 0
-    dropped = 0
-    if len(x) and (_outside(x, w) or _outside(y, h)):
-        inb = (x >= 0) & (x < w) & (y >= 0) & (y < h)
-        dropped = len(x) - int(np.count_nonzero(inb))
-        x, y, t, p = x[inb], y[inb], t[inb], p[inb]
+    n = len(t)
+    planes = 3 if with_phi else 2
+    # the planes' bytes must fit int64, and so the 2 * rows * cols polarity keys
+    nbytes = planes * 8 * row_bins * col_bins
+    if nbytes > _INT64_MAX:
+        raise TooLarge(f"{row_bins} x {col_bins} bins: {nbytes} bytes of planes overflow int64")
+    ordered = False
+    if rows_of == "t" and n:
+        ordered = _ascending(t)
+        t_min, t_max = (int(t[0]), int(t[-1])) if ordered else (int(t.min()), int(t.max()))
+        span = t_max - t_min + 1
+        if span * row_bins > _INT64_MAX:
+            raise TooLarge(
+                f"(duration + 1) * t_bins = {span * row_bins} overflows int64 temporal binning"
+            )
+    out = np.zeros((planes, row_bins, col_bins))
+    # a W-entry table when events outnumber columns; bit-identical either way
+    phi_table = phi(np.arange(w), w) if with_phi and n >= w else None
 
-    def axis_bin(which, bins, fresh=False):
-        """The bins of one axis: the column itself when they equal it and
-        not `fresh`, else a new int64 array, widened before any arithmetic."""
-        if which == "t":
-            if (duration + 1) * bins > _INT64_MAX:
-                raise TooLarge(
-                    f"(duration + 1) * t_bins = {(duration + 1) * bins} "
-                    f"overflows int64 temporal binning"
-                )
-            b = t.astype(np.int64)
-            if t_min:
-                b -= t_min
-            b *= bins
-            b //= duration + 1
-            return b
-        v, extent = (y, h) if which == "y" else (x, w)
-        if bins == extent and not fresh:
-            return v
-        b = v.astype(np.int64)
-        if bins != extent:
-            b *= bins
-            b //= extent
-        return b
+    def add(first, n_rows, rows, lo, hi):
+        """Bin events lo:hi into out's rows first:first + n_rows, given their
+        rows counted from `first` as a fresh int64 array; returns the count
+        of those dropped."""
+        xs, ys, ps = x[lo:hi], y[lo:hi], p[lo:hi]
+        dropped = 0
+        if _outside(xs, w) or _outside(ys, h):
+            inb = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+            dropped = len(xs) - int(np.count_nonzero(inb))
+            rows, xs, ys, ps = rows[inb], xs[inb], ys[inb], ps[inb]
+        block = out[:, first:first + n_rows]
+        cells = n_rows * col_bins
+        cell = rows
+        cell *= col_bins
+        cell += _scaled(ys, col_bins, h) if cols_of == "y" else _scaled(xs, col_bins, w)
+        if with_phi:
+            phi_x = phi(xs, w) if phi_table is None else phi_table[xs]
+            block[2] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(n_rows, -1)
+            del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
+        # One count over (cell, polarity) keys, made in place from the cells:
+        # even = positive, odd = negative.
+        neg = ps == -1
+        signed = neg | (ps == 1)
+        key = cell
+        key *= 2
+        key += neg
+        if not signed.all():
+            key = key[signed]
+        counts = np.bincount(key, minlength=2 * cells).reshape(n_rows, col_bins, 2)
+        block[0] = counts[..., 0]
+        block[1] = counts[..., 1]
+        return dropped
 
-    size = row_bins * col_bins
-    # 2 * size (cell, polarity) int64 counts: keys and byte size must fit int64
-    if 16 * size > _INT64_MAX:
-        raise TooLarge(
-            f"{row_bins} x {col_bins} bins: {16 * size} bytes of counts overflow int64"
-        )
-    flat = axis_bin(rows_of, row_bins, fresh=True)
-    flat *= col_bins
-    flat += axis_bin(cols_of, col_bins)
-    if with_phi:
-        # a W-entry table when events outnumber columns; bit-identical either way
-        phi_x = phi(x, w) if len(x) < w else phi(np.arange(w), w)[x]
-        phi_plane = np.bincount(flat, weights=phi_x, minlength=size)
-        del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
-    # One count over (cell, polarity) keys, made in place from the cells:
-    # even = positive, odd = negative.
-    neg = p == -1
-    signed = neg | (p == 1)
-    key = flat
-    key *= 2
-    key += neg
-    if not signed.all():
-        key = key[signed]
-    counts = np.bincount(key, minlength=2 * size).reshape(size, 2).T
-    planes = [counts[0].astype(np.float64), counts[1].astype(np.float64)]
-    if with_phi:
-        planes.append(phi_plane)
-    return [plane.reshape(row_bins, col_bins) for plane in planes], dropped
+    if not n:
+        return out, 0
+    if not ordered:
+        if rows_of == "t":
+            rows = t.astype(np.int64)
+            rows -= t_min
+            rows *= row_bins
+            rows //= span
+        else:
+            rows = _scaled(y, row_bins, h, fresh=True)
+        return out, add(0, row_bins, rows, 0, n)
+    # whole time bins per chunk, at most _CHUNK events unless one bin holds more
+    edges = _row_edges(t, t_min, span, row_bins)
+    dropped = a = 0
+    while a < row_bins:
+        b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
+        lo, hi = int(edges[a]), int(edges[b])
+        if hi > lo:
+            dropped += add(a, b - a, np.repeat(np.arange(b - a), np.diff(edges[a:b + 1])), lo, hi)
+        a = b
+    return out, dropped
 
 
 def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
@@ -203,15 +259,16 @@ def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
     cell; channel 2 accumulates phi(x) over all in-geometry events
     regardless of polarity. An empty stream yields the all-zero tensor
     with dropped = 0. `workers` must be >= 1 and leaves the result
-    unchanged: one vectorized pass is faster than splitting the stream.
+    unchanged: the encoder runs in one thread, as splitting the stream
+    across threads is not faster.
     Raises `TooLarge` when (duration + 1) * t_bins, or the byte size of
-    2 * t_bins * h_bins int64 counts, overflows int64.
+    the 3 * t_bins * h_bins float64 tensor, overflows int64.
     """
     if workers < 1:
         raise ConfigInvalid(f"workers must be >= 1, got {workers}")
     cfg = (config or EncodeConfig()).resolved(stream.geometry)
     planes, dropped = _histograms(stream, "t", cfg.t_bins, "y", cfg.h_bins, True)
-    data = _normalize(np.stack(planes), cfg.normalize)
+    data = _normalize(planes, cfg.normalize)
     return ChsrTensor(data=data, dropped=dropped, config=cfg)
 
 
@@ -230,7 +287,7 @@ def encode_view(stream: EventStream, view: ViewKind,
         "th": ("t", cfg.t_bins, "y", cfg.h_bins),
     }[view]
     planes, dropped = _histograms(stream, *axes, False)
-    data = _normalize(np.stack(planes), cfg.normalize)
+    data = _normalize(planes, cfg.normalize)
     return ViewTensor(view=view, data=data, dropped=dropped, config=cfg)
 
 

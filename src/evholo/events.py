@@ -92,6 +92,11 @@ _CSV_CHUNK = 1 << 18  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
 
 
+def _ascending(v: np.ndarray) -> bool:
+    """Whether v never decreases: one O(n) neighbour compare."""
+    return bool(np.all(v[:-1] <= v[1:]))
+
+
 def _positive_ints(*values) -> bool:
     """Whether every value is an integer, Python or NumPy, >= 1."""
     return all(isinstance(v, numbers.Integral) and v >= 1 for v in values)
@@ -202,7 +207,7 @@ class EventStream:
         does not fit int64.
         """
         ev = self.events
-        if len(ev) and not np.all(ev.t[:-1] <= ev.t[1:]):
+        if not _ascending(ev.t):
             ev = ev[np.argsort(ev.t, kind="stable")]
         t = ev.t
         if len(t) and int(t[-1]) - int(t[0]) > _INT64_MAX:

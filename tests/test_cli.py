@@ -156,17 +156,6 @@ def test_encode_pgm_dump(tmp_path):
     assert blob.startswith(b"P5\n260 224\n255\n")
 
 
-def test_encode_usage_errors(tmp_path, capsys):
-    path = gen(tmp_path, duration="1")
-    assert main(["encode", "--in", str(path), "--t-bins", "0",
-                 "--out", str(tmp_path / "x.hten")]) == 1
-    assert main(["encode", "--in", str(path), "--threads", "0",
-                 "--out", str(tmp_path / "x.hten")]) == 1
-    assert main(["encode", "--in", str(tmp_path / "ghost.hevs"),
-                 "--out", str(tmp_path / "x.hten")]) == 1
-    capsys.readouterr()
-
-
 def test_encode_data_error_leaves_no_output(tmp_path):
     bad = tmp_path / "bad.hevs"
     bad.write_bytes(b"HEVS" + bytes(4) + (346).to_bytes(2, "little")
@@ -221,13 +210,6 @@ def test_spectrum_short_series_exits_2(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["spectrum", "--in", str(src), "--out-csv", str(out)]) == 2
     assert not out.exists()
-    capsys.readouterr()
-
-
-def test_spectrum_bad_bin_dt(tmp_path, capsys):
-    path = gen(tmp_path, duration="1")
-    assert main(["spectrum", "--in", str(path), "--bin-dt", "0",
-                 "--out-csv", str(tmp_path / "s.csv")]) == 1
     capsys.readouterr()
 
 
@@ -288,14 +270,6 @@ def test_gsg_demo_check_grads(tmp_path, capsys):
     assert out.exists()
 
 
-def test_gsg_demo_missing_params_file(tmp_path, capsys):
-    src = tmp_path / "x.hten"
-    src.write_bytes(write_tensor(np.zeros((1, 4, 4))))
-    assert main(["gsg-demo", "--in", str(src), "--params",
-                 str(tmp_path / "ghost.harc"), "--out", str(tmp_path / "y.hten")]) == 1
-    capsys.readouterr()
-
-
 def test_gsg_demo_shape_mismatch_exits_2(tmp_path, capsys):
     src = tmp_path / "x.hten"
     src.write_bytes(write_tensor(np.zeros((2, 6, 6))))
@@ -341,12 +315,6 @@ def test_bench_synthetic_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_zero_repeat_exits_1(tmp_path, capsys):
-    assert main(["bench", "--synthetic", "10", "--repeat", "0",
-                 "--out-json", str(tmp_path / "b.json")]) == 1
-    capsys.readouterr()
-
-
 def test_sizes_beyond_the_address_space_exit_2(tmp_path, capsys):
     # each size is 700 PiB or more (or overflows int64), beyond what any machine
     # can map, so nothing is allocated
@@ -369,7 +337,8 @@ def test_sizes_beyond_the_address_space_exit_2(tmp_path, capsys):
 
 
 #: Every checked flag with a bad value: (the flag the error line must name,
-#: argv without the output flag). {d} holds a valid stream, tensor and params.
+#: argv, split at single spaces, with the output flag where it is the bad one).
+#: {d} holds a valid stream, tensor and params; {nl} is a newline.
 BAD_FLAGS = [
     ("--f0", "gen --f0 0 --duration 1"),
     ("--f0", "gen --f0 nan --duration 1"),
@@ -388,6 +357,8 @@ BAD_FLAGS = [
     ("--geometry", "gen --f0 1 --duration 1 --geometry 5x"),
     pytest.param("--geometry", "gen --f0 1 --duration 1 --geometry 1" + "0" * 5000 + "x1",
                  id="--geometry-beyond-the-int-digit-limit"),
+    pytest.param("--geometry", "gen --f0 1 --duration 1 --geometry 8x8{nl}",
+                 id="--geometry-trailing-newline"),
     ("--t-bins", "encode --in {d}/ev.hevs --t-bins 0"),
     ("--t-bins", "encode --in {d}/ev.hevs --t-bins 2.5"),
     ("--threads", "encode --in {d}/ev.hevs --threads 0"),
@@ -400,8 +371,14 @@ BAD_FLAGS = [
     ("--in", "gsg-demo --in {d}/ghost.hten --params {d}/p.harc"),
     ("--params", "gsg-demo --in {d}/x.hten --params {d}/ghost.harc"),
     ("--repeat", "bench --in {d}/ev.hevs --repeat 0"),
+    ("--repeat", "bench --synthetic 10 --repeat 0"),
     ("--synthetic", "bench --synthetic -1"),
     ("--in", "bench --in {d}/ghost.hevs"),
+    ("--out", "gen --f0 1 --duration 1 --out {d}/ghost/g.hevs"),
+    ("--out", "encode --in {d}/ev.hevs --out {d}/ghost/x.hten"),
+    ("--out-csv", "spectrum --in {d}/ev.hevs --out-csv {d}/ghost/s.csv"),
+    ("--out", "gsg-demo --in {d}/x.hten --params {d}/p.harc --out {d}/ghost/y.hten"),
+    ("--out-json", "bench --synthetic 10 --out-json {d}/ghost/b.json"),
 ]
 OUT_FLAG = {"gen": "--out", "encode": "--out", "spectrum": "--out-csv",
             "gsg-demo": "--out", "bench": "--out-json"}
@@ -417,13 +394,15 @@ def valid_inputs(tmp_path_factory):
 
 
 def run_with_out_dir(tmp_path, valid_inputs, argv):
-    """`main` on `argv` with {d} filled in and the output flag pointing into an
-    empty directory; returns the exit code and what is in that directory."""
+    """`main` on `argv` with {d} and {nl} filled in and, unless `argv` names
+    it, the output flag pointing into an empty directory; returns the exit
+    code and what is in that directory."""
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    args = argv.format(d=valid_inputs).split()
-    rc = main([*args, OUT_FLAG[args[0]], str(out_dir / "result")])
-    return rc, sorted(p.name for p in out_dir.iterdir())
+    args = [a.format(d=valid_inputs, nl="\n") for a in argv.split(" ")]
+    if OUT_FLAG[args[0]] not in args:
+        args += [OUT_FLAG[args[0]], str(out_dir / "result")]
+    return main(args), sorted(p.name for p in out_dir.iterdir())
 
 
 @pytest.mark.parametrize("argv", ["gen --f0 1 --duration 1", "encode --in {d}/ev.hevs",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from evholo import (
     validate_stream,
     write_events_binary,
 )
+from evholo import encode as encode_module
 
 
 def chsr_reference(stream, t_bins, h_bins):
@@ -303,17 +305,20 @@ def test_few_events_on_a_wide_sensor_skip_the_phi_table():
     assert t.data[2].sum() == phi(np.arange(w), w)[w - 1]  # bit-identical to the table
 
 
+def _encodings(stream, config=EncodeConfig(t_bins=50, h_bins=17, w_bins=23)):
+    """The CHSR tensor and the hw, tw and th views, as (bytes, dropped) each."""
+    out = [encode_chsr(stream, config)]
+    out += [encode_view(stream, view, config) for view in ("hw", "tw", "th")]
+    return [(o.data.tobytes(), o.dropped) for o in out]
+
+
 def _assert_same_encodings(a, b, config):
-    ta, tb = encode_chsr(a, config), encode_chsr(b, config)
-    assert ta.dropped == tb.dropped and np.array_equal(ta.data, tb.data)
-    for view in ("hw", "tw", "th"):
-        va, vb = encode_view(a, view, config), encode_view(b, view, config)
-        assert va.dropped == vb.dropped and np.array_equal(va.data, vb.data), view
+    assert _encodings(a, config) == _encodings(b, config)
     assert validate_stream(a) == validate_stream(b)
 
 
 @pytest.mark.parametrize("bins", [300, 250])
-def test_uint16_hevs_columns_do_not_wrap(bins):
+def test_uint16_hevs_columns_do_not_wrap(monkeypatch, bins):
     """Under NEP 50 a uint16 column times an int stays uint16: y * h_bins,
     x * w_bins and the row bins times the column count all pass 65535
     here, so the encoder must widen before any arithmetic."""
@@ -326,7 +331,11 @@ def test_uint16_hevs_columns_do_not_wrap(bins):
     parsed = parse_events_binary(write_events_binary(wide))
     assert parsed.events.x.dtype == parsed.events.y.dtype == np.uint16
     assert parsed == wide
-    _assert_same_encodings(parsed, wide, EncodeConfig(t_bins=300, h_bins=bins, w_bins=bins))
+    config = EncodeConfig(t_bins=300, h_bins=bins, w_bins=bins)
+    _assert_same_encodings(parsed, wide, config)
+    want = _encodings(wide, config)
+    monkeypatch.setattr(encode_module, "_CHUNK", 97)  # the parsed u16/i8 columns, chunked
+    assert _encodings(parsed, config) == want
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32])
@@ -388,3 +397,127 @@ def test_pgm_channel_out_of_range():
         export_channel_image(encode_chsr(s), 3)
     with pytest.raises(ChannelOutOfRange):
         export_channel_image(encode_view(s, "hw"), -1)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000])
+def test_chunk_size_leaves_every_output_bit_identical(monkeypatch, chunk):
+    """Chunks of whole time bins sum every cell over the same events in the
+    same order, so even the holographic channel cannot tell them apart."""
+    s = random_stream(30_000, geometry=(100, 80), seed=31, oob_fraction=0.04)
+    s.events.p[::13] = 7
+    want = _encodings(s)
+    monkeypatch.setattr(encode_module, "_CHUNK", chunk)  # 1: every bin its own chunk
+    assert _encodings(s) == want
+
+
+def test_time_bin_beyond_the_chunk_size_is_one_chunk(monkeypatch):
+    # 900 events share one timestamp, so one time bin holds 9x the chunk size
+    rng = np.random.default_rng(32)
+    t = np.sort(np.concatenate([rng.integers(0, 10_000, 2000), np.full(900, 4321)]))
+    n = len(t)
+    s = EventStream.from_arrays((60, 40), rng.integers(0, 60, n), rng.integers(0, 40, n),
+                                t, rng.choice([-1, 1], n))
+    want = _encodings(s)
+    monkeypatch.setattr(encode_module, "_CHUNK", 100)
+    assert _encodings(s) == want
+    ref, _ = chsr_reference(s, 50, 40)
+    t_enc = encode_chsr(s, EncodeConfig(t_bins=50))
+    assert np.array_equal(t_enc.data[:2], ref[:2])
+    big_bin = (4321 - t[0]) * 50 // (t[-1] - t[0] + 1)
+    assert t_enc.data[:2, big_bin].sum() >= 900
+    assert np.allclose(t_enc.data[2], ref[2], rtol=1e-12, atol=1e-12)
+
+
+def test_unsorted_raw_stream_equals_its_sorted_twin(monkeypatch):
+    monkeypatch.setattr(encode_module, "_CHUNK", 500)
+    raw = raw_stream(20_000, seed=33)
+    ev = raw.events
+    twin = EventStream(raw.geometry, ev[np.argsort(ev.t, kind="stable")])
+    for config in (EncodeConfig(), EncodeConfig(t_bins=9, h_bins=5)):
+        a, b = encode_chsr(raw, config), encode_chsr(twin, config)
+        assert a.dropped == b.dropped > 0
+        assert a.data[:2].tobytes() == b.data[:2].tobytes()
+        assert np.abs(a.data[2] - b.data[2]).max() <= 1e-9
+        for view in ("tw", "th"):
+            va, vb = encode_view(raw, view, config), encode_view(twin, view, config)
+            assert va.dropped == vb.dropped and np.array_equal(va.data, vb.data)
+
+
+@pytest.mark.parametrize("chunk", [64, 2 ** 17])
+def test_dropped_events_and_odd_polarities_inside_chunks(monkeypatch, chunk):
+    """Out-of-geometry events on every side and polarities 0 and 7 sit in
+    the same chunks as good events: a sorted stream, as normalized() gives."""
+    monkeypatch.setattr(encode_module, "_CHUNK", chunk)
+    raw = raw_stream(5000, seed=34)
+    s = EventStream(raw.geometry, raw.events[np.argsort(raw.events.t, kind="stable")])
+    s.events.p[1::50] = 0
+    ref, ref_dropped = chsr_reference(s, 224, 80)
+    t = encode_chsr(s)
+    x, y, p = s.events.x, s.events.y, s.events.p
+    inb = (x >= 0) & (x < 100) & (y >= 0) & (y < 80)
+    assert t.dropped == ref_dropped == len(s) - np.count_nonzero(inb) > 0
+    assert np.array_equal(t.data[:2], ref[:2])
+    assert t.data[0].sum() == np.count_nonzero(inb & (p == 1))
+    assert t.data[1].sum() == np.count_nonzero(inb & (p == -1))
+    assert np.count_nonzero(inb & np.isin(p, (0, 7))) > 0
+    assert np.allclose(t.data[2], ref[2], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_bins,span", [(7, 5), (224, 5), (7, 1000)])
+def test_sorted_stream_ending_at_int64_max(t_bins, span):
+    # with fewer microseconds than bins the last rows start past t_max, at
+    # t_max + 1, which does not fit int64: they must not be searched for
+    t_max = 2 ** 63 - 1
+    t = np.array([t_max - span + 1, t_max - span // 2, t_max - 1, t_max, t_max], dtype=np.int64)
+    s = EventStream.from_arrays((8, 8), [0, 1, 2, 3, 9], [1, 2, 3, 4, 5], t, [1, -1, 7, 1, 1])
+    ref, ref_dropped = chsr_reference(s, t_bins, 8)
+    enc = encode_chsr(s, EncodeConfig(t_bins=t_bins))
+    assert enc.dropped == ref_dropped == 1
+    assert np.array_equal(enc.data[:2], ref[:2])
+    assert np.allclose(enc.data[2], ref[2], rtol=1e-12, atol=1e-12)
+    assert enc.data[0, (span - 1) * t_bins // span, 4] == 1.0  # the in-geometry event at t_max
+
+
+def hevs_encode_1m_stream(seed):
+    """The benchmark's `hevs_encode_1m` input for `seed`, as parsed from HEVS:
+    1M events uniform over 346x260 and 10 s, sorted by t."""
+    rng = np.random.default_rng([seed, 1])
+    n = 1_000_000
+    cols = (rng.integers(0, 346, n), rng.integers(0, 260, n),
+            np.sort(rng.integers(0, 10_000_000, n)), rng.choice(np.array([-1, 1]), n))
+    return parse_events_binary(write_events_binary(EventStream.from_arrays((346, 260), *cols)))
+
+
+#: sha256 of the CHSR tensor bytes and of the hw, tw and th view bytes, one
+#: after another, at t_bins=224, as the one-pass encoder made them.
+ENCODING_PINS = {
+    11: ("5a9789323de05d272a35bcccf7573ccabff00f7950a353eade61b255d2f565b2",
+         "22cd23470d40d06e773b4deae747f20516774d9329eb2a08f0f01baf03dde323"),
+    201: ("262675fdaf33a9b66848a3e1e8b614922ebacfa9f82eaf7fc73dec7e303a5b24",
+          "0c6a343a0eaf40f18bb29a9e07eaef4e82ae89f1227d2d7110cfe5d7b7dcada8"),
+    307: ("6da6f54ebe22e65800bc6605e51aecc629b53a7e1fa4f64b23df9a68bdc47b3e",
+          "f896d0582dc61d4b916d25a86611cf6a8e41775b9fc88d5c76c08998238b343d"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ENCODING_PINS))
+def test_benchmark_inputs_encode_to_pinned_bytes(seed):
+    s = hevs_encode_1m_stream(seed)
+    config = EncodeConfig(t_bins=224)
+    chsr = encode_chsr(s, config)
+    views = b"".join(encode_view(s, view, config).data.tobytes() for view in ("hw", "tw", "th"))
+    assert chsr.dropped == 0
+    assert (hashlib.sha256(chsr.data.tobytes()).hexdigest(),
+            hashlib.sha256(views).hexdigest()) == ENCODING_PINS[seed]
+
+
+def test_sorted_1m_encode_peak_stays_chunk_sized():
+    # one pass over all events peaked at 16.5 MB of int64 and float64 temporaries
+    s = hevs_encode_1m_stream(11)
+    tracemalloc.start()
+    try:
+        encode_chsr(s, EncodeConfig(t_bins=224))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
