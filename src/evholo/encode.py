@@ -11,34 +11,29 @@ Binning rules (shared by all encoders):
     height bin   = floor(y * h_bins / H_sensor)
     width bin    = floor(x * w_bins / W_sensor)
 
-For normalized streams t_min is 0 and the temporal rule reduces to
-floor(t * t_bins / (duration + 1)); subtracting t_min makes encoding
-shift-invariant for sub-streams extracted from a larger one. The +1 on
-duration lets the final event land in the last bin without a special
-case. Out-of-geometry events are dropped and counted, never clamped.
-Temporal bins are computed exactly in int64; a stream whose
-(duration + 1) * t_bins does not fit raises `TooLarge`, and so does a
-tensor whose float64 planes do not fit int64 in bytes.
+One rule for time rows: the CHSR, TW and TH encoders normalize the stream
+(stable sort by t, shift to t_min = 0), then bin it in chunks, so any event
+order encodes like its stable sort. The +1 on duration lets the final event
+land in the last bin without a special case. Out-of-geometry events are
+dropped and counted, never clamped. A stream whose (duration + 1) * t_bins,
+or a tensor whose float64 planes in bytes, does not fit int64 raises
+`TooLarge`. Every bin is widened to int64 before any arithmetic (under
+NEP 50 a uint16 column times an int stays uint16 and wraps).
 
-The encoders work on the stream's columns as they are, of whatever integer
-dtype: every bin is widened to int64 before any arithmetic (under NEP 50 a
-uint16 column times an int stays uint16 and wraps), and the cell index is
-built in place. A stream sorted by t, as every normalized one is, holds
-each time bin as one contiguous slice: one `searchsorted` over the row
-thresholds finds where each row starts, and whole time bins are grouped
-into chunks of at most 2**17 events (a bin with more is a chunk of its
-own). Each chunk drops its out-of-geometry events, builds its rows with
-`np.repeat` and fills its own rows of the output, so the int64 and float64
-temporaries are sized by the chunk, not by the stream. No cell spans two
-chunks, so every cell sums the same events in the same order as one pass
-over the whole stream would, and the holographic channel is bit-identical
-to it (chunks cut at event counts would split a cell's float sum).
-Unsorted streams and the HW view are one chunk covering every row, binned
-by the multiply and floor-divide above. Within a chunk phi is looked up in
-a W-entry table (computed per event when the stream has fewer events than
-W), the holographic channel comes from one weighted `bincount` in event
-order, and both polarity counts from one more `bincount` over keys built
-in place on the cell index.
+In the sorted stream each time row is a contiguous slice: one
+`searchsorted` over the row thresholds finds where each row starts, and
+whole rows are grouped into chunks of at most 2**17 events (a row with more
+is a chunk of its own). Each chunk drops its out-of-geometry events, builds
+its rows with `np.repeat` and its cell index in place, and fills its own
+rows of the output, so the temporaries are sized by the chunk, not by the
+stream. No cell spans two chunks, so every cell sums the same events in the
+same order as one pass would, and the holographic channel is bit-identical
+to it (chunks cut at event counts would split a cell's float sum). The HW
+view has no time axis: it bins the stream as it is, in one chunk of y rows.
+Within a chunk phi comes from a W-entry table (or per event, when there are
+fewer events than W), the holographic channel from one weighted `bincount`
+in event order, and both polarity counts from one more `bincount` over keys
+built in place on the cell index.
 """
 
 from __future__ import annotations
@@ -49,14 +44,14 @@ from typing import Literal
 import numpy as np
 
 from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
-from .events import _INT64_MAX, EventStream, _ascending, _positive_ints
+from .events import _INT64_MAX, EventStream, _positive_ints
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
 ViewKind = Literal["hw", "tw", "th"]
 
 _NORMALIZE_MODES = ("none", "per_channel_max", "log1p")
 _VIEW_KINDS = ("hw", "tw", "th")
-_CHUNK = 2 ** 17  # events per chunk of whole time bins in a sorted stream
+_CHUNK = 2 ** 17  # events per chunk of whole time rows
 
 
 def phi(x, w_sensor: int):
@@ -122,17 +117,15 @@ class ViewTensor:
 
 
 def _normalize(data: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "none":
-        return data
+    """Normalize freshly binned planes in place; returns them."""
     if mode == "per_channel_max":
-        out = data.copy()
-        for ch in out:
+        for ch in data:
             m = np.abs(ch).max()
             if m > 0:
                 ch /= m
-        return out
-    # log1p: channels are non-negative counts / phi sums
-    return np.log1p(data)
+    elif mode == "log1p":  # channels are non-negative counts / phi sums
+        np.log1p(data, out=data)
+    return data
 
 
 def _outside(v: np.ndarray, extent: int) -> bool:
@@ -152,12 +145,12 @@ def _scaled(v: np.ndarray, bins: int, extent: int, fresh: bool = False) -> np.nd
     return b
 
 
-def _row_edges(t: np.ndarray, t_min: int, span: int, row_bins: int) -> np.ndarray:
-    """Where each temporal row starts in sorted t, plus len(t) at the end.
+def _row_edges(t: np.ndarray, span: int, row_bins: int) -> np.ndarray:
+    """Where each temporal row starts in normalized t, plus len(t) at the end.
 
-    Row r starts at the first event with t - t_min >= ceil(r * span /
-    row_bins). Only rows 1..row_bins-1 are searched, and only those whose
-    threshold is at most t_max: the others start at len(t).
+    Row r starts at the first event with t >= ceil(r * span / row_bins).
+    Only rows 1..row_bins-1 are searched, and only those whose threshold
+    is at most t_max: the others start at len(t).
     """
     thr = np.arange(1, row_bins, dtype=np.int64)
     thr *= span
@@ -165,32 +158,32 @@ def _row_edges(t: np.ndarray, t_min: int, span: int, row_bins: int) -> np.ndarra
     thr = thr[:np.searchsorted(thr, span - 1, side="right")]
     edges = np.full(row_bins + 1, len(t), dtype=np.int64)
     edges[0] = 0
-    thr += t_min  # at most t_max, so it fits t's dtype
+    # every threshold is at most t_max, so it fits t's dtype
     edges[1:1 + len(thr)] = np.searchsorted(t, thr.astype(t.dtype))
     return edges
 
 
 def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     """Bin the stream into a (pos, neg[, phi]) x row_bins x col_bins array;
-    returns it and the count of dropped out-of-geometry events."""
+    returns it and the count of dropped out-of-geometry events. Time rows
+    bin the normalized stream in chunks of whole rows, y rows in one chunk."""
     w, h = stream.geometry
-    ev = stream.events
-    x, y, t, p = ev.x, ev.y, ev.t, ev.p
-    n = len(t)
     planes = 3 if with_phi else 2
     # the planes' bytes must fit int64, and so the 2 * rows * cols polarity keys
     nbytes = planes * 8 * row_bins * col_bins
     if nbytes > _INT64_MAX:
         raise TooLarge(f"{row_bins} x {col_bins} bins: {nbytes} bytes of planes overflow int64")
-    ordered = False
-    if rows_of == "t" and n:
-        ordered = _ascending(t)
-        t_min, t_max = (int(t[0]), int(t[-1])) if ordered else (int(t.min()), int(t.max()))
-        span = t_max - t_min + 1
+    if rows_of == "t":
+        stream = stream.normalized()
+        t = stream.events.t
+        span = int(t[-1]) + 1 if len(t) else 1  # duration + 1, as t starts at 0
         if span * row_bins > _INT64_MAX:
             raise TooLarge(
                 f"(duration + 1) * t_bins = {span * row_bins} overflows int64 temporal binning"
             )
+    ev = stream.events
+    x, y, t, p = ev.x, ev.y, ev.t, ev.p
+    n = len(t)
     out = np.zeros((planes, row_bins, col_bins))
     # a W-entry table when events outnumber columns; bit-identical either way
     phi_table = phi(np.arange(w), w) if with_phi and n >= w else None
@@ -230,17 +223,10 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
 
     if not n:
         return out, 0
-    if not ordered:
-        if rows_of == "t":
-            rows = t.astype(np.int64)
-            rows -= t_min
-            rows *= row_bins
-            rows //= span
-        else:
-            rows = _scaled(y, row_bins, h, fresh=True)
-        return out, add(0, row_bins, rows, 0, n)
-    # whole time bins per chunk, at most _CHUNK events unless one bin holds more
-    edges = _row_edges(t, t_min, span, row_bins)
+    if rows_of == "y":
+        return out, add(0, row_bins, _scaled(y, row_bins, h, fresh=True), 0, n)
+    # whole time rows per chunk, at most _CHUNK events unless one row holds more
+    edges = _row_edges(t, span, row_bins)
     dropped = a = 0
     while a < row_bins:
         b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
@@ -253,8 +239,9 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
 
 def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
                 workers: int = 1) -> ChsrTensor:
-    """Encode a normalized stream into the 3-channel time-height tensor.
+    """Encode a stream into the 3-channel time-height tensor.
 
+    The stream is normalized, then binned in chunks of whole time rows.
     Channel 0/1 count positive/negative events per (time bin, height bin)
     cell; channel 2 accumulates phi(x) over all in-geometry events
     regardless of polarity. An empty stream yields the all-zero tensor
@@ -276,7 +263,9 @@ def encode_view(stream: EventStream, view: ViewKind,
                 config: EncodeConfig | None = None) -> ViewTensor:
     """Encode the 2-channel polarity density projection onto one plane.
 
-    The TH view equals channels 0-1 of `encode_chsr` under the same config.
+    TW and TH normalize the stream, then bin it in chunks, as `encode_chsr`
+    does; TH equals its channels 0-1 under the same config. HW bins the
+    stream as it is.
     """
     if view not in _VIEW_KINDS:
         raise ConfigInvalid(f"view must be one of {_VIEW_KINDS}, got {view!r}")

@@ -156,21 +156,23 @@ class DominantFrequency(NamedTuple):
 def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     """Histogram a stream's timestamps into bins of bin_dt seconds.
 
-    Bin index is floor(t_seconds / bin_dt); the final event (exactly at the
-    duration boundary) is clamped into the last bin so the series always
-    sums to the event count. Empty streams give a single zero bin. Raises
-    `TooLarge` when the byte size of the bin counts does not fit int64.
+    Bins count from the first timestamp, raw stream or normalized: the bin
+    index is floor((t - t_min) / bin_dt), in seconds, and the final event
+    (exactly at the duration boundary) is clamped into the last bin so the
+    series always sums to the event count. Empty streams give a single
+    zero bin. Raises `TooLarge` beyond max(2**16, 64 * events) bins.
     """
     if not bin_dt > 0:
         raise BadBin(f"bin_dt must be > 0, got {bin_dt}")
     if len(stream) == 0:
         return RateSeries(bin_dt=bin_dt, values=np.zeros(1, dtype=np.int64))
-    t_s = stream.events["t"].astype(np.float64) / 1e6
-    duration_s = stream.duration / 1e6
-    if duration_s / bin_dt >= 2.0 ** 60:  # int64 counts, 8 bytes each
-        raise TooLarge(f"{duration_s / bin_dt:.3g} rate bins overflow int64 in bytes")
-    n = max(1, int(np.ceil(duration_s / bin_dt)))
-    idx = np.floor(t_s / bin_dt).astype(np.int64)
+    t = stream.events.t
+    t_min = int(t.min())
+    bins = (int(t.max()) - t_min) / 1e6 / bin_dt
+    if not bins <= max(2 ** 16, 64 * len(t)):  # beyond it, mostly empty bins
+        raise TooLarge(f"{bins:.3g} rate bins for {len(t)} events, beyond max(2**16, 64 per event)")
+    n = max(1, int(np.ceil(bins)))
+    idx = np.floor((t.astype(np.float64) - t_min) / 1e6 / bin_dt).astype(np.int64)
     np.clip(idx, 0, n - 1, out=idx)
     return RateSeries(bin_dt=bin_dt, values=np.bincount(idx, minlength=n))
 

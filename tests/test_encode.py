@@ -429,18 +429,17 @@ def test_time_bin_beyond_the_chunk_size_is_one_chunk(monkeypatch):
 
 
 def test_unsorted_raw_stream_equals_its_sorted_twin(monkeypatch):
+    """Time rows are binned from the normalized stream, so an unsorted
+    stream encodes byte for byte like its stable sort: all three CHSR
+    channels, the holographic one included, and every view."""
     monkeypatch.setattr(encode_module, "_CHUNK", 500)
     raw = raw_stream(20_000, seed=33)
     ev = raw.events
     twin = EventStream(raw.geometry, ev[np.argsort(ev.t, kind="stable")])
     for config in (EncodeConfig(), EncodeConfig(t_bins=9, h_bins=5)):
-        a, b = encode_chsr(raw, config), encode_chsr(twin, config)
-        assert a.dropped == b.dropped > 0
-        assert a.data[:2].tobytes() == b.data[:2].tobytes()
-        assert np.abs(a.data[2] - b.data[2]).max() <= 1e-9
-        for view in ("tw", "th"):
-            va, vb = encode_view(raw, view, config), encode_view(twin, view, config)
-            assert va.dropped == vb.dropped and np.array_equal(va.data, vb.data)
+        got = _encodings(raw, config)
+        assert got == _encodings(twin, config)
+        assert all(dropped > 0 for _, dropped in got)
 
 
 @pytest.mark.parametrize("chunk", [64, 2 ** 17])
@@ -512,7 +511,9 @@ def test_benchmark_inputs_encode_to_pinned_bytes(seed):
 
 
 def test_sorted_1m_encode_peak_stays_chunk_sized():
-    # one pass over all events peaked at 16.5 MB of int64 and float64 temporaries
+    # one pass over all events peaked at 16.5 MB of int64 and float64
+    # temporaries, and the chunk loop measures 3.55 MB: chunk temporaries
+    # kept alive from one chunk into the next would come to about 5 MB
     s = hevs_encode_1m_stream(11)
     tracemalloc.start()
     try:
@@ -520,4 +521,4 @@ def test_sorted_1m_encode_peak_stays_chunk_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8_000_000
+    assert peak < 4_500_000

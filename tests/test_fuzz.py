@@ -214,6 +214,22 @@ def test_spectrum_on_fuzzed_csv(tmp_path_factory, blob):
                                   "--out-csv", "{d}/spec.csv"], {"ev.csv": blob})
 
 
+# timestamps anywhere in int64, or within 1000 s of 0, where some series
+# are short enough to compute and others are beyond the rate-bin bound
+STAMP = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(0, 10 ** 9))
+FREE_TIMESTAMP_DOCS = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 11), STAMP, st.sampled_from([1, -1])),
+    max_size=8,
+).map(lambda rows: csv_doc(["# geometry 16x12"], [",".join(map(str, r)) for r in rows]))
+
+
+@FUZZ
+@given(FREE_TIMESTAMP_DOCS, st.sampled_from(["1e-5", "0.01", "1", "1e-300", "1e300"]))
+def test_spectrum_on_free_timestamps(tmp_path_factory, blob, bin_dt):
+    run_fuzzed(tmp_path_factory, ["spectrum", "--in", "{d}/ev.csv", "--bin-dt", bin_dt,
+                                  "--out-csv", "{d}/spec.csv"], {"ev.csv": blob})
+
+
 @FUZZ
 @given(fuzzed(EVENT_FILES[1]))
 def test_bench_on_fuzzed_csv(tmp_path_factory, blob):

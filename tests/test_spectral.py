@@ -133,6 +133,40 @@ def test_rate_series_bin_count_overflow_is_rejected():
             event_rate_series(s, bin_dt)
 
 
+def test_rate_series_counts_from_the_first_timestamp():
+    # a raw stream starting at 1 s used to fill bins from t = 0: all four
+    # events clamped into the last of 10 bins
+    t = [1_000_000, 1_250_000, 1_500_000, 2_000_000]
+    raw = EventStream.from_arrays((4, 4), [0] * 4, [0] * 4, t, [1] * 4)
+    want = [1, 0, 1, 0, 0, 1, 0, 0, 0, 1]
+    assert list(event_rate_series(raw.normalized(), 0.1).values) == want
+    assert list(event_rate_series(raw, 0.1).values) == want
+    shuffled = EventStream.from_arrays((4, 4), [0] * 4, [0] * 4, t[::-1], [1] * 4)
+    assert list(event_rate_series(shuffled, 0.1).values) == want
+
+
+def test_rate_series_bins_are_bounded_by_the_event_count():
+    # two events 1000 s apart at 10 us bins would be 1e8 bins (800 MB)
+    s = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [0, 1_000_000_000], [1, 1])
+    with pytest.raises(TooLarge):
+        event_rate_series(s, 1e-5)
+    # at most 2**16 bins for few events: 2**16 * 15625 us is 2**16 bins of 2**-6 s
+    s = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [0, 2 ** 16 * 15_625], [1, 1])
+    assert len(event_rate_series(s, 2.0 ** -6)) == 2 ** 16
+    s = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [0, 2 ** 16 * 15_625 + 1], [1, 1])
+    with pytest.raises(TooLarge):
+        event_rate_series(s, 2.0 ** -6)
+    # and at most 64 bins per event for many
+    n = 2000
+    t = np.linspace(0, 64 * n * 15_625, n).astype(np.int64)
+    s = EventStream.from_arrays((4, 4), [0] * n, [0] * n, t, [1] * n)
+    assert len(event_rate_series(s, 2.0 ** -6)) == 64 * n
+    t[-1] += 1
+    s = EventStream.from_arrays((4, 4), [0] * n, [0] * n, t, [1] * n)
+    with pytest.raises(TooLarge):
+        event_rate_series(s, 2.0 ** -6)
+
+
 def test_rate_series_bad_bin():
     s = EventStream.empty((4, 4))
     with pytest.raises(BadBin):
