@@ -150,16 +150,19 @@ def _row_edges(t: np.ndarray, span: int, row_bins: int) -> np.ndarray:
 
     Row r starts at the first event with t >= ceil(r * span / row_bins).
     Only rows 1..row_bins-1 are searched, and only those whose threshold
-    is at most t_max: the others start at len(t).
+    is at most t_max: the others start at len(t). t is searched in chunks
+    of _CHUNK events, whose counts below each threshold add up, because
+    searchsorted copies a strided t (a parsed stream's record view) whole.
     """
     thr = np.arange(1, row_bins, dtype=np.int64)
     thr *= span
     thr = -(-thr // row_bins)
     thr = thr[:np.searchsorted(thr, span - 1, side="right")]
+    thr = thr.astype(t.dtype)  # every threshold is at most t_max, so it fits
     edges = np.full(row_bins + 1, len(t), dtype=np.int64)
     edges[0] = 0
-    # every threshold is at most t_max, so it fits t's dtype
-    edges[1:1 + len(thr)] = np.searchsorted(t, thr.astype(t.dtype))
+    edges[1:1 + len(thr)] = sum(np.searchsorted(t[lo:lo + _CHUNK], thr)
+                                for lo in range(0, len(t), _CHUNK))
     return edges
 
 

@@ -17,8 +17,12 @@ Inputs are validated once, at each public entry, which then runs the
 unchecked 64-bit chain `_conv` -> `_filter` -> `_gate`; `GsgParams` checks
 its own arrays when it is built. The chain returns the output and a tape of
 its intermediates, which `grad_spectral_weight` hands to `_gate_backward`
-instead of recomputing them. A finite input too large for the math (an
-overflow or an Inf - Inf anywhere in an entry) raises `NonFinite`.
+instead of recomputing them. The chain writes in place only into arrays it
+allocated itself, and `_gate_backward` spends the tape; each in-place step
+rounds as the out-of-place expression it stands for, so the outputs are bit
+for bit those of the plain expressions the tests keep as a reference. A
+finite input too large for the math (an overflow or an Inf - Inf anywhere
+in an entry) raises `NonFinite`.
 
 Gradient convention: each complex weight is two real parameters (re, im),
 and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
@@ -51,9 +55,14 @@ PARAM_SECTIONS = (
 )
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
+def _sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 * v)) into `out`, which may be v; returns out."""
     # the tanh form cannot overflow for any finite v
-    return 0.5 * (1.0 + np.tanh(0.5 * v))
+    np.multiply(v, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _as_feature(x) -> np.ndarray:
@@ -164,14 +173,16 @@ def _loss_inputs(x_in, params: GsgParams, upstream):
 
 
 def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation with zero padding 1."""
-    x64 = x.astype(np.float64, copy=False)
-    rows, cols = x.shape[1], x.shape[2]
-    xp = np.pad(x64, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros_like(x64)
+    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit."""
+    c, rows, cols = x.shape
+    xp = np.zeros((c, rows + 2, cols + 2))
+    xp[:, 1:-1, 1:-1] = x
+    out = np.zeros(x.shape)
+    prod = np.empty(x.shape)
     for i in range(3):
         for j in range(3):
-            out += k[:, i, j][:, None, None] * xp[:, i:i + rows, j:j + cols]
+            out += np.multiply(k[:, i, j][:, None, None], xp[:, i:i + rows, j:j + cols],
+                               out=prod)
     return out
 
 
@@ -186,13 +197,16 @@ def _gate(z: np.ndarray, params: GsgParams):
     the tape holds every intermediate `_gate_backward` reads."""
     z64 = z.astype(np.float64, copy=False)
     zhat = z64 - z64.mean(axis=0)
-    inv = 1.0 / np.sqrt((zhat * zhat).mean(axis=0) + LN_EPS)
+    sq = zhat * zhat
+    inv = 1.0 / np.sqrt(sq.mean(axis=0) + LN_EPS)
     zhat *= inv
-    nrm = params.ln_gamma[:, None, None] * zhat + params.ln_beta[:, None, None]
-    sig_n = _sigmoid(nrm)
+    nrm = params.ln_gamma[:, None, None] * zhat
+    nrm += params.ln_beta[:, None, None]
+    sig_n = _sigmoid(nrm, out=sq)
     carrier = nrm * sig_n
-    gate = _sigmoid(np.einsum("ij,jrc->irc", params.gate_weight, z64)
-                    + params.gate_bias[:, None, None])
+    gate = np.einsum("ij,jrc->irc", params.gate_weight, z64)
+    gate += params.gate_bias[:, None, None]
+    _sigmoid(gate, out=gate)
     return carrier * gate, (zhat, inv, nrm, sig_n, carrier, gate)
 
 
@@ -204,8 +218,11 @@ def _forward(a: np.ndarray, params: GsgParams):
     x_local = _conv(a, params.dw_kernel).astype(dt, copy=False)
     xf, z = _filter(x_local, params.spectral_weight)
     del x_local  # the gate's temporaries are the peak of the chain
-    g, tape = _gate(z.astype(dt, copy=False), params)
-    return a + g.astype(dt, copy=False), (xf, *tape)
+    z = z.astype(dt, copy=False)  # an f32 chain drops the 64-bit z here
+    g, tape = _gate(z, params)
+    g = g.astype(dt, copy=False)
+    g += a
+    return g, (xf, *tape)
 
 
 @_no_overflow
@@ -258,17 +275,27 @@ def gsg_loss(x_in, params: GsgParams, upstream) -> float:
 
 def _gate_backward(tape, params: GsgParams, dout: np.ndarray) -> np.ndarray:
     """dL/dz for out = SiLU(LN(z)) * gate(z), given the tape of `_gate`
-    and dL/dout."""
+    and dL/dout. Overwrites the tape's arrays; dout is only read."""
     zhat, inv, nrm, sig_n, carrier, gate = tape
-    d_carrier = dout * gate
-    dq = dout * carrier * gate * (1.0 - gate)
+    dzhat = dout * gate  # dL/dcarrier, made dL/dn and then dL/dzhat in place
+    dq = np.multiply(dout, carrier, out=carrier)
+    dq *= gate
+    dq *= np.subtract(1.0, gate, out=gate)
     dz_gate = np.einsum("ij,irc->jrc", params.gate_weight, dq)
     # SiLU'(n) = sigmoid(n) * (1 + n * (1 - sigmoid(n)))
-    dn = d_carrier * sig_n * (1.0 + nrm * (1.0 - sig_n))
-    dzhat = dn * params.ln_gamma[:, None, None]
+    dzhat *= sig_n
+    silu_d = np.subtract(1.0, sig_n, out=sig_n)
+    silu_d *= nrm
+    silu_d += 1.0
+    dzhat *= silu_d
+    dzhat *= params.ln_gamma[:, None, None]
     m1 = dzhat.mean(axis=0)
-    m2 = (dzhat * zhat).mean(axis=0)
-    return inv * (dzhat - m1 - zhat * m2) + dz_gate
+    m2 = np.multiply(dzhat, zhat, out=nrm).mean(axis=0)
+    dzhat -= m1
+    dzhat -= np.multiply(zhat, m2, out=zhat)
+    dzhat *= inv
+    dzhat += dz_gate
+    return dzhat
 
 
 @_no_overflow
@@ -286,8 +313,12 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     rows, cols = a.shape[1], a.shape[2]
     xf, *tape = _forward(a.astype(np.float64, copy=False), params)[1]
     u_z = _gate_backward(tape, params, u)
-    col_w = half_spectrum_weights(cols)[None, None, :]
-    g_s = np.fft.rfft2(u_z, axes=(1, 2)) * (col_w / (rows * cols))
+    del tape  # spent: freed before the transform
+    g_s = np.fft.rfft2(u_z, axes=(1, 2))
+    g_s *= half_spectrum_weights(cols)[None, None, :] / (rows * cols)
+    # conj(xf) stays a temporary: NumPy's elision then multiplies as
+    # conj(xf) * g_s above 256 KiB and as written below, two orders whose
+    # complex products round differently
     return g_s * np.conj(xf)
 
 

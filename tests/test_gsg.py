@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from evholo.gsg import (
     spectral_weight_selectors,
     unflatten_params,
 )
+from evholo.spectral import half_cols, half_spectrum_weights
 
 
 def conv_reference(x, k):
@@ -106,7 +109,7 @@ def test_filter_identity_weights():
     rng = np.random.default_rng(4)
     for rows, cols in [(4, 4), (7, 5), (64, 64)]:
         x = rng.standard_normal((2, rows, cols)).astype(np.float32)
-        w = np.ones((2, rows, cols // 2 + 1), dtype=np.complex128)
+        w = np.ones((2, rows, half_cols(cols)), dtype=np.complex128)
         out = spectral_filter(x, w)
         assert out.dtype == np.float32
         assert np.abs(out - x).max() < 1e-6
@@ -479,3 +482,147 @@ def test_checked_array_rejects_wrong_shape_and_nonfinite(name):
     nan.flat[-1] = np.nan
     with pytest.raises(NonFinite):
         call(nan)
+
+
+# ---------------------------------------------------------------- the in-place chain
+
+# The same chain as plain out-of-place expressions: the reference that the
+# in-place chain must match bit for bit.
+
+
+def _sigmoid_ref(v):
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+
+def _conv_ref(x, k):
+    x64 = x.astype(np.float64, copy=False)
+    rows, cols = x.shape[1], x.shape[2]
+    xp = np.pad(x64, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros_like(x64)
+    for i in range(3):
+        for j in range(3):
+            out += k[:, i, j][:, None, None] * xp[:, i:i + rows, j:j + cols]
+    return out
+
+
+def _filter_ref(x, w):
+    xf = np.fft.rfft2(x.astype(np.float64, copy=False), axes=(1, 2))
+    return xf, np.fft.irfft2(xf * w, s=x.shape[1:], axes=(1, 2))
+
+
+def _gate_ref(z, params):
+    z64 = z.astype(np.float64, copy=False)
+    zhat = z64 - z64.mean(axis=0)
+    inv = 1.0 / np.sqrt((zhat * zhat).mean(axis=0) + LN_EPS)
+    zhat *= inv
+    nrm = params.ln_gamma[:, None, None] * zhat + params.ln_beta[:, None, None]
+    sig_n = _sigmoid_ref(nrm)
+    carrier = nrm * sig_n
+    gate = _sigmoid_ref(np.einsum("ij,jrc->irc", params.gate_weight, z64)
+                        + params.gate_bias[:, None, None])
+    return carrier * gate, (zhat, inv, nrm, sig_n, carrier, gate)
+
+
+def _forward_ref(a, params):
+    dt = a.dtype
+    x_local = _conv_ref(a, params.dw_kernel).astype(dt, copy=False)
+    xf, z = _filter_ref(x_local, params.spectral_weight)
+    del x_local
+    g, tape = _gate_ref(z.astype(dt, copy=False), params)
+    return a + g.astype(dt, copy=False), (xf, *tape)
+
+
+def _gate_backward_ref(tape, params, dout):
+    zhat, inv, nrm, sig_n, carrier, gate = tape
+    d_carrier = dout * gate
+    dq = dout * carrier * gate * (1.0 - gate)
+    dz_gate = np.einsum("ij,irc->jrc", params.gate_weight, dq)
+    dn = d_carrier * sig_n * (1.0 + nrm * (1.0 - sig_n))
+    dzhat = dn * params.ln_gamma[:, None, None]
+    m1 = dzhat.mean(axis=0)
+    m2 = (dzhat * zhat).mean(axis=0)
+    return inv * (dzhat - m1 - zhat * m2) + dz_gate
+
+
+def _grad_ref(a, params, u):
+    rows, cols = a.shape[1], a.shape[2]
+    xf, *tape = _forward_ref(a.astype(np.float64, copy=False), params)[1]
+    u_z = _gate_backward_ref(tape, params, u)
+    col_w = half_spectrum_weights(cols)[None, None, :]
+    g_s = np.fft.rfft2(u_z, axes=(1, 2)) * (col_w / (rows * cols))
+    return g_s * np.conj(xf)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# 3x224x260 is the benchmark's window; the complex products of the gradient
+# are 1.4 MB there and a few hundred bytes on the odd shapes, on either side
+# of the size above which NumPy computes `a * f(b)` in f(b)'s buffer, as
+# f(b) * a, which rounds the imaginary part differently
+@pytest.mark.parametrize("shape", [(3, 224, 260), (1, 5, 7), (2, 9, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chain_is_bit_identical_to_the_out_of_place_expressions(shape, dtype):
+    rng = np.random.default_rng(26)
+    x = np.abs(rng.standard_normal(shape)).astype(dtype)
+    u = rng.standard_normal(shape)
+    p = GsgParams.random(*shape, seed=6)
+    x_local = _conv_ref(x, p.dw_kernel).astype(dtype, copy=False)
+    z = _filter_ref(x_local, p.spectral_weight)[1].astype(dtype, copy=False)
+    assert _same_bits(depthwise_conv3x3(x, p.dw_kernel), x_local)
+    assert _same_bits(spectral_filter(x_local, p.spectral_weight), z)
+    assert _same_bits(gated_reconstruction(z, p), _gate_ref(z, p)[0].astype(dtype, copy=False))
+    assert _same_bits(gsg_forward(x, p), _forward_ref(x, p)[0])
+    loss = float((_forward_ref(x.astype(np.float64, copy=False), p)[0] * u).sum())
+    assert _same_bits(gsg_loss(x, p, u), loss)
+    assert _same_bits(grad_spectral_weight(x, p, u), _grad_ref(x, p, u))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_entries_leave_their_arrays_alone_and_return_fresh_ones(dtype):
+    """The chain works in place on its own temporaries only: for f64 input
+    `astype(copy=False)` hands it the caller's array itself."""
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((2, 6, 5)).astype(dtype)
+    u = rng.standard_normal((2, 6, 5))
+    p = GsgParams.random(2, 6, 5, seed=7)
+    given = [x, u, *(getattr(p, name) for name in _FIELDS)]
+    before = [a.tobytes() for a in given]
+    outs = [depthwise_conv3x3(x, p.dw_kernel), spectral_filter(x, p.spectral_weight),
+            gated_reconstruction(x, p), gsg_forward(x, p), grad_spectral_weight(x, p, u)]
+    gsg_loss(x, p, u)
+    finite_difference_oracle(x, p, u, 9)
+    check_spectral_weight_gradients(x, p, u)
+    assert [a.tobytes() for a in given] == before
+    for out in outs:
+        assert not any(np.shares_memory(out, a) for a in given)
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one full-size float64 or complex array of the 3x224x260 window is 1.4 MB
+
+
+def test_gradient_peak_on_the_benchmark_window():
+    # 19.6 MB out of place; the in-place chain measures 12.6 MB
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((3, 224, 260))
+    u = rng.standard_normal((3, 224, 260))
+    p = GsgParams.random(3, 224, 260, seed=8)
+    assert _peak(lambda: grad_spectral_weight(x, p, u)) < 13_500_000
+
+
+def test_f32_forward_peak_on_the_benchmark_window():
+    # 15.2 MB out of place; the in-place chain measures 12.4 MB
+    x = np.random.default_rng(29).standard_normal((3, 224, 260)).astype(np.float32)
+    p = GsgParams.random(3, 224, 260, seed=9)
+    assert _peak(lambda: gsg_forward(x, p)) < 13_500_000
