@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_OUT, required=True, help="output HEVS path")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("validate", help="report stream integrity counters")
+    p = sub.add_parser("validate", help="count out-of-bounds events of the parsed, t-sorted stream")
     p.add_argument("--in", dest="infile", type=_FILE, required=True, help="HEVS or CSV stream")
     p.set_defaults(func=cmd_validate)
 

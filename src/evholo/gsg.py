@@ -15,14 +15,14 @@ oracle for the analytic path.
 
 Inputs are validated once, at each public entry, which then runs the
 unchecked 64-bit chain `_conv` -> `_filter` -> `_gate`; `GsgParams` checks
-its own arrays when it is built. The chain returns the output and a tape of
-its intermediates, which `grad_spectral_weight` hands to `_gate_backward`
-instead of recomputing them. The chain writes in place only into arrays it
-allocated itself, and `_gate_backward` spends the tape; each in-place step
-rounds as the out-of-place expression it stands for, so the outputs are bit
-for bit those of the plain expressions the tests keep as a reference. A
-finite input too large for the math (an overflow or an Inf - Inf anywhere
-in an entry) raises `NonFinite`.
+its own arrays when it is built. The chain ends at a tape of intermediates:
+the block output is formed from its last two arrays, and
+`grad_spectral_weight` hands it to `_gate_backward`. The chain writes in
+place only into arrays it allocated itself, and `_gate_backward` spends the
+tape; each in-place step rounds as the out-of-place expression it stands
+for, so the outputs are bit for bit those of the plain expressions the tests
+keep as a reference. A finite input too large for the math (an overflow or
+an Inf - Inf anywhere in an entry) raises `NonFinite`.
 
 Gradient convention: each complex weight is two real parameters (re, im),
 and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
@@ -153,23 +153,12 @@ class GsgParams:
         )
 
 
-def _check_weights(x: np.ndarray, w: np.ndarray) -> None:
-    """w must be C x rows x half_cols(cols) for feature x; given a
-    params.spectral_weight this also checks the params' channel count."""
-    c, rows, cols = x.shape
-    expected = (c, rows, half_cols(cols))
-    if w.shape != expected:
-        raise ShapeMismatch(
-            f"spectral weights shape {w.shape} does not match feature shape "
-            f"{x.shape} (expected {expected})"
-        )
-
-
-def _loss_inputs(x_in, params: GsgParams, upstream):
-    """Validated (x_in, upstream) for gsg_loss and grad_spectral_weight."""
+def _block_input(x_in, params: GsgParams) -> np.ndarray:
+    """Validated x_in, with params.spectral_weight checked to fit its shape."""
     a = _as_feature(x_in)
-    _check_weights(a, params.spectral_weight)
-    return a, _checked("upstream", upstream, np.float64, a.shape)
+    c, rows, cols = a.shape
+    _checked("spectral_weight", params.spectral_weight, np.complex128, (c, rows, half_cols(cols)))
+    return a
 
 
 def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -193,8 +182,8 @@ def _filter(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gate(z: np.ndarray, params: GsgParams):
-    """(SiLU(LN(z)) * sigmoid(gate_weight @ z + gate_bias), tape) in 64 bit;
-    the tape holds every intermediate `_gate_backward` reads."""
+    """The tape (zhat, inv, nrm, sig_n, carrier, gate) `_gate_backward` reads,
+    in 64 bit; SiLU(LN(z)) * sigmoid(gate_weight @ z + gate_bias) = carrier * gate."""
     z64 = z.astype(np.float64, copy=False)
     zhat = z64 - z64.mean(axis=0)
     sq = zhat * zhat
@@ -207,22 +196,28 @@ def _gate(z: np.ndarray, params: GsgParams):
     gate = np.einsum("ij,jrc->irc", params.gate_weight, z64)
     gate += params.gate_bias[:, None, None]
     _sigmoid(gate, out=gate)
-    return carrier * gate, (zhat, inv, nrm, sig_n, carrier, gate)
+    return zhat, inv, nrm, sig_n, carrier, gate
 
 
 def _forward(a: np.ndarray, params: GsgParams):
-    """(block output, tape) on validated input. The output is cast back to
-    a.dtype after each stage, exactly as the public stage functions cast;
-    the tape is (rfft2(x_local), *the tape of `_gate`)."""
+    """The tape (rfft2(x_local), *the tape of `_gate`) on validated input, each
+    stage cast back to a.dtype exactly as the public stage functions cast."""
     dt = a.dtype
     x_local = _conv(a, params.dw_kernel).astype(dt, copy=False)
     xf, z = _filter(x_local, params.spectral_weight)
     del x_local  # the gate's temporaries are the peak of the chain
     z = z.astype(dt, copy=False)  # an f32 chain drops the 64-bit z here
-    g, tape = _gate(z, params)
-    g = g.astype(dt, copy=False)
+    return (xf, *_gate(z, params))
+
+
+def _block_output(a: np.ndarray, params: GsgParams) -> np.ndarray:
+    """a + carrier * gate, cast to a.dtype; only the tape's last two arrays
+    outlive `_forward`, and the product is formed in the carrier."""
+    carrier, gate = _forward(a, params)[-2:]
+    carrier *= gate
+    g = carrier.astype(a.dtype, copy=False)
     g += a
-    return g, (xf, *tape)
+    return g
 
 
 @_no_overflow
@@ -251,26 +246,27 @@ def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
     projection squashed by a sigmoid.
     """
     a = _as_feature(z)
-    if params.channels != a.shape[0]:
-        raise ShapeMismatch(
-            f"params built for {params.channels} channels, input has {a.shape[0]}"
-        )
-    return _gate(a, params)[0].astype(a.dtype, copy=False)
+    _checked("gate_weight", params.gate_weight, np.float64, (a.shape[0],) * 2)
+    carrier, gate = _gate(a, params)[-2:]
+    carrier *= gate
+    return carrier.astype(a.dtype, copy=False)
 
 
 @_no_overflow
 def gsg_forward(x_in, params: GsgParams) -> np.ndarray:
     """x_in + gated_reconstruction(spectral_filter(depthwise_conv3x3(x_in)))."""
-    a = _as_feature(x_in)
-    _check_weights(a, params.spectral_weight)
-    return _forward(a, params)[0]
+    return _block_output(_block_input(x_in, params), params)
 
 
 @_no_overflow
 def gsg_loss(x_in, params: GsgParams, upstream) -> float:
-    """Probe loss sum(gsg_forward(x_in) * upstream) used for gradient checks."""
-    a, u = _loss_inputs(x_in, params, upstream)
-    return float((_forward(a.astype(np.float64, copy=False), params)[0] * u).sum())
+    """Probe loss L = sum(x_out * upstream) for gradient checks, where x_out is
+    the block output of x_in cast to float64: for f32 input not gsg_forward's
+    f32 output, but the same L that the finite-difference oracle and
+    grad_spectral_weight differentiate."""
+    a = _block_input(x_in, params)
+    u = _checked("upstream", upstream, np.float64, a.shape)
+    return float((_block_output(a.astype(np.float64, copy=False), params) * u).sum())
 
 
 def _gate_backward(tape, params: GsgParams, dout: np.ndarray) -> np.ndarray:
@@ -300,7 +296,8 @@ def _gate_backward(tape, params: GsgParams, dout: np.ndarray) -> np.ndarray:
 
 @_no_overflow
 def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
-    """Analytic dL/dW for L = sum(gsg_forward(x_in) * upstream).
+    """Analytic dL/dW for the `gsg_loss` L, whose block output is computed
+    from x_in cast to float64 (so for f32 input not from gsg_forward's).
 
     Real and imaginary parts of each weight are independent real parameters;
     entry [c, k1, k2] of the result is dL/dRe(W) + 1j * dL/dIm(W). The
@@ -309,9 +306,10 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     scaled by 1/(rows*cols) with the Hermitian column double-counting),
     then the elementwise product rule against conj(rfft2(x_local)).
     """
-    a, u = _loss_inputs(x_in, params, upstream)
+    a = _block_input(x_in, params)
+    u = _checked("upstream", upstream, np.float64, a.shape)
     rows, cols = a.shape[1], a.shape[2]
-    xf, *tape = _forward(a.astype(np.float64, copy=False), params)[1]
+    xf, *tape = _forward(a.astype(np.float64, copy=False), params)
     u_z = _gate_backward(tape, params, u)
     del tape  # spent: freed before the transform
     g_s = np.fft.rfft2(u_z, axes=(1, 2))

@@ -102,6 +102,12 @@ def test_validate_reports_counters(tmp_path, capsys):
     assert main(["validate", "--in", str(bad)]) == 0
     out = capsys.readouterr().out.split()
     assert "out_of_bounds=1" in out and "valid=no" in out
+    # parsing sorts by t, so rows out of order are no defect of the stream
+    unsorted = tmp_path / "unsorted.csv"
+    unsorted.write_text("# geometry 8x8\nx,y,t,p\n1,1,50,1\n2,2,10,1\n3,3,30,-1\n")
+    assert main(["validate", "--in", str(unsorted)]) == 0
+    out = capsys.readouterr().out.split()
+    assert "non_monotonic=0" in out and "valid=yes" in out
 
 
 def test_encode_chsr_dims(tmp_path, capsys):

@@ -289,10 +289,12 @@ def test_forward_preserves_shape_and_finiteness():
 
 
 def test_forward_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        gsg_forward(np.zeros((2, 4, 4)), GsgParams.random(2, 5, 5))
-    with pytest.raises(ShapeMismatch):
-        gsg_forward(np.zeros((3, 4, 4)), GsgParams.random(2, 4, 4))
+    for entry in (gsg_forward, lambda x, p: gsg_loss(x, p, np.ones_like(x)),
+                  lambda x, p: grad_spectral_weight(x, p, np.ones_like(x))):
+        with pytest.raises(ShapeMismatch):
+            entry(np.zeros((2, 4, 4)), GsgParams.random(2, 5, 5))
+        with pytest.raises(ShapeMismatch):
+            entry(np.zeros((3, 4, 4)), GsgParams.random(2, 4, 4))
 
 
 # ---------------------------------------------------------------- gradients
@@ -305,7 +307,7 @@ def test_grad_zero_upstream():
     assert not g.any()
 
 
-@pytest.mark.parametrize("shape", [(2, 6, 6), (3, 9, 10)])
+@pytest.mark.parametrize("shape", [(2, 6, 6), (3, 9, 10), (3, 20, 22)])
 def test_grad_and_loss_run_in_float64(shape):
     rng = np.random.default_rng(23)
     x = rng.standard_normal(shape).astype(np.float32)
@@ -316,6 +318,8 @@ def test_grad_and_loss_run_in_float64(shape):
     assert g.dtype == np.complex128
     assert g.tobytes() == grad_spectral_weight(x64, p, u64).tobytes()
     assert gsg_loss(x, p, u) == gsg_loss(x64, p, u64)
+    # so for f32 input L is not the loss of gsg_forward's f32 output
+    assert gsg_loss(x, p, u) != float((gsg_forward(x, p) * u64).sum())
 
 
 def test_grad_single_component_1x4x4():
@@ -622,7 +626,23 @@ def test_gradient_peak_on_the_benchmark_window():
 
 
 def test_f32_forward_peak_on_the_benchmark_window():
-    # 15.2 MB out of place; the in-place chain measures 12.4 MB
+    # 15.2 MB out of place, 12.4 MB in place, 11.0 MB with the output
+    # formed in the carrier
     x = np.random.default_rng(29).standard_normal((3, 224, 260)).astype(np.float32)
     p = GsgParams.random(3, 224, 260, seed=9)
     assert _peak(lambda: gsg_forward(x, p)) < 13_500_000
+
+
+def test_f64_forward_peak_on_the_benchmark_window():
+    # 11.66 MB with the block output a fresh carrier * gate; formed in the
+    # carrier's buffer, 10.26 MB
+    x = np.random.default_rng(30).standard_normal((3, 224, 260))
+    p = GsgParams.random(3, 224, 260, seed=8)
+    assert _peak(lambda: gsg_forward(x, p)) < 11_000_000
+
+
+def test_f64_gate_peak_on_the_benchmark_window():
+    # 8.85 MB with the output a fresh carrier * gate; 7.46 MB in the carrier
+    z = np.random.default_rng(31).standard_normal((3, 224, 260))
+    p = GsgParams.random(3, 224, 260, seed=8)
+    assert _peak(lambda: gated_reconstruction(z, p)) < 8_200_000
