@@ -15,15 +15,20 @@ before it has to be:
     HEVS        read-only views of the record fields in the input bytes,
                 the idiom of `tensorio.read_tensor`: x and y uint16, t
                 int64, p int8. p is copied (1 byte per event) only when a
-                polarity 0 must become -1; normalizing makes one shifted
-                int64 copy of t unless t already starts at 0
+                polarity 0 must become -1; normalizing replaces t by a
+                shifted copy unless t already starts at 0 (see below)
     CSV         int64, which holds any negative or out-of-bounds
                 coordinate that `validate_stream` must count
     from_arrays the dtype of an ndarray of a kept integer dtype (see
                 `EventColumns`), else int64
 
+Normalizing shifts t so it starts at 0. The shifted copy is uint32 (4 bytes
+per event) when t_max - t_min < 2**32 us, about 71.6 minutes, and int64
+otherwise; a t that already starts at 0 is kept as it is.
+
 Code that does arithmetic on a column widens it to int64 first: under
-NumPy 2 (NEP 50) a uint16 column times a Python int stays uint16 and wraps.
+NumPy 2 (NEP 50) a uint16 column times a Python int stays uint16 and wraps,
+and a uint32 t minus a larger value wraps the same way.
 
 Two interchange formats are supported:
 
@@ -202,19 +207,23 @@ class EventStream:
         """Stable-sort by timestamp and shift so t_min = 0.
 
         An already sorted stream skips the sort: the result shares its x, y
-        and p columns with this stream and gets a shifted int64 copy of t.
-        The input is never modified. Raises `TooLarge` when t_max - t_min
-        does not fit int64.
+        and p columns with this stream. A t that already starts at 0 is
+        kept as it is; any other is shifted into a fresh uint32 column when
+        t_max - t_min < 2**32 us, else into an int64 one. Code doing
+        arithmetic on t widens it first, as for x and y. The input is never
+        modified. Raises `TooLarge` when t_max - t_min does not fit int64.
         """
         ev = self.events
         if not _ascending(ev.t):
             ev = ev[np.argsort(ev.t, kind="stable")]
         t = ev.t
-        if len(t) and int(t[-1]) - int(t[0]) > _INT64_MAX:
-            raise TooLarge(f"timestamps span {int(t[-1]) - int(t[0])} us, beyond int64")
         if len(t) and t[0] != 0:
-            t = t.astype(np.int64)
-            t -= t[0]
+            span = int(t[-1]) - int(t[0])
+            if span > _INT64_MAX:
+                raise TooLarge(f"timestamps span {span} us, beyond int64")
+            shifted = np.empty(len(t), dtype=np.uint32 if span < 1 << 32 else np.int64)
+            # computed in int64, which holds every difference, then stored
+            t = np.subtract(t, t[0], out=shifted, dtype=np.int64, casting="unsafe")
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
 
     def __len__(self) -> int:
@@ -499,9 +508,8 @@ def parse_events_binary(data: bytes) -> EventStream:
         return EventStream.empty((w, h))
     recs = np.frombuffer(data, dtype=_HEVS_RECORD_DTYPE, count=count, offset=HEVS_HEADER)
     p = recs["p"]
-    bad = (p < -1) | (p > 1)
-    if bad.any():
-        i = int(bad.argmax())
+    if p.min() < -1 or p.max() > 1:  # two reductions; the first bad record only then
+        i = int(((p < -1) | (p > 1)).argmax())
         raise BadPolarity(HEVS_HEADER + i * HEVS_RECORD + 12, int(p[i]))
     # u64 viewed as i64 maps exactly the timestamps >= 2**63 onto negative values
     t = recs["t"].view(np.int64)

@@ -52,7 +52,9 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 def write_tensor(arr: np.ndarray) -> bytes:
     """Serialize an array to HTEN bytes.
 
-    Accepts float32, float64, and uint32 arrays with 1..8 dimensions.
+    Accepts float32, float64, and uint32 arrays with 1..8 dimensions. A
+    C-contiguous little-endian array is copied once, into the result; any
+    other is first made so.
     """
     arr = np.asarray(arr)
     if arr.ndim < 1:
@@ -67,8 +69,8 @@ def write_tensor(arr: np.ndarray) -> bytes:
         "<BBBB", VERSION, _DTYPE_CODES[dt], arr.ndim, 0
     )
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype(dt, copy=False).tobytes()
-    return header + dims + payload
+    payload = arr.astype(dt, copy=False)
+    return b"".join((header, dims, payload.data))
 
 
 def _read_tensor_at(data: bytes, offset: int) -> tuple[np.ndarray, int]:

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from evholo import EventStream, read_tensor, write_events_binary
+from evholo import (
+    EventStream,
+    encode_chsr,
+    parse_events_binary,
+    parse_events_csv,
+    read_tensor,
+    write_events_binary,
+    write_events_csv,
+)
 from evholo.cli import main
 from evholo.gsg import LN_EPS, GsgParams, params_to_archive
 from evholo.tensorio import write_tensor
@@ -118,6 +126,28 @@ def test_encode_chsr_dims(tmp_path, capsys):
     assert "dropped=0" in capsys.readouterr().out
     tensor = read_tensor(out.read_bytes())
     assert tensor.shape == (3, 224, 260)
+
+
+def test_gen_and_encode_past_a_2_32_us_span(tmp_path, capsys):
+    """A stream spanning 2**32 us or more (about 71.6 min) keeps an int64 t
+    when normalized: in `gen`, and in `encode` of a CSV copy whose t starts
+    at 11 us, which both encode like the written stream."""
+    path = gen(tmp_path, f0="0.01", duration="5000",
+               extra=("--rate-base", "1", "--rate-peak", "1"))
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert int(fields["duration_us"]) >= 2 ** 32
+    stream = parse_events_binary(path.read_bytes())
+    ev = stream.events
+    late = tmp_path / "late.csv"
+    late.write_bytes(write_events_csv(EventStream.from_arrays(
+        stream.geometry, ev.x, ev.y, ev.t + 11, ev.p)))
+    assert parse_events_csv(late.read_bytes()).events.t.dtype == np.int64
+    want = write_tensor(encode_chsr(stream).data)
+    for src in (path, late):
+        out = tmp_path / f"{src.stem}.hten"
+        assert main(["encode", "--in", str(src), "--out", str(out)]) == 0
+        assert "dropped=0" in capsys.readouterr().out
+        assert out.read_bytes() == want
 
 
 def test_encode_hw_dims(tmp_path):

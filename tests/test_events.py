@@ -282,6 +282,46 @@ def test_normalized_rejects_a_timestamp_span_beyond_int64():
     assert s.normalized().events.t.tolist() == [0, 2 ** 63 - 1]
 
 
+@pytest.mark.parametrize("order", [slice(None), [2, 0, 1]])
+def test_normalized_t_is_uint32_below_a_2_32_span(order):
+    """t - t_min is uint32 for a span up to 2**32 - 1 us and int64 from
+    2**32 on, for sorted and unsorted input, and equals the int64 shift."""
+    for span, dtype in ((2 ** 32 - 1, np.uint32), (2 ** 32, np.int64)):
+        for t0 in (3, -(2 ** 40)):
+            t = np.array([t0, t0 + span // 3, t0 + span])[order]
+            s = EventStream.from_arrays((4, 4), [0, 1, 2], [0, 0, 0], t, [1, -1, 1])
+            got = s.normalized().events.t
+            assert got.dtype == dtype, (span, t0)
+            assert got.tolist() == sorted(v - t0 for v in t.tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.int8])
+def test_normalized_narrow_t_columns_shift_like_int64(dtype):
+    """The shift is computed in int64 for every kept column dtype: in its
+    own dtype an int8 t spanning its range wraps, and the wrapped difference
+    cast to uint32 is wrong."""
+    info = np.iinfo(dtype)
+    lo, hi = max(info.min, -(2 ** 31)) + 1, min(info.max, 2 ** 31 - 1)
+    t = np.array([hi, lo, 1, lo + 1, hi - 1], dtype=dtype)
+    for cols in (np.sort(t), t):  # sorted, then unsorted
+        s = EventStream.from_arrays((4, 4), [0] * 5, [0] * 5, cols, [1] * 5)
+        got = s.normalized().events.t
+        want = np.sort(cols.astype(np.int64))
+        assert got.dtype == np.uint32
+        assert got.tolist() == (want - want[0]).tolist()
+
+
+def test_normalized_keeps_a_t_that_starts_at_zero():
+    t = np.array([0, 4, 4, 9], dtype=np.int32)
+    s = EventStream.from_arrays((4, 4), [0, 1, 2, 3], [0] * 4, t, [1] * 4)
+    assert s.normalized().events.t is t
+    # a parsed stream keeps t as the int64 view of its records
+    data = write_events_binary(s)
+    got = parse_events_binary(data).events.t
+    assert got.dtype == np.int64 and got.tolist() == t.tolist()
+    assert np.shares_memory(got, np.frombuffer(data, np.uint8))
+
+
 def test_hevs_round_trip_field_identical():
     rng = np.random.default_rng(5)
     n = 500
@@ -384,6 +424,21 @@ def test_hevs_bad_polarity_offset():
     with pytest.raises(BadPolarity) as exc:
         parse_events_binary(bytes(blob))
     assert exc.value.offset == HEVS_HEADER + HEVS_RECORD + 12
+    assert exc.value.value == 5
+
+
+@pytest.mark.parametrize("bad", [(3, -2), (4, 2), (0, -128), (47, 127)])
+def test_hevs_bad_polarity_names_the_first_bad_record(bad):
+    """Later bad records, either side of {-1, 0, 1}, do not move the
+    reported offset or value off the first one."""
+    first, value = bad
+    blob = bytearray(_hevs_blob())
+    for i, v in ((first, value), (49, -3), (48, 9)):
+        if i >= first:
+            blob[HEVS_HEADER + i * HEVS_RECORD + 12] = v & 0xFF
+    with pytest.raises(BadPolarity) as exc:
+        parse_events_binary(bytes(blob))
+    assert (exc.value.offset, exc.value.value) == (HEVS_HEADER + first * HEVS_RECORD + 12, value)
 
 
 def test_hevs_timestamp_beyond_int64_is_rejected():
@@ -441,8 +496,9 @@ def test_hevs_columns_are_read_only_views_of_bytes():
     for f in ("x", "y", "p"):
         assert np.shares_memory(ev[f], np.frombuffer(data, np.uint8)), f
         assert not ev[f].flags.writeable, f
+    # t spans less than 2**32 us, so its shifted copy is uint32
     assert (ev.x.dtype, ev.y.dtype, ev.t.dtype, ev.p.dtype) == (
-        np.uint16, np.uint16, np.int64, np.int8)
+        np.uint16, np.uint16, np.uint32, np.int8)
     # t starts at 5, so normalizing made the one shifted copy
     assert not np.shares_memory(ev.t, np.frombuffer(data, np.uint8))
 

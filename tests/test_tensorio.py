@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +155,50 @@ def test_readers_do_not_alias_a_mutable_buffer(make):
     buf[-4:] = bytes(4)
     assert not any(a.flags.writeable for a in arch.values())
     assert np.array_equal(arch["a"], want) and np.array_equal(arch["b"], 2 * want)
+
+
+def _spelled_out(arr):
+    """HTEN bytes as header + dims + little-endian C-order payload, one
+    concatenation of the layout in the module docstring."""
+    dt = arr.dtype.newbyteorder("<")
+    code = {"<f4": 1, "<f8": 2, "<u4": 3}[dt.str]
+    return (b"HTEN" + bytes([1, code, arr.ndim, 0]) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+            + np.ascontiguousarray(arr, dtype=dt).tobytes())
+
+
+def _edge_arrays():
+    rng = np.random.default_rng(7)
+    f64 = rng.standard_normal((3, 224, 260))
+    return {
+        "f32": f64.astype(np.float32),
+        "f64": f64,
+        "u32": rng.integers(0, 1 << 32, (5, 7), dtype=np.uint32),
+        ">f8": f64[:, :9, :11].astype(">f8"),
+        ">u4": np.arange(6, dtype=">u4").reshape(2, 3),
+        "transposed": f64[0, :5, :7].T,
+        "strided": f64[:, ::3, 1::2],
+        "zero-size": np.zeros((4, 0, 3), dtype=np.float32),
+        "8-dim": np.arange(2 ** 8, dtype=np.float64).reshape((2,) * 8),
+        "read-only": read_tensor(write_tensor(f64[1])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_arrays()))
+def test_bytes_equal_the_spelled_out_layout(name):
+    arr = _edge_arrays()[name]
+    assert write_tensor(arr) == _spelled_out(arr)
+    back = read_tensor(write_tensor(arr))
+    assert back.shape == arr.shape and np.array_equal(back, arr)
+
+
+def test_write_copies_the_payload_once():
+    # header + dims + payload.tobytes() held two payload copies at once (2.8 MB)
+    arr = np.random.default_rng(8).standard_normal((3, 224, 260))
+    tracemalloc.start()
+    try:
+        blob = write_tensor(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == 8 + 3 * 8 + arr.nbytes
+    assert peak < 1_600_000
