@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage error (bad flags, missing input files or
 output directories), 2 data error (unparseable or inconsistent input, or a
-size that cannot be allocated). Output files are written to a temp file and
-atomically renamed, so no partial files survive errors.
+size that cannot be allocated). Each command returns its files' bytes and
+its summary line, and `main` writes them: nothing is written until every
+output's bytes exist. Each file goes to a temp file that is then renamed, so
+an I/O error on a later file can still leave the earlier ones.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ _NON_NEGATIVE = _flag(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 _FILE = _flag(str, os.path.isfile, "an existing file")
 _OUT = _flag(str, lambda path: os.path.isdir(os.path.dirname(path) or "."),
              "a path in an existing directory")
+_DIR = _flag(str, lambda path: os.path.isdir(path) or (
+    not os.path.exists(path) and os.path.isdir(Path(path).parent)),
+             "an existing directory or a new one in an existing directory")
 
 
 def _geometry(text: str) -> tuple[int, int]:
@@ -114,7 +119,7 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[dict, str]:
     if args.rate_peak < args.rate_base:
         raise UsageError(
             f"--rate-peak must be >= --rate-base ({args.rate_base}), got {args.rate_peak}"
@@ -129,59 +134,48 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     stream = generate_periodic_stream(spec)
-    _atomic_write(args.out, write_events_binary(stream))
-    print(f"events={len(stream)} duration_us={stream.duration}")
-    return EXIT_OK
+    return ({args.out: write_events_binary(stream)},
+            f"events={len(stream)} duration_us={stream.duration}")
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, str]:
     report = validate_stream(_load_stream(args.infile))
-    print(
+    return {}, (
         f"total={report.total} out_of_bounds={report.out_of_bounds} "
         f"non_monotonic={report.non_monotonic} bad_polarity={report.bad_polarity} "
         f"valid={'yes' if report.clean else 'no'}"
     )
-    return EXIT_OK
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple[dict, str]:
     stream = _load_stream(args.infile)
     cfg = EncodeConfig(t_bins=args.t_bins, normalize=args.normalize)
     if args.view == "chsr":
         tensor = encode_chsr(stream, cfg, workers=args.threads)
     else:
         tensor = encode_view(stream, args.view, cfg)
-    _atomic_write(args.out, tensorio.write_tensor(tensor.data))
+    outputs = {args.out: tensorio.write_tensor(tensor.data)}
     if args.pgm_dir is not None:
-        os.makedirs(args.pgm_dir, exist_ok=True)
         stem = Path(args.out).stem
         for ch in range(tensor.data.shape[0]):
-            _atomic_write(Path(args.pgm_dir) / f"{stem}_ch{ch}.pgm",
-                          export_channel_image(tensor, ch))
-    print(f"dropped={tensor.dropped}")
-    return EXIT_OK
+            outputs[Path(args.pgm_dir) / f"{stem}_ch{ch}.pgm"] = export_channel_image(tensor, ch)
+        os.makedirs(args.pgm_dir, exist_ok=True)
+    return outputs, f"dropped={tensor.dropped}"
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[dict, str]:
     stream = _load_stream(args.infile)
     series = event_rate_series(stream, args.bin_dt)
-    spectrum = rate_spectrum(series)  # raises TooShort (exit 2) before any write
+    spectrum = rate_spectrum(series)  # raises TooShort (exit 2)
     dominant = dominant_frequency(series)
-
-    rate_lines = ["t_s,count"]
-    rate_lines += [f"{_fmt(t)},{v}" for t, v in zip(series.times(), series.values)]
-    spec_lines = ["freq_hz,magnitude"]
-    spec_lines += [
-        f"{_fmt(f)},{_fmt(m)}"
-        for f, m in zip(spectrum.frequencies(), spectrum.magnitudes)
-    ]
-
+    rate_csv = "t_s,count\n" + "".join(
+        [f"{_fmt(t)},{v}\n" for t, v in zip(series.times(), series.values)])
+    spec_csv = "freq_hz,magnitude\n" + "".join(
+        [f"{_fmt(f)},{_fmt(m)}\n" for f, m in zip(spectrum.frequencies(), spectrum.magnitudes)])
     out = Path(args.out_csv)
-    rate_path = out.with_name(out.stem + ".rate" + out.suffix)
-    _atomic_write(rate_path, ("\n".join(rate_lines) + "\n").encode("ascii"))
-    _atomic_write(out, ("\n".join(spec_lines) + "\n").encode("ascii"))
-    print(f"dominant_hz={_fmt(dominant.f_peak) if dominant else 'none'}")
-    return EXIT_OK
+    return ({out.with_name(out.stem + ".rate" + out.suffix): rate_csv.encode("ascii"),
+             out: spec_csv.encode("ascii")},
+            f"dominant_hz={_fmt(dominant.f_peak) if dominant else 'none'}")
 
 
 def _grad_check_crop(x: np.ndarray) -> np.ndarray:
@@ -194,7 +188,7 @@ def _grad_check_crop(x: np.ndarray) -> np.ndarray:
     )
 
 
-def cmd_gsg_demo(args) -> int:
+def cmd_gsg_demo(args) -> tuple[dict, str]:
     data = tensorio.read_tensor(Path(args.infile).read_bytes())
     if data.ndim != 3:
         raise ShapeMismatch(f"expected a 3D feature tensor, got shape {data.shape}")
@@ -210,28 +204,23 @@ def cmd_gsg_demo(args) -> int:
         err = check_spectral_weight_gradients(crop, check_params, upstream)
         print(f"grad_check_max_rel_err={err:.3e}")
         if err >= GRAD_CHECK_GATE:
-            print(f"error: gradient check failed gate {GRAD_CHECK_GATE}",
-                  file=sys.stderr)
-            return EXIT_DATA
+            raise EvholoError(f"gradient check failed gate {GRAD_CHECK_GATE}")
 
     out = gsg_forward(data, params)
-    _atomic_write(args.out, tensorio.write_tensor(out))
-    print(f"wrote={args.out} shape={'x'.join(str(d) for d in out.shape)}")
-    return EXIT_OK
+    return ({args.out: tensorio.write_tensor(out)},
+            f"wrote={args.out} shape={'x'.join(str(d) for d in out.shape)}")
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[dict, str]:
     if args.infile is not None:
         stream = _load_stream(args.infile)
     else:
         stream = synthetic_uniform_stream(args.synthetic)
     report = encode_throughput(stream, args.repeat)
-    _atomic_write(args.out_json, (json.dumps(report, indent=2) + "\n").encode("ascii"))
-    print(
+    return {args.out_json: (json.dumps(report, indent=2) + "\n").encode("ascii")}, (
         f"events={report['events']} mean_ms={report['encode_chsr_mean_ms']:.3f} "
         f"events_per_sec={report['events_per_sec']:.6g}"
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", choices=("none", "per_channel_max", "log1p"),
                    default="none")
     p.add_argument("--out", type=_OUT, required=True, help="output HTEN path")
-    p.add_argument("--pgm-dir", default=None,
+    p.add_argument("--pgm-dir", type=_DIR, default=None,
                    help="also dump each channel as a PGM image into this directory")
     p.add_argument("--threads", type=_AT_LEAST_1, default=1,
                    help="accepted for compatibility (must be >= 1); the encoder "
@@ -311,7 +300,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        outputs, line = args.func(args)
+        for path, data in outputs.items():
+            _atomic_write(path, data)
+        print(line)
+        return EXIT_OK
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

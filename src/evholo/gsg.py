@@ -117,10 +117,6 @@ class GsgParams:
                                    ("gate_bias", np.float64, (c,))):
             object.__setattr__(self, name, _checked(name, getattr(self, name), dtype, shape))
 
-    @property
-    def channels(self) -> int:
-        return self.dw_kernel.shape[0]
-
     @classmethod
     def identity(cls, channels: int, rows: int, cols: int) -> "GsgParams":
         """Identity kernels, unit spectral weights, unit LN affine, gate

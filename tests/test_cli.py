@@ -306,6 +306,19 @@ def test_gsg_demo_check_grads(tmp_path, capsys):
     assert out.exists()
 
 
+def test_gsg_demo_failed_grad_check_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("evholo.cli.check_spectral_weight_gradients", lambda *args: 1.0)
+    src = tmp_path / "x.hten"
+    src.write_bytes(write_tensor(np.ones((2, 6, 6))))
+    out = tmp_path / "y.hten"
+    assert main(["gsg-demo", "--in", str(src), "--identity-init", "--check-grads",
+                 "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "grad_check_max_rel_err=1.000e+00\n"
+    assert printed.err == "error: gradient check failed gate 0.0001\n"
+    assert not out.exists()
+
+
 def test_gsg_demo_shape_mismatch_exits_2(tmp_path, capsys):
     src = tmp_path / "x.hten"
     src.write_bytes(write_tensor(np.zeros((2, 6, 6))))
@@ -415,6 +428,9 @@ BAD_FLAGS = [
     ("--out-csv", "spectrum --in {d}/ev.hevs --out-csv {d}/ghost/s.csv"),
     ("--out", "gsg-demo --in {d}/x.hten --params {d}/p.harc --out {d}/ghost/y.hten"),
     ("--out-json", "bench --synthetic 10 --out-json {d}/ghost/b.json"),
+    ("--pgm-dir", "encode --in {d}/ev.hevs --pgm-dir {d}/x.hten"),
+    ("--pgm-dir", "encode --in {d}/ev.hevs --pgm-dir {d}/x.hten/sub"),
+    ("--pgm-dir", "encode --in {d}/ev.hevs --pgm-dir {d}/ghost/img"),
 ]
 OUT_FLAG = {"gen": "--out", "encode": "--out", "spectrum": "--out-csv",
             "gsg-demo": "--out", "bench": "--out-json"}
@@ -430,18 +446,19 @@ def valid_inputs(tmp_path_factory):
 
 
 def run_with_out_dir(tmp_path, valid_inputs, argv):
-    """`main` on `argv` with {d} and {nl} filled in and, unless `argv` names
-    it, the output flag pointing into an empty directory; returns the exit
-    code and what is in that directory."""
+    """`main` on `argv` with {d}, {nl} and {o}, an empty directory, filled in
+    and, unless `argv` names it, the output flag pointing into {o}; returns
+    the exit code and what is in {o}."""
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    args = [a.format(d=valid_inputs, nl="\n") for a in argv.split(" ")]
+    args = [a.format(d=valid_inputs, nl="\n", o=out_dir) for a in argv.split(" ")]
     if OUT_FLAG[args[0]] not in args:
         args += [OUT_FLAG[args[0]], str(out_dir / "result")]
     return main(args), sorted(p.name for p in out_dir.iterdir())
 
 
 @pytest.mark.parametrize("argv", ["gen --f0 1 --duration 1", "encode --in {d}/ev.hevs",
+                                  "encode --in {d}/ev.hevs --pgm-dir {o}/img",
                                   "spectrum --in {d}/ev.hevs",
                                   "gsg-demo --in {d}/x.hten --params {d}/p.harc",
                                   "bench --in {d}/ev.hevs --repeat 1", "bench --synthetic 10"])

@@ -202,7 +202,8 @@ def run_fuzzed(tmp_path_factory, argv, files):
 @given(st.one_of(CSV_LINES, CSV_DOCS, fuzzed(EVENT_FILES[1])))
 def test_encode_on_fuzzed_csv(tmp_path_factory, blob):
     run_fuzzed(tmp_path_factory, ["encode", "--in", "{d}/ev.csv", "--t-bins", "8",
-                                  "--out", "{d}/out.hten"], {"ev.csv": blob})
+                                  "--out", "{d}/out.hten", "--pgm-dir", "{d}/img"],
+               {"ev.csv": blob})
 
 
 @FUZZ
