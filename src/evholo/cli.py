@@ -101,8 +101,8 @@ _AT_LEAST_0 = _flag(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _flag(float, lambda v: 0 < v < np.inf, "finite and > 0")
 _NON_NEGATIVE = _flag(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 _FILE = _flag(str, os.path.isfile, "an existing file")
-_OUT = _flag(str, lambda path: os.path.isdir(os.path.dirname(path) or "."),
-             "a path in an existing directory")
+_OUT = _flag(str, lambda path: os.path.isdir(os.path.dirname(path) or ".")
+             and not os.path.isdir(path), "a path in an existing directory, not a directory")
 _DIR = _flag(str, lambda path: os.path.isdir(path) or (
     not os.path.exists(path) and os.path.isdir(Path(path).parent)),
              "an existing directory or a new one in an existing directory")

@@ -22,14 +22,16 @@ NEP 50 a uint16 column times an int stays uint16 and wraps).
 
 In the sorted stream each time row is a contiguous slice: one
 `searchsorted` over the row thresholds finds where each row starts, and
-whole rows are grouped into chunks of at most 2**17 events (a row with more
-is a chunk of its own). Each chunk drops its out-of-geometry events, builds
-its rows with `np.repeat` and its cell index in place, and fills its own
-rows of the output, so the temporaries are sized by the chunk, not by the
-stream. No cell spans two chunks, so every cell sums the same events in the
-same order as one pass would, and the holographic channel is bit-identical
-to it (chunks cut at event counts would split a cell's float sum). The HW
-view has no time axis: it bins the stream as it is, in one chunk of y rows.
+whole rows are grouped into chunks of at most 2**16 events (a row with more
+is a chunk of its own). Each chunk copies its x, y and p contiguous (a
+parsed stream's are strided views of its records), drops its
+out-of-geometry events, builds its row offsets with `np.repeat` and its
+cell index in place on them, and fills its own rows of the output, so the
+temporaries are sized by the chunk, not by the stream. No cell spans two
+chunks, so every cell sums the same events in the same order as one pass
+would, and the holographic channel is bit-identical to it (chunks cut at
+event counts would split a cell's float sum). The HW view has no time
+axis: it bins the stream as it is, uncopied, in one chunk of y rows.
 Within a chunk phi comes from a W-entry table (or per event, when there are
 fewer events than W), the holographic channel from one weighted `bincount`
 in event order, and both polarity counts from one more `bincount` over keys
@@ -51,7 +53,7 @@ ViewKind = Literal["hw", "tw", "th"]
 
 _NORMALIZE_MODES = ("none", "per_channel_max", "log1p")
 _VIEW_KINDS = ("hw", "tw", "th")
-_CHUNK = 2 ** 17  # events per chunk of whole time rows
+_CHUNK = 2 ** 16  # events per chunk of whole time rows
 
 
 def phi(x, w_sensor: int):
@@ -191,11 +193,10 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     # a W-entry table when events outnumber columns; bit-identical either way
     phi_table = phi(np.arange(w), w) if with_phi and n >= w else None
 
-    def add(first, n_rows, rows, lo, hi):
-        """Bin events lo:hi into out's rows first:first + n_rows, given their
-        rows counted from `first` as a fresh int64 array; returns the count
-        of those dropped."""
-        xs, ys, ps = x[lo:hi], y[lo:hi], p[lo:hi]
+    def add(first, n_rows, rows, xs, ys, ps):
+        """Bin the events of columns xs, ys, ps into out's rows first:first +
+        n_rows, given row * col_bins of each, its row counted from `first`,
+        as a fresh int64 array; returns the count of those dropped."""
         dropped = 0
         if _outside(xs, w) or _outside(ys, h):
             inb = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
@@ -204,7 +205,6 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         block = out[:, first:first + n_rows]
         cells = n_rows * col_bins
         cell = rows
-        cell *= col_bins
         cell += _scaled(ys, col_bins, h) if cols_of == "y" else _scaled(xs, col_bins, w)
         if with_phi:
             phi_x = phi(xs, w) if phi_table is None else phi_table[xs]
@@ -227,7 +227,9 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     if not n:
         return out, 0
     if rows_of == "y":
-        return out, add(0, row_bins, _scaled(y, row_bins, h, fresh=True), 0, n)
+        rows = _scaled(y, row_bins, h, fresh=True)
+        rows *= col_bins
+        return out, add(0, row_bins, rows, x, y, p)
     # whole time rows per chunk, at most _CHUNK events unless one row holds more
     edges = _row_edges(t, span, row_bins)
     dropped = a = 0
@@ -235,7 +237,8 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
         lo, hi = int(edges[a]), int(edges[b])
         if hi > lo:
-            dropped += add(a, b - a, np.repeat(np.arange(b - a), np.diff(edges[a:b + 1])), lo, hi)
+            rows = np.repeat(np.arange(0, (b - a) * col_bins, col_bins), np.diff(edges[a:b + 1]))
+            dropped += add(a, b - a, rows, *(np.ascontiguousarray(c[lo:hi]) for c in (x, y, p)))
         a = b
     return out, dropped
 

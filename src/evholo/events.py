@@ -15,8 +15,8 @@ before it has to be:
     HEVS        read-only views of the record fields in the input bytes,
                 the idiom of `tensorio.read_tensor`: x and y uint16, t
                 int64, p int8. p is copied (1 byte per event) only when a
-                polarity 0 must become -1; normalizing replaces t by a
-                shifted copy unless t already starts at 0 (see below)
+                polarity 0 must become -1; the one pass that checks the
+                records writes t shifted unless it starts at 0 (see below)
     CSV         int64, which holds any negative or out-of-bounds
                 coordinate that `validate_stream` must count
     from_arrays the dtype of an ndarray of a kept integer dtype (see
@@ -42,7 +42,9 @@ Parsers are lossless: out-of-bounds coordinates are retained and only
 flagged by `validate_stream`; encoders decide their own domain. An HEVS
 timestamp of 2**63 or more does not fit the int64 column and is rejected
 with `BadTimestamp`; a stream whose timestamps span more than int64 is
-rejected with `TooLarge` when normalized.
+rejected with `TooLarge` when normalized. The HEVS pass goes in steps of
+8192 records, t and p copied contiguous; a bad polarity in any record beats
+a bad timestamp in an earlier one.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ _CSV_HEADER_RE = re.compile(rb"^x,y,t,p\n", re.M)
 _CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _CSV_CHUNK = 1 << 18  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
+_HEVS_CHUNK = 1 << 13  # records per step of the HEVS pass; its int64 t is 64 KB
 
 
 def _ascending(v: np.ndarray) -> bool:
@@ -487,7 +490,9 @@ def parse_events_binary(data: bytes) -> EventStream:
     bit-exactly for normalized streams. The x, y and p columns of the
     result are read-only views of `data` (p is a copy when some polarity
     is 0), so any other buffer than `bytes`, which may change later, is
-    copied once first.
+    copied once first. One pass in steps of `_HEVS_CHUNK` records checks
+    every polarity and sign and, while t stays sorted, writes t - t[0] into
+    the normalized t column; an unsorted t is left to `normalized`.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
@@ -507,18 +512,41 @@ def parse_events_binary(data: bytes) -> EventStream:
     if count == 0:
         return EventStream.empty((w, h))
     recs = np.frombuffer(data, dtype=_HEVS_RECORD_DTYPE, count=count, offset=HEVS_HEADER)
-    p = recs["p"]
-    if p.min() < -1 or p.max() > 1:  # two reductions; the first bad record only then
-        i = int(((p < -1) | (p > 1)).argmax())
-        raise BadPolarity(HEVS_HEADER + i * HEVS_RECORD + 12, int(p[i]))
     # u64 viewed as i64 maps exactly the timestamps >= 2**63 onto negative values
-    t = recs["t"].view(np.int64)
-    if t.min() < 0:
-        i = int((t < 0).argmax())
-        raise BadTimestamp(HEVS_HEADER + i * HEVS_RECORD + 4, int(recs["t"][i]))
-    if not p.all():  # polarity 0 becomes -1 in a copy, never in the input
+    p, t = recs["p"], recs["t"].view(np.int64)
+    # t counts as sorted until a step shows otherwise; until then every
+    # t - t0 lies in [0, span], exact in the column it is shifted into, so
+    # the sign check starts at that step
+    t0, span = int(t[0]), int(t[-1]) - int(t[0])
+    ascending = t0 >= 0 and span >= 0
+    shifted = np.empty(count, np.uint32 if span < 1 << 32 else np.int64) if ascending and t0 else t
+    d = np.empty(min(count, _HEVS_CHUNK), dtype=np.int64)
+    bad_t, zero, last = None, False, 0
+    for lo in range(0, count, _HEVS_CHUNK):
+        pc = p[lo:lo + _HEVS_CHUNK].copy()
+        if pc.min() < -1 or pc.max() > 1:  # beats a bad t in an earlier step
+            i = int(((pc < -1) | (pc > 1)).argmax())
+            raise BadPolarity(HEVS_HEADER + (lo + i) * HEVS_RECORD + 12, int(pc[i]))
+        zero = zero or not pc.all()
+        tc = t[lo:lo + _HEVS_CHUNK]
+        if ascending:  # a t below t0 or at or above 2**63 puts s outside [0, span]
+            s = d[:len(tc)]
+            np.copyto(s, tc)
+            s -= t0
+            ascending = last <= s[0] and s[-1] <= span and _ascending(s)
+            last = s[-1]
+            if ascending and t0:
+                shifted[lo:lo + len(s)] = s
+        if bad_t is None and not ascending and tc.min() < 0:
+            bad_t = lo + int((tc < 0).argmax())
+    if bad_t is not None:
+        raise BadTimestamp(HEVS_HEADER + bad_t * HEVS_RECORD + 4, int(recs["t"][bad_t]))
+    if zero:  # polarity 0 becomes -1 in a copy, never in the input
         p = p.copy()
         p[p == 0] = -1
+    if ascending:
+        return EventStream.from_arrays((w, h), recs["x"], recs["y"], shifted, p)
+    del shifted  # sorted, then shifted, by normalized()
     return EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p).normalized()
 
 

@@ -428,6 +428,9 @@ BAD_FLAGS = [
     ("--out-csv", "spectrum --in {d}/ev.hevs --out-csv {d}/ghost/s.csv"),
     ("--out", "gsg-demo --in {d}/x.hten --params {d}/p.harc --out {d}/ghost/y.hten"),
     ("--out-json", "bench --synthetic 10 --out-json {d}/ghost/b.json"),
+    ("--out", "gen --f0 1 --duration 1 --out {d}"),  # an existing directory
+    ("--out-csv", "spectrum --in {d}/ev.hevs --out-csv {d}"),
+    ("--out-json", "bench --synthetic 10 --out-json {d}"),
     ("--pgm-dir", "encode --in {d}/ev.hevs --pgm-dir {d}/x.hten"),
     ("--pgm-dir", "encode --in {d}/ev.hevs --pgm-dir {d}/x.hten/sub"),
     ("--pgm-dir", "encode --in {d}/ev.hevs --pgm-dir {d}/ghost/img"),

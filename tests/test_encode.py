@@ -298,7 +298,7 @@ def test_hevs_parse_encode_write_peak():
     """The `hevs_encode_1m` operation: parse, encode, write the tensor. The
     shifted t is a 4 MB uint32 column (it was 8 MB of int64) and the tensor
     is copied once into the HTEN bytes (it was twice): 7.55 MB measured
-    against 12.2 MB before."""
+    against 12.2 MB before, and 6.80 MB with encoder chunks of 2**16 events."""
     data = hevs_encode_1m_bytes(11)
     config = EncodeConfig(t_bins=224)
     tracemalloc.start()
@@ -311,7 +311,7 @@ def test_hevs_parse_encode_write_peak():
         tracemalloc.stop()
     assert stream.events.t.dtype == np.uint32
     assert out[8 + 3 * 8:] == tensor.data.tobytes()  # after the header and dims
-    assert peak < 8_500_000
+    assert peak < 7_600_000
 
 
 @pytest.mark.parametrize("span", [10_000, 2 ** 32 - 1])
@@ -562,8 +562,9 @@ def test_benchmark_inputs_encode_to_pinned_bytes(seed):
 
 def test_sorted_1m_encode_peak_stays_chunk_sized():
     # one pass over all events peaked at 16.5 MB of int64 and float64
-    # temporaries, and the chunk loop measures 3.55 MB: chunk temporaries
-    # kept alive from one chunk into the next would come to about 5 MB.
+    # temporaries, chunks of 2**17 events at 3.55 MB, and chunks of 2**16
+    # with contiguous x, y and p measure 2.80 MB: a chunk's temporaries kept
+    # alive into the next, or a chunk twice as large, would pass 3.2 MB.
     # Shifted to start at t = 0, the parsed stream keeps t as the strided
     # view of its records, which one searchsorted over all of t copied (9.4 MB).
     s = hevs_encode_1m_stream(11)
@@ -578,4 +579,19 @@ def test_sorted_1m_encode_peak_stays_chunk_sized():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4_500_000
+        assert peak < 3_200_000
+
+
+def test_1m_hevs_parse_peak_is_its_t_column():
+    """Beyond the 4 MB uint32 t, a step of the parse holds 64 KB of int64 t
+    and a few KB more: 4.08 MB measured, against 4.13 MB for whole-array
+    checks and 4.17 MB for steps of 2**14 records."""
+    data = hevs_encode_1m_bytes(11)
+    tracemalloc.start()
+    try:
+        stream = parse_events_binary(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.events.t.dtype == np.uint32
+    assert peak <= 4_200_000

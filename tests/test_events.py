@@ -457,6 +457,26 @@ def test_hevs_timestamp_beyond_int64_is_rejected():
     assert parse_events_binary(bytes(blob))[2].t == 2 ** 63 - 1
 
 
+def test_hevs_bad_polarity_anywhere_beats_a_bad_timestamp():
+    """Across 20k records, more than one step of the parse: a bad polarity
+    late in the blob wins over a bad timestamp early in it, and of two bad
+    timestamps the first is named."""
+    blob = bytearray(_hevs_blob(n=20_000))
+
+    def t_off(i):
+        return HEVS_HEADER + i * HEVS_RECORD + 4
+
+    for i in (3, 15_000):
+        blob[t_off(i):t_off(i) + 8] = (2 ** 64 - 1 - i).to_bytes(8, "little")
+    with pytest.raises(BadTimestamp) as exc:
+        parse_events_binary(bytes(blob))
+    assert (exc.value.offset, exc.value.value) == (t_off(3), 2 ** 64 - 4)
+    blob[t_off(19_000) + 8] = 2  # the p byte after record 19000's t
+    with pytest.raises(BadPolarity) as exc:
+        parse_events_binary(bytes(blob))
+    assert (exc.value.offset, exc.value.value) == (t_off(19_000) + 8, 2)
+
+
 def test_hevs_zero_geometry_side_is_parse_error():
     blob = write_events_binary(EventStream.from_arrays((8, 8), [1], [1], [0], [1]))
     for off in (8, 10):  # the W and H fields of the header

@@ -4,18 +4,21 @@ event parsers with hypothesis.
 Whatever the bytes, each reader returns or raises an `EvholoError`; any
 other exception, or a NumPy RuntimeWarning (an error under this suite's
 warning filter), fails the test. On any CSV bytes, `parse_events_csv`
-gives what its line walk alone gives. `evholo validate` on a fuzzed event
-file exits 0 or 2; `encode`, `spectrum`, `gsg-demo` and `bench --in` on
-fuzzed inputs exit 0, 1 or 2 with at most one line of error and write no
-output on failure. Runs are derandomized and bounded so the suite stays
-fast and reproducible.
+gives what its line walk alone gives, and on HEVS records drawn about the
+edges of its steps, `parse_events_binary` gives what whole-array checks
+give. `evholo validate` on a fuzzed event file exits 0 or 2; `encode`,
+`spectrum`, `gsg-demo` and `bench --in` on fuzzed inputs exit 0, 1 or 2
+with at most one line of error and write no output on failure. Runs are
+derandomized and bounded so the suite stays fast and reproducible.
 """
 
 import contextlib
 import io
 import shutil
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_events import assert_same_as_line_walk
@@ -30,7 +33,8 @@ from evholo import (
     write_events_csv,
 )
 from evholo.cli import main
-from evholo.errors import EvholoError
+from evholo.errors import BadPolarity, BadTimestamp, EvholoError
+from evholo.events import _HEVS_RECORD_DTYPE, HEVS_HEADER, HEVS_RECORD
 from evholo.gsg import GsgParams, params_from_archive, params_to_archive
 from evholo.tensorio import write_tensor
 
@@ -175,6 +179,79 @@ def test_validate_exit_code_on_fuzzed_event_files(tmp_path_factory, blob):
                  CSV_LINES, MUTATED), st.sampled_from([None, (5, 7)]))
 def test_csv_parser_equals_its_line_walk(blob, geometry):
     assert_same_as_line_walk(blob, geometry)
+
+
+HEVS_STEP = 7  # records per step of the HEVS parse in the test below
+HEVS_EDITS = ["span 2**32", "from 0", "bad t", "descent at a step edge", "shuffle", "bad p"]
+
+
+@st.composite
+def hevs_blobs(draw):
+    """HEVS bytes of 1 to 30 records, t sorted near 0, 2**32, 2**63 or
+    2**64 and polarities in {-1, 0, 1}, then up to three edits: the last t
+    2**32 or so after the first; t shifted to start at 0; a t at or above
+    2**63 at the end of a step but the last; a polarity in {-3..3}; one
+    descent across a step edge; t shuffled."""
+    n = draw(st.integers(1, 30))
+    base = draw(st.sampled_from([0, 7, 2 ** 32 - 30, 2 ** 63 - 50, 2 ** 64 - 70]))
+    t = sorted(base + v for v in draw(st.lists(st.integers(0, 60), min_size=n, max_size=n)))
+    p = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    step_end = st.sampled_from(range(HEVS_STEP - 1, n - 1, HEVS_STEP) or [0])  # not the last
+    for edit in draw(st.lists(st.sampled_from(HEVS_EDITS), max_size=3)):
+        if edit == "span 2**32":
+            t[-1] = (t[0] + 2 ** 32 + draw(st.integers(-1, 1))) % 2 ** 64
+        elif edit == "from 0":
+            t = [v - min(t) for v in t]
+        elif edit == "bad t":
+            t[draw(step_end)] = draw(st.sampled_from([2 ** 63, 2 ** 63 + 9, 2 ** 64 - 1]))
+        elif edit == "descent at a step edge" and n > HEVS_STEP:
+            k = draw(st.sampled_from(range(HEVS_STEP, n, HEVS_STEP)))
+            t[k] = max(t[k - 1] - 1, 0)
+        elif edit == "shuffle":
+            t = draw(st.permutations(t))
+        elif edit == "bad p":
+            p[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-3, -2, 2, 3]))
+    recs = np.zeros(n, _HEVS_RECORD_DTYPE)
+    recs["x"], recs["y"], recs["t"], recs["p"] = np.arange(n), n - np.arange(n), t, p
+    return struct.pack("<4sB3xHHQ", b"HEVS", 1, 16, 12, n) + recs.tobytes()
+
+
+def parse_hevs_whole(data: bytes) -> EventStream:
+    """The HEVS records checked over whole arrays, bad polarity first, then
+    normalized: the oracle of the parser's one pass in steps."""
+    w, h, n = struct.unpack_from("<HHQ", data, 8)
+    recs = np.frombuffer(data, _HEVS_RECORD_DTYPE, n, HEVS_HEADER)
+    p = recs["p"]
+    if p.min() < -1 or p.max() > 1:
+        i = int(((p < -1) | (p > 1)).argmax())
+        raise BadPolarity(HEVS_HEADER + i * HEVS_RECORD + 12, int(p[i]))
+    t = recs["t"].view(np.int64)
+    if t.min() < 0:
+        i = int((t < 0).argmax())
+        raise BadTimestamp(HEVS_HEADER + i * HEVS_RECORD + 4, int(recs["t"][i]))
+    if not p.all():
+        p = p.copy()
+        p[p == 0] = -1
+    return EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p).normalized()
+
+
+def parse_outcome(parse, blob):
+    """The stream's geometry and columns with their dtypes, or the error's
+    class, offset and value."""
+    try:
+        s = parse(blob)
+    except (BadPolarity, BadTimestamp) as e:
+        return type(e), e.offset, e.value
+    return s.geometry, [(c.dtype, c.tolist()) for c in (getattr(s.events, f) for f in "xytp")]
+
+
+@settings(FUZZ, max_examples=300)
+@given(hevs_blobs())
+def test_hevs_parser_equals_its_whole_array_checks(blob):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("evholo.events._HEVS_CHUNK", HEVS_STEP)
+        got = parse_outcome(parse_events_binary, blob)
+    assert got == parse_outcome(parse_hevs_whole, blob)
 
 
 HTEN = write_tensor(np.random.default_rng(0).standard_normal((2, 4, 6)))
