@@ -31,7 +31,8 @@ temporaries are sized by the chunk, not by the stream. No cell spans two
 chunks, so every cell sums the same events in the same order as one pass
 would, and the holographic channel is bit-identical to it (chunks cut at
 event counts would split a cell's float sum). The HW view has no time
-axis: it bins the stream as it is, uncopied, in one chunk of y rows.
+axis: it bins the stream as it is in chunks of _CHUNK events, each adding
+its integer counts into the whole planes with `np.add.at`, which is exact.
 Within a chunk phi comes from a W-entry table (or per event, when there are
 fewer events than W), the holographic channel from one weighted `bincount`
 in event order, and both polarity counts from one more `bincount` over keys
@@ -171,7 +172,8 @@ def _row_edges(t: np.ndarray, span: int, row_bins: int) -> np.ndarray:
 def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     """Bin the stream into a (pos, neg[, phi]) x row_bins x col_bins array;
     returns it and the count of dropped out-of-geometry events. Time rows
-    bin the normalized stream in chunks of whole rows, y rows in one chunk."""
+    bin the normalized stream in chunks of whole rows, y rows the stream as
+    it is in chunks of _CHUNK events."""
     w, h = stream.geometry
     planes = 3 if with_phi else 2
     # the planes' bytes must fit int64, and so the 2 * rows * cols polarity keys
@@ -210,10 +212,14 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
             phi_x = phi(xs, w) if phi_table is None else phi_table[xs]
             block[2] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(n_rows, -1)
             del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
-        # One count over (cell, polarity) keys, made in place from the cells:
-        # even = positive, odd = negative.
         neg = ps == -1
         signed = neg | (ps == 1)
+        if rows_of == "y":  # a chunk of the HW view adds its counts into the planes
+            cell += neg * cells
+            np.add.at(out.reshape(-1), cell if signed.all() else cell[signed], 1.0)
+            return dropped
+        # One count over (cell, polarity) keys, made in place from the cells:
+        # even = positive, odd = negative.
         key = cell
         key *= 2
         key += neg
@@ -226,10 +232,14 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
 
     if not n:
         return out, 0
-    if rows_of == "y":
-        rows = _scaled(y, row_bins, h, fresh=True)
-        rows *= col_bins
-        return out, add(0, row_bins, rows, x, y, p)
+    if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
+        dropped = 0
+        for lo in range(0, n, _CHUNK):
+            xs, ys, ps = (np.ascontiguousarray(c[lo:lo + _CHUNK]) for c in (x, y, p))
+            rows = _scaled(ys, row_bins, h, fresh=True)
+            rows *= col_bins
+            dropped += add(0, row_bins, rows, xs, ys, ps)
+        return out, dropped
     # whole time rows per chunk, at most _CHUNK events unless one row holds more
     edges = _row_edges(t, span, row_bins)
     dropped = a = 0

@@ -2,7 +2,10 @@
 
 ParseError subclasses signal defective input data (the CLI maps them to
 exit code 2); the remaining classes signal contract violations at API
-boundaries.
+boundaries, and those about a bad value also subclass ValueError. The one
+library raise outside `EvholoError` is the `TypeError` of an `EventStream`
+built from anything but `EventColumns`: a wrong argument type is a
+caller's programming error, never malformed input.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ class SpecInvalid(EvholoError, ValueError):
 
 
 class ConfigInvalid(EvholoError, ValueError):
-    """Encoder configuration violates its invariants."""
+    """A setting violates its invariants: an encoder configuration, a
+    stream's sensor geometry, a finite-difference step."""
 
 
 class ChannelOutOfRange(EvholoError, IndexError):
@@ -98,12 +102,13 @@ class NonFinite(EvholoError, ValueError):
 
 
 class TooLarge(EvholoError, ValueError):
-    """Operand above a size guard: a brute-force oracle input too big, or a
-    stream or plane whose binning would overflow int64."""
+    """Operand above a size guard: a brute-force oracle input too big, a
+    stream or plane whose binning would overflow int64, or a geometry or
+    event beyond what HEVS holds (u16 sides and coordinates, t >= 0)."""
 
 
 class BadBin(EvholoError, ValueError):
-    """Non-positive rate-series bin width."""
+    """Non-positive rate-series bin width, or a negative bin count."""
 
 
 class TooShort(EvholoError, ValueError):

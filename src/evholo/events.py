@@ -62,10 +62,12 @@ from .errors import (
     BadMagic,
     BadPolarity,
     BadTimestamp,
+    ConfigInvalid,
     EmptyInput,
     GeometryMissing,
     MalformedLine,
     ParseError,
+    ShapeMismatch,
     SpecInvalid,
     TooLarge,
     TruncatedRecord,
@@ -139,7 +141,7 @@ class EventColumns:
                 else np.ascontiguousarray(c, dtype=np.int64) for c in (x, y, t, p)]
         n = len(cols[0])
         if any(c.ndim != 1 or len(c) != n for c in cols):
-            raise ValueError(
+            raise ShapeMismatch(
                 f"columns must be 1-D of one length, got shapes "
                 f"{[c.shape for c in cols]}"
             )
@@ -171,7 +173,8 @@ class EventStream:
     `events` holds the events as `EventColumns`: one integer array per
     field, so ``events["t"]`` is a plain array and
     ``events[mask]`` a column-wise selection. Any other `events` raises
-    `TypeError`; `from_arrays` builds the columns from four sequences.
+    `TypeError`, not an `EvholoError`, as it is a caller's programming
+    error; `from_arrays` builds the columns from four sequences.
     Normalized streams are timestamp-sorted with t starting at 0; raw
     (directly constructed) streams may violate that, which is what
     `validate_stream` reports on.
@@ -187,7 +190,7 @@ class EventStream:
             )
         w, h = self.geometry
         if not _positive_ints(w, h):
-            raise ValueError(f"geometry sides must be integers >= 1, got {self.geometry}")
+            raise ConfigInvalid(f"geometry sides must be integers >= 1, got {self.geometry}")
         object.__setattr__(self, "geometry", (int(w), int(h)))
 
     @classmethod
@@ -555,14 +558,14 @@ def write_events_binary(stream: EventStream) -> bytes:
     ev = stream.events
     w, h = stream.geometry
     if max(w, h) >= 1 << 16:
-        raise ValueError(f"geometry {w}x{h} outside u16 range")
+        raise TooLarge(f"geometry {w}x{h} outside u16 range")
     if len(ev):
         for field, limit in (("x", 1 << 16), ("y", 1 << 16)):
             vals = ev[field]
             if vals.min() < 0 or vals.max() >= limit:
-                raise ValueError(f"{field} values outside u16 range")
+                raise TooLarge(f"{field} values outside u16 range")
         if ev["t"].min() < 0:
-            raise ValueError("negative timestamps are not representable")
+            raise TooLarge("negative timestamps are not representable")
     header = _HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(ev))
     recs = np.empty(len(ev), dtype=_HEVS_RECORD_DTYPE)
     recs["x"] = ev["x"]

@@ -15,14 +15,15 @@ oracle for the analytic path.
 
 Inputs are validated once, at each public entry, which then runs the
 unchecked 64-bit chain `_conv` -> `_filter` -> `_gate`; `GsgParams` checks
-its own arrays when it is built. The chain ends at a tape of intermediates:
-the block output is formed from its last two arrays, and
-`grad_spectral_weight` hands it to `_gate_backward`. The chain writes in
-place only into arrays it allocated itself, and `_gate_backward` spends the
-tape; each in-place step rounds as the out-of-place expression it stands
-for, so the outputs are bit for bit those of the plain expressions the tests
-keep as a reference. A finite input too large for the math (an overflow or
-an Inf - Inf anywhere in an entry) raises `NonFinite`.
+its own arrays when it is built. LayerNorm, the 1x1 gate and their backward
+act per location, so `_gate` and `_gate_backward` run on blocks of whole
+rows of the filtered z, one block's tape of intermediates at a time, and
+write each block's output (or dL/dz) back into z. The chain writes in place
+only into arrays it allocated itself; each in-place or blocked step rounds
+as the whole-tensor, out-of-place expression it stands for, so the outputs
+are bit for bit those of the plain expressions the tests keep as a
+reference. A finite input too large for the math (an overflow or an
+Inf - Inf anywhere in an entry) raises `NonFinite`.
 
 Gradient convention: each complex weight is two real parameters (re, im),
 and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
@@ -37,10 +38,11 @@ from typing import Callable
 import numpy as np
 
 from . import tensorio
-from .errors import NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
+from .errors import ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
 from .spectral import _checked, half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
+_BLOCK_BYTES = 200_000  # per float64 array of a gate row block
 
 #: Archive section names, also the canonical flattened-parameter order used
 #: by the finite-difference selector.
@@ -158,23 +160,36 @@ def _block_input(x_in, params: GsgParams) -> np.ndarray:
 
 
 def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit."""
-    c, rows, cols = x.shape
-    xp = np.zeros((c, rows + 2, cols + 2))
-    xp[:, 1:-1, 1:-1] = x
+    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit.
+    Each tap adds only into the part of `out` it reaches: the padding terms
+    it skips are +-0.0, and a sum that starts at +0.0 is never -0.0."""
+    rows, cols = x.shape[1:]
     out = np.zeros(x.shape)
-    prod = np.empty(x.shape)
+    prod = np.empty(x.size)  # each tap's products, contiguous
     for i in range(3):
         for j in range(3):
-            out += np.multiply(k[:, i, j][:, None, None], xp[:, i:i + rows, j:j + cols],
-                               out=prod)
+            dst = np.s_[:, max(0, 1 - i):rows + min(0, 1 - i), max(0, 1 - j):cols + min(0, 1 - j)]
+            xs = x[:, max(0, i - 1):rows + min(0, i - 1), max(0, j - 1):cols + min(0, j - 1)]
+            out[dst] += np.multiply(k[:, i, j][:, None, None], xs,
+                                    out=prod[:xs.size].reshape(xs.shape))
     return out
 
 
 def _filter(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rfft2(x), irfft2(rfft2(x) * w)) per channel."""
+    """(rfft2(x), irfft2(rfft2(x) * w)) per channel; the inverse is NumPy's
+    irfftn with its ifft done in place."""
     xf = np.fft.rfft2(x.astype(np.float64, copy=False), axes=(1, 2))
-    return xf, np.fft.irfft2(xf * w, s=x.shape[1:], axes=(1, 2))
+    t = xf * w
+    np.fft.ifft(t, axis=1, out=t)
+    return xf, np.fft.irfft(t, n=x.shape[2], axis=2)
+
+
+def _row_blocks(shape) -> list[slice]:
+    """Whole-row slices of a C x rows x cols tensor, each about _BLOCK_BYTES
+    per float64 array: 32 rows of 3 x 224 x 260."""
+    c, rows, cols = shape
+    step = max(1, _BLOCK_BYTES // (8 * c * cols))
+    return [slice(r, r + step) for r in range(0, rows, step)]
 
 
 def _gate(z: np.ndarray, params: GsgParams):
@@ -195,25 +210,27 @@ def _gate(z: np.ndarray, params: GsgParams):
     return zhat, inv, nrm, sig_n, carrier, gate
 
 
-def _forward(a: np.ndarray, params: GsgParams):
-    """The tape (rfft2(x_local), *the tape of `_gate`) on validated input, each
-    stage cast back to a.dtype exactly as the public stage functions cast."""
-    dt = a.dtype
+def _spectral(a: np.ndarray, params: GsgParams, dt) -> tuple[np.ndarray, np.ndarray]:
+    """(rfft2(x_local), z) on validated input, each stage cast to dt exactly
+    as the public stage functions cast."""
     x_local = _conv(a, params.dw_kernel).astype(dt, copy=False)
     xf, z = _filter(x_local, params.spectral_weight)
-    del x_local  # the gate's temporaries are the peak of the chain
-    z = z.astype(dt, copy=False)  # an f32 chain drops the 64-bit z here
-    return (xf, *_gate(z, params))
+    return xf, z.astype(dt, copy=False)  # an f32 chain drops the 64-bit z here
 
 
-def _block_output(a: np.ndarray, params: GsgParams) -> np.ndarray:
-    """a + carrier * gate, cast to a.dtype; only the tape's last two arrays
-    outlive `_forward`, and the product is formed in the carrier."""
-    carrier, gate = _forward(a, params)[-2:]
-    carrier *= gate
-    g = carrier.astype(a.dtype, copy=False)
-    g += a
-    return g
+def _gated(z: np.ndarray, params: GsgParams, out: np.ndarray) -> np.ndarray:
+    """carrier * gate of z into out (which may be z), cast to out's dtype,
+    one row block at a time; returns out."""
+    for b in _row_blocks(z.shape):
+        carrier, gate = _gate(z[:, b], params)[-2:]
+        np.multiply(carrier, gate, out=out[:, b])
+    return out
+
+
+def _block_output(a: np.ndarray, params: GsgParams, dt) -> np.ndarray:
+    """a + carrier * gate in dt, formed in z's buffer."""
+    z = _spectral(a, params, dt)[1]
+    return np.add(_gated(z, params, out=z), a, out=z)
 
 
 @_no_overflow
@@ -243,15 +260,14 @@ def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
     """
     a = _as_feature(z)
     _checked("gate_weight", params.gate_weight, np.float64, (a.shape[0],) * 2)
-    carrier, gate = _gate(a, params)[-2:]
-    carrier *= gate
-    return carrier.astype(a.dtype, copy=False)
+    return _gated(a, params, out=np.empty(a.shape, a.dtype))
 
 
 @_no_overflow
 def gsg_forward(x_in, params: GsgParams) -> np.ndarray:
     """x_in + gated_reconstruction(spectral_filter(depthwise_conv3x3(x_in)))."""
-    return _block_output(_block_input(x_in, params), params)
+    a = _block_input(x_in, params)
+    return _block_output(a, params, a.dtype)
 
 
 @_no_overflow
@@ -262,7 +278,7 @@ def gsg_loss(x_in, params: GsgParams, upstream) -> float:
     grad_spectral_weight differentiate."""
     a = _block_input(x_in, params)
     u = _checked("upstream", upstream, np.float64, a.shape)
-    return float((_block_output(a.astype(np.float64, copy=False), params) * u).sum())
+    return float((_block_output(a, params, np.float64) * u).sum())
 
 
 def _gate_backward(tape, params: GsgParams, dout: np.ndarray) -> np.ndarray:
@@ -305,10 +321,10 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     a = _block_input(x_in, params)
     u = _checked("upstream", upstream, np.float64, a.shape)
     rows, cols = a.shape[1], a.shape[2]
-    xf, *tape = _forward(a.astype(np.float64, copy=False), params)
-    u_z = _gate_backward(tape, params, u)
-    del tape  # spent: freed before the transform
-    g_s = np.fft.rfft2(u_z, axes=(1, 2))
+    xf, z = _spectral(a, params, np.float64)
+    for b in _row_blocks(z.shape):  # dL/dz, in z's buffer
+        z[:, b] = _gate_backward(_gate(z[:, b], params), params, u[:, b])
+    g_s = np.fft.rfft2(z, axes=(1, 2))
     g_s *= half_spectrum_weights(cols)[None, None, :] / (rows * cols)
     # conj(xf) stays a temporary: NumPy's elision then multiplies as
     # conj(xf) * g_s above 256 KiB and as written below, two orders whose
@@ -385,7 +401,7 @@ def finite_difference_oracle(x_in, params: GsgParams, upstream,
     order (spectral weights split into a real block then an imaginary one).
     """
     if not 1e-8 <= h <= 1e-4:
-        raise ValueError(f"step h must lie in [1e-8, 1e-4], got {h}")
+        raise ConfigInvalid(f"step h must lie in [1e-8, 1e-4], got {h}")
     theta = flatten_params(params)
     if not 0 <= param_selector < theta.size:
         raise SelectorOutOfRange(

@@ -119,7 +119,7 @@ class RateSeries:
         if v.ndim != 1:
             raise ShapeMismatch(f"values must be 1D, got shape {v.shape}")
         if v.size and v.min() < 0:
-            raise ValueError("rate series values must be non-negative")
+            raise BadBin("rate series values must be non-negative")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:

@@ -1,6 +1,9 @@
 import argparse
 import types
 
+import numpy as np
+import pytest
+
 import evholo
 from evholo.cli import build_parser
 
@@ -73,3 +76,39 @@ def test_cli_options_match_the_table():
     }
     assert surface == CLI_OPTIONS
     assert sum(map(len, surface.values())) == 27
+
+
+_X = np.zeros((1, 4, 4))
+
+# a bad value, and the EvholoError (also a ValueError) it must raise
+BAD_VALUES = {
+    "ragged columns": (lambda: evholo.EventColumns([1, 2], [1], [0, 1], [1, 1]),
+                       evholo.ShapeMismatch),
+    "stream geometry": (lambda: evholo.EventStream.from_arrays((0, 4), [], [], [], []),
+                        evholo.ConfigInvalid),
+    "HEVS geometry": (lambda: evholo.write_events_binary(evholo.EventStream.empty((1 << 16, 4))),
+                      evholo.TooLarge),
+    "HEVS coordinate": (lambda: evholo.write_events_binary(
+        evholo.EventStream.from_arrays((8, 4), [-1], [0], [0], [1])), evholo.TooLarge),
+    "HEVS timestamp": (lambda: evholo.write_events_binary(
+        evholo.EventStream.from_arrays((8, 4), [1], [0], [-5], [1])), evholo.TooLarge),
+    "negative rate": (lambda: evholo.RateSeries(0.01, [1, -1]), evholo.BadBin),
+    "oracle step": (lambda: evholo.finite_difference_oracle(
+        _X, evholo.GsgParams.random(1, 4, 4), _X, 0, h=1e-3), evholo.ConfigInvalid),
+}
+
+
+@pytest.mark.parametrize("name", BAD_VALUES)
+def test_bad_values_raise_evholo_errors(name):
+    call, error = BAD_VALUES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert isinstance(raised.value, evholo.EvholoError)
+    assert isinstance(raised.value, ValueError)
+
+
+def test_events_of_the_wrong_type_stay_a_type_error():
+    # a caller's programming error, not malformed input
+    with pytest.raises(TypeError) as raised:
+        evholo.EventStream((4, 4), [(1, 2, 3, 1)])
+    assert not isinstance(raised.value, evholo.EvholoError)

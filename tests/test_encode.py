@@ -582,6 +582,20 @@ def test_sorted_1m_encode_peak_stays_chunk_sized():
         assert peak < 3_200_000
 
 
+def test_1m_hw_view_peak_stays_chunk_sized():
+    # one chunk of all events peaked at 12.88 MB; chunks of 2**16 events that
+    # add their counts into the planes measure 3.02 MB, of which the planes
+    # are 1.44 MB
+    s = hevs_encode_1m_stream(11)
+    tracemalloc.start()
+    try:
+        encode_view(s, "hw")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_200_000
+
+
 def test_1m_hevs_parse_peak_is_its_t_column():
     """Beyond the 4 MB uint32 t, a step of the parse holds 64 KB of int64 t
     and a few KB more: 4.08 MB measured, against 4.13 MB for whole-array
