@@ -81,7 +81,9 @@ class DuplicateName(ParseError):
 
 
 class SpecInvalid(EvholoError, ValueError):
-    """Synthetic-stream generation spec violates its invariants."""
+    """A spec, or data held to one, violates its invariants: a synthetic
+    stream or benchmark spec, a stream that HEVS cannot hold (a side, x or
+    y outside u16, a t < 0), a rate series with a negative count."""
 
 
 class ConfigInvalid(EvholoError, ValueError):
@@ -102,13 +104,12 @@ class NonFinite(EvholoError, ValueError):
 
 
 class TooLarge(EvholoError, ValueError):
-    """Operand above a size guard: a brute-force oracle input too big, a
-    stream or plane whose binning would overflow int64, or a geometry or
-    event beyond what HEVS holds (u16 sides and coordinates, t >= 0)."""
+    """Operand above a size guard: a brute-force oracle input too big, or a
+    stream or plane whose binning would overflow int64."""
 
 
 class BadBin(EvholoError, ValueError):
-    """Non-positive rate-series bin width, or a negative bin count."""
+    """Non-positive rate-series bin width."""
 
 
 class TooShort(EvholoError, ValueError):

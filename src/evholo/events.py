@@ -558,14 +558,14 @@ def write_events_binary(stream: EventStream) -> bytes:
     ev = stream.events
     w, h = stream.geometry
     if max(w, h) >= 1 << 16:
-        raise TooLarge(f"geometry {w}x{h} outside u16 range")
+        raise SpecInvalid(f"geometry {w}x{h} outside u16 range")
     if len(ev):
         for field, limit in (("x", 1 << 16), ("y", 1 << 16)):
             vals = ev[field]
             if vals.min() < 0 or vals.max() >= limit:
-                raise TooLarge(f"{field} values outside u16 range")
+                raise SpecInvalid(f"{field} values outside u16 range")
         if ev["t"].min() < 0:
-            raise TooLarge("negative timestamps are not representable")
+            raise SpecInvalid("negative timestamps are not representable")
     header = _HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(ev))
     recs = np.empty(len(ev), dtype=_HEVS_RECORD_DTYPE)
     recs["x"] = ev["x"]

@@ -160,24 +160,22 @@ def _block_input(x_in, params: GsgParams) -> np.ndarray:
 
 
 def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit.
-    Each tap adds only into the part of `out` it reaches: the padding terms
-    it skips are +-0.0, and a sum that starts at +0.0 is never -0.0."""
-    rows, cols = x.shape[1:]
+    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit."""
+    c, rows, cols = x.shape
+    xp = np.zeros((c, rows + 2, cols + 2))
+    xp[:, 1:-1, 1:-1] = x
     out = np.zeros(x.shape)
-    prod = np.empty(x.size)  # each tap's products, contiguous
+    prod = np.empty(x.shape)
     for i in range(3):
         for j in range(3):
-            dst = np.s_[:, max(0, 1 - i):rows + min(0, 1 - i), max(0, 1 - j):cols + min(0, 1 - j)]
-            xs = x[:, max(0, i - 1):rows + min(0, i - 1), max(0, j - 1):cols + min(0, j - 1)]
-            out[dst] += np.multiply(k[:, i, j][:, None, None], xs,
-                                    out=prod[:xs.size].reshape(xs.shape))
+            out += np.multiply(k[:, i, j][:, None, None], xp[:, i:i + rows, j:j + cols],
+                               out=prod)
     return out
 
 
 def _filter(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rfft2(x), irfft2(rfft2(x) * w)) per channel; the inverse is NumPy's
-    irfftn with its ifft done in place."""
+    irfftn with its ifft done in place (`out=` needs NumPy >= 2.0)."""
     xf = np.fft.rfft2(x.astype(np.float64, copy=False), axes=(1, 2))
     t = xf * w
     np.fft.ifft(t, axis=1, out=t)

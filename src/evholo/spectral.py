@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadBin, NonFinite, ShapeMismatch, TooLarge, TooShort
+from .errors import BadBin, NonFinite, ShapeMismatch, SpecInvalid, TooLarge, TooShort
 from .events import EventStream
 
 #: dft2_oracle refuses inputs with more elements than this.
@@ -119,7 +119,7 @@ class RateSeries:
         if v.ndim != 1:
             raise ShapeMismatch(f"values must be 1D, got shape {v.shape}")
         if v.size and v.min() < 0:
-            raise BadBin("rate series values must be non-negative")
+            raise SpecInvalid("rate series values must be non-negative")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:

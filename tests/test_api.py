@@ -87,12 +87,12 @@ BAD_VALUES = {
     "stream geometry": (lambda: evholo.EventStream.from_arrays((0, 4), [], [], [], []),
                         evholo.ConfigInvalid),
     "HEVS geometry": (lambda: evholo.write_events_binary(evholo.EventStream.empty((1 << 16, 4))),
-                      evholo.TooLarge),
+                      evholo.SpecInvalid),
     "HEVS coordinate": (lambda: evholo.write_events_binary(
-        evholo.EventStream.from_arrays((8, 4), [-1], [0], [0], [1])), evholo.TooLarge),
+        evholo.EventStream.from_arrays((8, 4), [-1], [0], [0], [1])), evholo.SpecInvalid),
     "HEVS timestamp": (lambda: evholo.write_events_binary(
-        evholo.EventStream.from_arrays((8, 4), [1], [0], [-5], [1])), evholo.TooLarge),
-    "negative rate": (lambda: evholo.RateSeries(0.01, [1, -1]), evholo.BadBin),
+        evholo.EventStream.from_arrays((8, 4), [1], [0], [-5], [1])), evholo.SpecInvalid),
+    "negative rate": (lambda: evholo.RateSeries(0.01, [1, -1]), evholo.SpecInvalid),
     "oracle step": (lambda: evholo.finite_difference_oracle(
         _X, evholo.GsgParams.random(1, 4, 4), _X, 0, h=1e-3), evholo.ConfigInvalid),
 }
