@@ -1,11 +1,11 @@
 """Command-line pipeline: gen, validate, encode, spectrum, gsg-demo, bench.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing input files or
-output directories), 2 data error (unparseable or inconsistent input, or a
-size that cannot be allocated). Each command returns its files' bytes and
-its summary line, and `main` writes them: nothing is written until every
-output's bytes exist. Each file goes to a temp file that is then renamed, so
-an I/O error on a later file can still leave the earlier ones.
+output directories, an output path that is a directory), 2 data error
+(unparseable or inconsistent input, or a size that cannot be allocated).
+Each command returns its files' bytes and its summary line; `main` writes
+them once all exist and no output path is a directory, each to a temp file
+then renamed, so an I/O error on a later file can still leave earlier ones.
 """
 
 from __future__ import annotations
@@ -183,9 +183,7 @@ def _grad_check_crop(x: np.ndarray) -> np.ndarray:
     c = min(2, x.shape[0])
     step_r = max(1, x.shape[1] // 6)
     step_c = max(1, x.shape[2] // 6)
-    return np.ascontiguousarray(
-        x[:c, ::step_r, ::step_c][:, :6, :6].astype(np.float64)
-    )
+    return x[:c, ::step_r, ::step_c][:, :6, :6].astype(np.float64)  # a C-contiguous copy
 
 
 def cmd_gsg_demo(args) -> tuple[dict, str]:
@@ -301,6 +299,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         outputs, line = args.func(args)
+        for path in outputs:  # a derived path too: a PGM, the .rate CSV
+            if os.path.isdir(path):
+                raise UsageError(f"output path {path} is an existing directory")
         for path, data in outputs.items():
             _atomic_write(path, data)
         print(line)

@@ -82,8 +82,10 @@ class DuplicateName(ParseError):
 
 class SpecInvalid(EvholoError, ValueError):
     """A spec, or data held to one, violates its invariants: a synthetic
-    stream or benchmark spec, a stream that HEVS cannot hold (a side, x or
-    y outside u16, a t < 0), a rate series with a negative count."""
+    stream or benchmark spec; a stream that HEVS cannot hold (a side, x or y
+    outside u16, a t < 0, a p outside -1..1) or CSV (that p); a HARC of over
+    65535 sections or a name over 65535 bytes; integers not exact in int64, or
+    a negative count; text, bytes, objects, or complex where floats are due."""
 
 
 class ConfigInvalid(EvholoError, ValueError):

@@ -20,7 +20,7 @@ before it has to be:
     CSV         int64, which holds any negative or out-of-bounds
                 coordinate that `validate_stream` must count
     from_arrays the dtype of an ndarray of a kept integer dtype (see
-                `EventColumns`), else int64
+                `EventColumns`), else an exact int64 copy or `SpecInvalid`
 
 Normalizing shifts t so it starts at 0. The shifted copy is uint32 (4 bytes
 per event) when t_max - t_min < 2**32 us, about 71.6 minutes, and int64
@@ -75,6 +75,7 @@ from .errors import (
 
 _FIELDS = ("x", "y", "t", "p")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_TWO_63 = np.float64(2.0 ** 63)  # a float64 scalar, so a float16 column does not cast it
 # Column dtypes kept as given; any other input becomes int64. uint64 is left
 # out: mixed with int64 it promotes to float64 and loses precision.
 _KEPT_DTYPES = frozenset(map(np.dtype, ("i1", "i2", "i4", "i8", "u1", "u2", "u4")))
@@ -100,11 +101,26 @@ _CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _CSV_CHUNK = 1 << 18  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
 _HEVS_CHUNK = 1 << 13  # records per step of the HEVS pass; its int64 t is 64 KB
+# field -> (min, max) that `parse_events_binary` accepts
+_HEVS_RANGES = {"x": (0, 0xFFFF), "y": (0, 0xFFFF), "t": (0, _INT64_MAX), "p": (-1, 1)}
 
 
 def _ascending(v: np.ndarray) -> bool:
     """Whether v never decreases: one O(n) neighbour compare."""
     return bool(np.all(v[:-1] <= v[1:]))
+
+
+def _int64_column(name: str, value) -> np.ndarray:
+    """`value` as a C-contiguous int64 array. Bool, integers and whole-number
+    floats in the int64 range convert exactly; anything else is `SpecInvalid`."""
+    a = np.asarray(value)
+    if a.dtype.kind == "f":
+        exact = np.all((a == np.trunc(a)) & (a >= -_TWO_63) & (a < _TWO_63))
+    else:
+        exact = a.dtype.kind in "bi" or a.dtype.kind == "u" and a.max(initial=0) <= _INT64_MAX
+    if not exact:
+        raise SpecInvalid(f"{name} must hold integers in the int64 range, got {a.dtype} values")
+    return a.astype(np.int64, order="C", copy=False)
 
 
 def _positive_ints(*values) -> bool:
@@ -126,7 +142,7 @@ class EventColumns:
 
     A column that is an ndarray of a native-order int8/16/32/64 or
     uint8/16/32 dtype is kept as given, strided or read-only views
-    included; anything else becomes a contiguous int64 array.
+    included; anything else becomes an exact contiguous int64 copy.
 
     Indexed like a structured array with those fields: ``cols["x"]`` is a
     column, ``cols[i]`` with an integer is one `Event`, and any other index
@@ -138,9 +154,9 @@ class EventColumns:
 
     def __init__(self, x, y, t, p):
         cols = [c if isinstance(c, np.ndarray) and c.dtype in _KEPT_DTYPES
-                else np.ascontiguousarray(c, dtype=np.int64) for c in (x, y, t, p)]
-        n = len(cols[0])
-        if any(c.ndim != 1 or len(c) != n for c in cols):
+                else _int64_column(f, c) for f, c in zip(_FIELDS, (x, y, t, p))]
+        n = cols[0].size
+        if any(c.shape != (n,) for c in cols):
             raise ShapeMismatch(
                 f"columns must be 1-D of one length, got shapes "
                 f"{[c.shape for c in cols]}"
@@ -466,8 +482,8 @@ def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
         v = out[c, :len(last)]
         v[:] = d[last]
         for j in range(1, int(nd.max())):
-            # int64 by dtype, not by promotion: under NumPy 1.x a uint8
-            # digit times 10**j stays in a narrow unsigned type and wraps
+            # int64 by dtype, not by promotion: under NEP 50 a uint8 digit
+            # times a Python-int power of ten stays uint8 and wraps
             v += np.multiply(d[last - j] * (nd > j), _POW10[j], dtype=np.int64)
         np.negative(v, out=v, where=neg[:, c])
     p = out[3, :len(ends)]
@@ -476,10 +492,13 @@ def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
 
 
 def write_events_csv(stream: EventStream) -> bytes:
-    """Serialize a stream to CSV bytes with a geometry comment line."""
+    """Serialize a stream to CSV bytes with a geometry comment line; what the
+    parser refuses, a p outside -1..1 or a t span beyond int64, is `SpecInvalid`."""
+    ev = stream.events
+    if len(ev) and (ev.p.min() < -1 or ev.p.max() > 1 or stream.duration > _INT64_MAX):
+        raise SpecInvalid("p outside -1..1, or a t span beyond int64, is not readable as CSV")
     w, h = stream.geometry
     lines = [f"# geometry {w}x{h}", _CSV_HEADER]
-    ev = stream.events
     # Python ints from `tolist()` format about twice as fast as NumPy scalars
     cols = (getattr(ev, f).tolist() for f in _FIELDS)
     lines.extend(f"{x},{y},{t},{p}" for x, y, t, p in zip(*cols))
@@ -554,25 +573,20 @@ def parse_events_binary(data: bytes) -> EventStream:
 
 
 def write_events_binary(stream: EventStream) -> bytes:
-    """Serialize a stream to HEVS bytes."""
-    ev = stream.events
+    """Serialize a stream to HEVS bytes; a side or field value outside what
+    `parse_events_binary` accepts (`_HEVS_RANGES`) is `SpecInvalid`."""
     w, h = stream.geometry
-    if max(w, h) >= 1 << 16:
+    if max(w, h) > 0xFFFF:
         raise SpecInvalid(f"geometry {w}x{h} outside u16 range")
-    if len(ev):
-        for field, limit in (("x", 1 << 16), ("y", 1 << 16)):
-            vals = ev[field]
-            if vals.min() < 0 or vals.max() >= limit:
-                raise SpecInvalid(f"{field} values outside u16 range")
-        if ev["t"].min() < 0:
-            raise SpecInvalid("negative timestamps are not representable")
-    header = _HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(ev))
-    recs = np.empty(len(ev), dtype=_HEVS_RECORD_DTYPE)
-    recs["x"] = ev["x"]
-    recs["y"] = ev["y"]
-    recs["t"] = ev["t"]
-    recs["p"] = ev["p"]
-    return header + recs.tobytes()
+    for field, (lo, hi) in _HEVS_RANGES.items():
+        v = stream.events[field]
+        if len(v) and (v.min() < lo or v.max() > hi):
+            raise SpecInvalid(f"{field} values outside {lo}..{hi} are not representable in HEVS")
+    header = _HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(stream))
+    recs = np.empty(len(stream), dtype=_HEVS_RECORD_DTYPE)
+    for field in _FIELDS:
+        recs[field] = stream.events[field]
+    return b"".join((header, recs.data))
 
 
 def validate_stream(stream: EventStream) -> ValidationReport:
@@ -582,19 +596,16 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     then timestamp regressions, then polarity outside {-1, +1}.
     """
     ev = stream.events
-    n = len(ev)
-    if n == 0:
-        return ValidationReport(0, 0, 0, 0)
     w, h = stream.geometry
     oob = (ev["x"] < 0) | (ev["x"] >= w) | (ev["y"] < 0) | (ev["y"] >= h)
-    nonmono = np.zeros(n, dtype=bool)
+    nonmono = np.zeros(len(ev), dtype=bool)
     # a comparison, not np.diff, which wraps for narrow or unsigned columns
     nonmono[1:] = ev["t"][1:] < ev["t"][:-1]
     badp = (ev["p"] != -1) & (ev["p"] != 1)
     nonmono &= ~oob
     badp &= ~oob & ~nonmono
     return ValidationReport(
-        total=n,
+        total=len(ev),
         out_of_bounds=int(oob.sum()),
         non_monotonic=int(nonmono.sum()),
         bad_polarity=int(badp.sum()),
@@ -614,9 +625,6 @@ def generate_periodic_stream(spec: PeriodicGenSpec) -> EventStream:
     """
     w, h = spec.geometry
     rng = np.random.default_rng(spec.seed)
-    if spec.peak_rate <= 0:
-        return EventStream.empty(spec.geometry)
-
     n_cand = rng.poisson(spec.peak_rate * spec.duration_s)
     t_cand = np.sort(rng.uniform(0.0, spec.duration_s, n_cand))
     phase = 2.0 * np.pi * spec.f0 * t_cand
@@ -625,8 +633,6 @@ def generate_periodic_stream(spec: PeriodicGenSpec) -> EventStream:
     t_s = t_cand[keep]
     phase = phase[keep]
     n = len(t_s)
-    if n == 0:
-        return EventStream.empty(spec.geometry)
 
     # Gaussian blob around the oscillating center, clipped to the sensor.
     sigma = max(1.0, min(w, h) / 12.0)

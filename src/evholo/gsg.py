@@ -31,7 +31,6 @@ and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
-from .spectral import _checked, half_cols, half_spectrum_weights
+from .spectral import _checked, _no_overflow, half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
 _BLOCK_BYTES = 200_000  # per float64 array of a gate row block
@@ -65,31 +64,6 @@ def _sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
-
-
-def _as_feature(x) -> np.ndarray:
-    """Validate a C x rows x cols real feature tensor, preserving f32/f64."""
-    a = np.asarray(x)
-    if a.dtype not in (np.float32, np.float64):
-        a = a.astype(np.float64)
-    if a.ndim != 3 or a.size == 0:
-        raise ShapeMismatch(f"expected non-empty 3D feature tensor, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("feature tensor contains NaN or Inf")
-    return a
-
-
-def _no_overflow(entry):
-    """Make a float overflow or invalid operation inside `entry` a
-    `NonFinite`, instead of an Inf, a NaN or a saturated value in its result."""
-    @functools.wraps(entry)
-    def run(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return entry(*args, **kwargs)
-        except FloatingPointError as e:
-            raise NonFinite(f"{entry.__name__}: {e}, input too large") from None
-    return run
 
 
 @dataclass(frozen=True)
@@ -153,9 +127,9 @@ class GsgParams:
 
 def _block_input(x_in, params: GsgParams) -> np.ndarray:
     """Validated x_in, with params.spectral_weight checked to fit its shape."""
-    a = _as_feature(x_in)
-    c, rows, cols = a.shape
-    _checked("spectral_weight", params.spectral_weight, np.complex128, (c, rows, half_cols(cols)))
+    a = _checked("x_in", x_in, None, (None, None, None))
+    _checked("spectral_weight", params.spectral_weight, np.complex128,
+             (*a.shape[:2], half_cols(a.shape[2])))
     return a
 
 
@@ -234,7 +208,7 @@ def _block_output(a: np.ndarray, params: GsgParams, dt) -> np.ndarray:
 @_no_overflow
 def depthwise_conv3x3(x, kernels) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, stride 1, zero padding 1, no bias."""
-    a = _as_feature(x)
+    a = _checked("x", x, None, (None, None, None))
     k = _checked("kernels", kernels, np.float64, (a.shape[0], 3, 3))
     return _conv(a, k).astype(a.dtype, copy=False)
 
@@ -242,9 +216,8 @@ def depthwise_conv3x3(x, kernels) -> np.ndarray:
 @_no_overflow
 def spectral_filter(x_local, w) -> np.ndarray:
     """Per channel: irfft2(rfft2(x_c) * w_c). Output is exactly real-typed."""
-    a = _as_feature(x_local)
-    c, rows, cols = a.shape
-    wc = _checked("weights", w, np.complex128, (c, rows, half_cols(cols)))
+    a = _checked("x_local", x_local, None, (None, None, None))
+    wc = _checked("weights", w, np.complex128, (*a.shape[:2], half_cols(a.shape[2])))
     return _filter(a, wc)[1].astype(a.dtype, copy=False)
 
 
@@ -256,7 +229,7 @@ def gated_reconstruction(z, params: GsgParams) -> np.ndarray:
     1e-5 and affine (ln_gamma, ln_beta); the gate is a 1x1 channel
     projection squashed by a sigmoid.
     """
-    a = _as_feature(z)
+    a = _checked("z", z, None, (None, None, None))
     _checked("gate_weight", params.gate_weight, np.float64, (a.shape[0],) * 2)
     return _gated(a, params, out=np.empty(a.shape, a.dtype))
 

@@ -10,13 +10,14 @@ checked against something that shares no code with it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadBin, NonFinite, ShapeMismatch, SpecInvalid, TooLarge, TooShort
-from .events import EventStream
+from .events import _INT64_MAX, EventStream, _int64_column
 
 #: dft2_oracle refuses inputs with more elements than this.
 ORACLE_MAX_ELEMENTS = 4096
@@ -47,29 +48,43 @@ def half_spectrum_weights(cols: int) -> np.ndarray:
 
 
 def _checked(name: str, value, dtype, shape: tuple) -> np.ndarray:
-    """`value` as a `dtype` array of `shape`, where None matches any extent;
-    any other shape is `ShapeMismatch`, and NaN or Inf is `NonFinite`."""
-    a = np.asarray(value, dtype=dtype)
-    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
-        want = ", ".join("*" if n is None else str(n) for n in shape)
-        raise ShapeMismatch(f"{name} must have shape ({want}), got {a.shape}")
+    """`value` as a non-empty `dtype` array of `shape` (None: any extent), else
+    `ShapeMismatch`; a None dtype keeps f32/f64 and makes bool and ints f64. Text,
+    bytes, objects, complex into a real dtype: `SpecInvalid`; NaN, Inf: `NonFinite`."""
+    a = np.asarray(value)
+    want = np.dtype(dtype or (a.dtype if a.dtype in (np.float32, np.float64) else np.float64))
+    if a.dtype.kind not in ("biufc" if want.kind == "c" else "biuf"):
+        raise SpecInvalid(f"{name} must convert to {want}, got dtype {a.dtype}")
+    a = a.astype(want, copy=False)
+    if a.size == 0 or a.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, a.shape)):
+        dims = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ShapeMismatch(f"{name} must have non-empty shape ({dims}), got {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return a
 
 
-def _as_real_2d(x) -> np.ndarray:
-    a = _checked("input", x, np.float64, (None, None))
-    if a.size == 0:
-        raise ShapeMismatch(f"expected a non-empty 2D real array, got shape {a.shape}")
-    return a
+def _no_overflow(entry):
+    """Make a float overflow or invalid operation inside `entry` a
+    `NonFinite`, instead of an Inf, a NaN or a saturated value in its result."""
+    @functools.wraps(entry)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return entry(*args, **kwargs)
+        except FloatingPointError as e:
+            raise NonFinite(f"{entry.__name__}: {e}, input too large") from None
+    return run
 
 
+@_no_overflow
 def rfft2(x) -> np.ndarray:
     """Half-spectrum 2D DFT of a real array: shape (rows, cols // 2 + 1)."""
-    return np.fft.rfft2(_as_real_2d(x))
+    return np.fft.rfft2(_checked("input", x, np.float64, (None, None)))
 
 
+@_no_overflow
 def irfft2(z, cols: int) -> np.ndarray:
     """Invert a half spectrum back to a real (rows, cols) array.
 
@@ -77,11 +92,10 @@ def irfft2(z, cols: int) -> np.ndarray:
     from the half spectrum when the width parity is unknown.
     """
     a = _checked(f"half spectrum for cols={cols}", z, np.complex128, (None, half_cols(cols)))
-    if a.size == 0:
-        raise ShapeMismatch(f"expected a non-empty 2D half spectrum, got shape {a.shape}")
     return np.fft.irfft2(a, s=(a.shape[0], cols))
 
 
+@_no_overflow
 def dft2_oracle(x) -> np.ndarray:
     """Direct double-sum DFT, truncated to the half spectrum.
 
@@ -89,7 +103,7 @@ def dft2_oracle(x) -> np.ndarray:
     for k2 = 0 .. C // 2. Quadratic cost, so inputs are capped at
     ORACLE_MAX_ELEMENTS elements.
     """
-    a = _as_real_2d(x)
+    a = _checked("input", x, np.float64, (None, None))
     rows, cols = a.shape
     if a.size > ORACLE_MAX_ELEMENTS:
         raise TooLarge(
@@ -115,7 +129,7 @@ class RateSeries:
     def __post_init__(self):
         if not self.bin_dt > 0:
             raise BadBin(f"bin_dt must be > 0, got {self.bin_dt}")
-        v = np.asarray(self.values, dtype=np.int64)
+        v = _int64_column("values", self.values)
         if v.ndim != 1:
             raise ShapeMismatch(f"values must be 1D, got shape {v.shape}")
         if v.size and v.min() < 0:
@@ -140,9 +154,8 @@ class Spectrum:
     def __post_init__(self):
         if not self.df > 0:
             raise BadBin(f"df must be > 0, got {self.df}")
-        object.__setattr__(
-            self, "magnitudes", np.asarray(self.magnitudes, dtype=np.float64)
-        )
+        object.__setattr__(self, "magnitudes",
+                           _checked("magnitudes", self.magnitudes, np.float64, (None,)))
 
     def frequencies(self) -> np.ndarray:
         return np.arange(len(self.magnitudes)) * self.df
@@ -157,7 +170,8 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     """Histogram a stream's timestamps into bins of bin_dt seconds.
 
     Bins count from the first timestamp, raw stream or normalized: the bin
-    index is floor((t - t_min) / bin_dt), in seconds, and the final event
+    index is floor((t - t_min) / bin_dt), in seconds, with t - t_min exact
+    in int64 (a span beyond it is `TooLarge`), and the final event
     (exactly at the duration boundary) is clamped into the last bin so the
     series always sums to the event count. Empty streams give a single
     zero bin. Raises `TooLarge` beyond max(2**16, 64 * events) bins.
@@ -168,11 +182,14 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
         return RateSeries(bin_dt=bin_dt, values=np.zeros(1, dtype=np.int64))
     t = stream.events.t
     t_min = int(t.min())
-    bins = (int(t.max()) - t_min) / 1e6 / bin_dt
+    span = int(t.max()) - t_min
+    if span > _INT64_MAX:
+        raise TooLarge(f"timestamps span {span} us, beyond int64")
+    bins = span / 1e6 / bin_dt
     if not bins <= max(2 ** 16, 64 * len(t)):  # beyond it, mostly empty bins
         raise TooLarge(f"{bins:.3g} rate bins for {len(t)} events, beyond max(2**16, 64 per event)")
     n = max(1, int(np.ceil(bins)))
-    idx = np.floor((t.astype(np.float64) - t_min) / 1e6 / bin_dt).astype(np.int64)
+    idx = np.floor(np.subtract(t, t_min, dtype=np.int64) / 1e6 / bin_dt).astype(np.int64)
     np.clip(idx, 0, n - 1, out=idx)
     return RateSeries(bin_dt=bin_dt, values=np.bincount(idx, minlength=n))
 

@@ -22,6 +22,7 @@ Files are byte-identical across platforms for identical inputs.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .errors import (
     LengthMismatch,
     ParseError,
     ShapeMismatch,
+    SpecInvalid,
 )
 
 TENSOR_MAGIC = b"HTEN"
@@ -57,10 +59,8 @@ def write_tensor(arr: np.ndarray) -> bytes:
     other is first made so.
     """
     arr = np.asarray(arr)
-    if arr.ndim < 1:
-        raise ShapeMismatch("0-dim tensors are not representable (ndim >= 1)")
-    if arr.ndim > MAX_NDIM:
-        raise ShapeMismatch(f"ndim {arr.ndim} exceeds the format limit of {MAX_NDIM}")
+    if not 1 <= arr.ndim <= MAX_NDIM:  # what the reader accepts
+        raise ShapeMismatch(f"ndim {arr.ndim} outside 1..{MAX_NDIM}")
     arr = np.ascontiguousarray(arr)
     dt = arr.dtype.newbyteorder("<")
     if dt not in _DTYPE_CODES:
@@ -95,9 +95,7 @@ def _read_tensor_at(data: bytes, offset: int) -> tuple[np.ndarray, int]:
         )
     dims = struct.unpack_from(f"<{ndim}Q", data, offset + 8)
     dt = _CODE_DTYPES[dtype_code]
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     payload_len = count * dt.itemsize
     end = dims_end + payload_len
     if len(data) < end:
@@ -125,17 +123,20 @@ def read_tensor(data: bytes) -> np.ndarray:
 
 
 def write_archive(entries: Sequence[tuple[str, np.ndarray]] | dict) -> bytes:
-    """Serialize named tensors to HARC bytes; names must be unique."""
-    if isinstance(entries, dict):
-        entries = list(entries.items())
+    """Serialize named tensors to HARC bytes; names must be unique, and more
+    than 65535 sections or a name over 65535 bytes is `SpecInvalid`."""
+    entries = list(entries.items() if isinstance(entries, dict) else entries)
+    if len(entries) > 0xFFFF:
+        raise SpecInvalid(f"{len(entries)} sections, beyond the u16 count of HARC")
+    out = [ARCHIVE_MAGIC, struct.pack("<BH", VERSION, len(entries))]
     seen = set()
-    for name, _ in entries:
+    for name, arr in entries:
         if name in seen:
             raise DuplicateName(f"duplicate section name {name!r}")
         seen.add(name)
-    out = [ARCHIVE_MAGIC, struct.pack("<BH", VERSION, len(entries))]
-    for name, arr in entries:
         raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise SpecInvalid(f"section name of {len(raw)} bytes, beyond the u16 length of HARC")
         out.append(struct.pack("<H", len(raw)))
         out.append(raw)
         out.append(write_tensor(arr))

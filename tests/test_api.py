@@ -95,6 +95,41 @@ BAD_VALUES = {
     "negative rate": (lambda: evholo.RateSeries(0.01, [1, -1]), evholo.SpecInvalid),
     "oracle step": (lambda: evholo.finite_difference_oracle(
         _X, evholo.GsgParams.random(1, 4, 4), _X, 0, h=1e-3), evholo.ConfigInvalid),
+    "uint64 beyond int64": (lambda: evholo.EventColumns(
+        np.array([2 ** 63 + 5], dtype=np.uint64), [0], [0], [1]), evholo.SpecInvalid),
+    "fractional column": (lambda: evholo.EventColumns([1.7], [0], [0], [1]), evholo.SpecInvalid),
+    "fractional rate": (lambda: evholo.RateSeries(0.01, [1.5, 2.7]), evholo.SpecInvalid),
+    "NaN column": (lambda: evholo.EventStream.from_arrays((8, 4), [0], [0], [np.nan], [1]),
+                   evholo.SpecInvalid),
+    "Inf rate": (lambda: evholo.RateSeries(0.01, [np.inf]), evholo.SpecInvalid),
+    "column at 2**64": (lambda: evholo.EventColumns([2 ** 64], [0], [0], [1]), evholo.SpecInvalid),
+    "column below int64": (lambda: evholo.EventColumns([0], [-2 ** 63 - 1], [0], [1]),
+                           evholo.SpecInvalid),
+    "complex column": (lambda: evholo.EventColumns([0], [0], [1 + 0j], [1]), evholo.SpecInvalid),
+    "text column": (lambda: evholo.EventColumns(["1"], [0], [0], [1]), evholo.SpecInvalid),
+    "HEVS polarity 300": (lambda: evholo.write_events_binary(
+        evholo.EventStream.from_arrays((8, 4), [1], [0], [0], [300])), evholo.SpecInvalid),
+    "HEVS polarity 5": (lambda: evholo.write_events_binary(
+        evholo.EventStream.from_arrays((8, 4), [1], [0], [0], [5])), evholo.SpecInvalid),
+    "HEVS polarity -2": (lambda: evholo.write_events_binary(
+        evholo.EventStream.from_arrays((8, 4), [1], [0], [0], [-2])), evholo.SpecInvalid),
+    "CSV polarity 5": (lambda: evholo.write_events_csv(
+        evholo.EventStream.from_arrays((8, 4), [1], [0], [0], [5])), evholo.SpecInvalid),
+    "HARC section count": (lambda: evholo.write_archive(
+        dict.fromkeys(map(str, range(1 << 16)), np.zeros(1))), evholo.SpecInvalid),
+    "HARC name length": (lambda: evholo.write_archive({"n" * (1 << 16): np.zeros(1)}),
+                         evholo.SpecInvalid),
+    "complex feature": (lambda: evholo.gsg_forward(_X + 1j, evholo.GsgParams.random(1, 4, 4)),
+                        evholo.SpecInvalid),
+    "complex rfft2 input": (lambda: evholo.rfft2(np.ones((2, 2)) + 1j), evholo.SpecInvalid),
+    "text weights": (lambda: evholo.spectral_filter(_X, np.full((1, 4, 3), "1")),
+                     evholo.SpecInvalid),
+    "object kernels": (lambda: evholo.depthwise_conv3x3(_X, np.ones((1, 3, 3), dtype=object)),
+                       evholo.SpecInvalid),
+    "zero-channel params": (lambda: evholo.GsgParams.identity(0, 4, 4), evholo.ShapeMismatch),
+    "empty half spectrum": (lambda: evholo.irfft2(np.ones((0, 3), dtype=complex), 4),
+                            evholo.ShapeMismatch),
+    "overflowing rfft2": (lambda: evholo.rfft2(np.full((2, 2), 1e308)), evholo.NonFinite),
 }
 
 

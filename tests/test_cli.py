@@ -471,6 +471,26 @@ def test_flag_table_valid_argvs_succeed(tmp_path, valid_inputs, capsys, argv):
     capsys.readouterr()
 
 
+# a derived output path that is an existing directory: its flag is valid, so
+# main checks every output path before it writes the first
+DERIVED_DIRS = [
+    ("encode --in {d}/ev.hevs --out {o}/o.hten --pgm-dir {o}/pg", "pg/o_ch1.pgm"),
+    ("encode --in {d}/ev.hevs --view tw --out {o}/o.hten --pgm-dir {o}", "o_ch0.pgm"),
+    ("spectrum --in {d}/ev.hevs --out-csv {o}/s.csv", "s.rate.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,taken", DERIVED_DIRS)
+def test_derived_output_dir_exits_1_naming_it_and_writes_nothing(tmp_path, valid_inputs, capsys,
+                                                                  argv, taken):
+    (tmp_path / taken).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.format(d=valid_inputs, o=tmp_path) for a in argv.split(" ")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path / taken) in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("flag,argv", BAD_FLAGS)
 def test_bad_flag_exits_1_naming_it(tmp_path, valid_inputs, capsys, flag, argv):
     rc, written = run_with_out_dir(tmp_path, valid_inputs, argv)

@@ -474,6 +474,14 @@ CHECKED_ARRAYS = {
                       np.ones((2, 4, 5))),
     "loss upstream": (lambda v: gsg_loss(_X, _P, v), np.ones_like(_X), np.ones((1, 2, 4, 6))),
     "irfft2 half spectrum": (lambda v: irfft2(v, 6), rfft2(_X[0]), np.ones((4, 3), dtype=complex)),
+    "forward input": (lambda v: gsg_forward(v, _P), _X, _X[0]),
+    "loss input": (lambda v: gsg_loss(v, _P, np.ones_like(_X)), _X, _X[:, :, :5]),
+    "grad input": (lambda v: grad_spectral_weight(v, _P, np.ones_like(_X)), _X, _X[:, :0]),
+    "conv input": (lambda v: depthwise_conv3x3(v, _P.dw_kernel), _X, _X[:1]),
+    "filter input": (lambda v: spectral_filter(v, _P.spectral_weight), _X, _X[:, :3]),
+    "gate input": (lambda v: gated_reconstruction(v, _P), _X, np.ones((3, 4, 6))),
+    "rfft2 input": (lambda v: rfft2(v), _X[0], _X[0, :0]),
+    "oracle input": (lambda v: dft2_oracle(v), _X[0], _X),
 }
 
 

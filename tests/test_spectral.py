@@ -145,6 +145,24 @@ def test_rate_series_counts_from_the_first_timestamp():
     assert list(event_rate_series(shuffled, 0.1).values) == want
 
 
+@pytest.mark.parametrize("offset", [2 ** 62, 2 ** 53 + 1, -2 ** 62, 2 ** 63 - 10])
+def test_rate_series_of_a_raw_stream_far_from_0_matches_its_normalized_twin(offset):
+    # t - t_min taken in float64 rounded 2**62 + 3 - 2**62 to 0 and gave [2, 0, 0]
+    raw = EventStream.from_arrays((4, 4), [0, 1], [0, 1], [offset, offset + 3], [1, -1])
+    want = event_rate_series(raw.normalized(), 1e-6).values.tolist()
+    assert want == [1, 0, 1]
+    assert event_rate_series(raw, 1e-6).values.tolist() == want
+
+
+def test_rate_series_span_beyond_int64_is_too_large():
+    # a bin this wide is at most 2 bins, so only the span guard can stop it
+    raw = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [-2 ** 63, 2 ** 63 - 1], [1, 1])
+    with pytest.raises(TooLarge, match="beyond int64"):
+        raw.normalized()
+    with pytest.raises(TooLarge, match="beyond int64"):
+        event_rate_series(raw, 1e13)
+
+
 def test_rate_series_bins_are_bounded_by_the_event_count():
     # two events 1000 s apart at 10 us bins would be 1e8 bins (800 MB)
     s = EventStream.from_arrays((4, 4), [0, 0], [0, 0], [0, 1_000_000_000], [1, 1])
