@@ -20,23 +20,21 @@ or a tensor whose float64 planes in bytes, does not fit int64 raises
 `TooLarge`. Every bin is widened to int64 before any arithmetic (under
 NEP 50 a uint16 column times an int stays uint16 and wraps).
 
-In the sorted stream each time row is a contiguous slice: one
-`searchsorted` over the row thresholds finds where each row starts, and
-whole rows are grouped into chunks of at most 2**16 events (a row with more
-is a chunk of its own). Each chunk copies its x, y and p contiguous (a
-parsed stream's are strided views of its records), drops its
-out-of-geometry events, builds its row offsets with `np.repeat` and its
-cell index in place on them, and fills its own rows of the output, so the
-temporaries are sized by the chunk, not by the stream. No cell spans two
-chunks, so every cell sums the same events in the same order as one pass
-would, and the holographic channel is bit-identical to it (chunks cut at
-event counts would split a cell's float sum). The HW view has no time
-axis: it bins the stream as it is in chunks of _CHUNK events, each adding
-its integer counts into the whole planes with `np.add.at`, which is exact.
-Within a chunk phi comes from a W-entry table (or per event, when there are
-fewer events than W), the holographic channel from one weighted `bincount`
-in event order, and both polarity counts from one more `bincount` over keys
-built in place on the cell index.
+In the sorted stream each time row is a contiguous slice, found by one
+`searchsorted` over the row thresholds. Chunks (a, b, lo, hi), events lo:hi
+filling rows a:b, are planned up front: whole time rows grouped up to 2**16
+events (a row with more is a chunk of its own), or for the HW view, which
+has no time axis, 2**16 events of the stream as it is over all rows. One
+loop bins every chunk: it copies x, y and p contiguous (a parsed stream's
+are strided views of its records), builds row offsets, drops out-of-geometry
+events and fills the chunk's rows, so temporaries are sized by the chunk.
+No time-row cell spans two chunks, so the holographic channel (a weighted
+`bincount` in event order, phi from a W-entry table, or per event when
+events are fewer than W) sums each cell as one pass would, bit-identically.
+Counts keep two accumulates, each faster and smaller for its rows: time rows
+one `bincount` over (cell, polarity) keys made in place on the cell index
+(1.6x faster than `np.add.at`); HW `np.add.at` into the whole planes (a
+full-plane `bincount` per chunk took 1M events 10.2 -> 13.2 ms, 3.0 -> 5.7 MB).
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ import numpy as np
 
 from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
 from .events import _INT64_MAX, EventStream, _positive_ints
+from .spectral import _checked, _no_overflow
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
 ViewKind = Literal["hw", "tw", "th"]
@@ -57,13 +56,17 @@ _VIEW_KINDS = ("hw", "tw", "th")
 _CHUNK = 2 ** 16  # events per chunk of whole time rows
 
 
+@_no_overflow
 def phi(x, w_sensor: int):
     """Transverse spatial embedding sin(pi * x / w_sensor).
 
-    Accepts scalars or arrays; 0 at the left sensor edge, 1 at midwidth,
-    symmetric about it.
+    Takes real scalars or arrays, empty ones too: 0 at the left sensor edge,
+    1 at midwidth. A w_sensor not an integer >= 1 is `ConfigInvalid`; x is
+    checked as `spectral._checked` does, and an x overflowing pi * x `NonFinite`.
     """
-    return np.sin(np.pi * np.asarray(x, dtype=np.float64) / w_sensor)
+    if not _positive_ints(w_sensor):
+        raise ConfigInvalid(f"w_sensor must be an integer >= 1, got {w_sensor!r}")
+    return np.sin(np.pi * _checked("x", x, np.float64, None) / w_sensor)
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,14 @@ def _outside(v: np.ndarray, extent: int) -> bool:
     return bool(v.max() >= extent) or (v.dtype.kind == "i" and bool(v.min() < 0))
 
 
-def _scaled(v: np.ndarray, bins: int, extent: int, fresh: bool = False) -> np.ndarray:
-    """floor(v * bins / extent): v itself when bins equal extent and not
-    `fresh`, else a new int64 array, widened before any arithmetic."""
-    if bins == extent and not fresh:
+def _scaled(v: np.ndarray, bins: int, extent: int) -> np.ndarray:
+    """floor(v * bins / extent): v itself when bins equal extent, else a new
+    int64 array, widened before any arithmetic."""
+    if bins == extent:
         return v
     b = v.astype(np.int64)
-    if bins != extent:
-        b *= bins
-        b //= extent
+    b *= bins
+    b //= extent
     return b
 
 
@@ -171,9 +173,7 @@ def _row_edges(t: np.ndarray, span: int, row_bins: int) -> np.ndarray:
 
 def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     """Bin the stream into a (pos, neg[, phi]) x row_bins x col_bins array;
-    returns it and the count of dropped out-of-geometry events. Time rows
-    bin the normalized stream in chunks of whole rows, y rows the stream as
-    it is in chunks of _CHUNK events."""
+    returns it and the count of dropped out-of-geometry events."""
     w, h = stream.geometry
     planes = 3 if with_phi else 2
     # the planes' bytes must fit int64, and so the 2 * rows * cols polarity keys
@@ -189,28 +189,40 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
                 f"(duration + 1) * t_bins = {span * row_bins} overflows int64 temporal binning"
             )
     ev = stream.events
-    x, y, t, p = ev.x, ev.y, ev.t, ev.p
-    n = len(t)
+    x, y, p = ev.x, ev.y, ev.p
+    n = len(ev)
     out = np.zeros((planes, row_bins, col_bins))
     # a W-entry table when events outnumber columns; bit-identical either way
     phi_table = phi(np.arange(w), w) if with_phi and n >= w else None
+    # chunks (a, b, lo, hi): events lo:hi fill rows a:b
+    if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
+        chunks = [(0, row_bins, lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+    else:  # whole time rows, at most _CHUNK events unless one row holds more
+        edges = _row_edges(t, span, row_bins)
+        chunks, a = [], 0
+        while a < row_bins:
+            b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
+            chunks.append((a, b, int(edges[a]), int(edges[b])))
+            a = b
 
-    def add(first, n_rows, rows, xs, ys, ps):
-        """Bin the events of columns xs, ys, ps into out's rows first:first +
-        n_rows, given row * col_bins of each, its row counted from `first`,
-        as a fresh int64 array; returns the count of those dropped."""
+    def add(a, b, lo, hi):
+        """Bin events lo:hi into out's rows a:b; returns how many it dropped."""
+        xs, ys, ps = (np.ascontiguousarray(c[lo:hi]) for c in (x, y, p))
+        if rows_of == "y":  # row * col_bins of each event, as a fresh int64 array
+            rows = np.multiply(_scaled(ys, row_bins, h), col_bins, dtype=np.int64)
+        else:
+            rows = np.repeat(np.arange(0, (b - a) * col_bins, col_bins), np.diff(edges[a:b + 1]))
         dropped = 0
         if _outside(xs, w) or _outside(ys, h):
             inb = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
             dropped = len(xs) - int(np.count_nonzero(inb))
             rows, xs, ys, ps = rows[inb], xs[inb], ys[inb], ps[inb]
-        block = out[:, first:first + n_rows]
-        cells = n_rows * col_bins
+        cells = (b - a) * col_bins
         cell = rows
         cell += _scaled(ys, col_bins, h) if cols_of == "y" else _scaled(xs, col_bins, w)
         if with_phi:
             phi_x = phi(xs, w) if phi_table is None else phi_table[xs]
-            block[2] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(n_rows, -1)
+            out[2, a:b] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(b - a, -1)
             del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
         neg = ps == -1
         signed = neg | (ps == 1)
@@ -225,32 +237,12 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         key += neg
         if not signed.all():
             key = key[signed]
-        counts = np.bincount(key, minlength=2 * cells).reshape(n_rows, col_bins, 2)
-        block[0] = counts[..., 0]
-        block[1] = counts[..., 1]
+        counts = np.bincount(key, minlength=2 * cells).reshape(b - a, col_bins, 2)
+        out[0, a:b] = counts[..., 0]
+        out[1, a:b] = counts[..., 1]
         return dropped
 
-    if not n:
-        return out, 0
-    if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
-        dropped = 0
-        for lo in range(0, n, _CHUNK):
-            xs, ys, ps = (np.ascontiguousarray(c[lo:lo + _CHUNK]) for c in (x, y, p))
-            rows = _scaled(ys, row_bins, h, fresh=True)
-            rows *= col_bins
-            dropped += add(0, row_bins, rows, xs, ys, ps)
-        return out, dropped
-    # whole time rows per chunk, at most _CHUNK events unless one row holds more
-    edges = _row_edges(t, span, row_bins)
-    dropped = a = 0
-    while a < row_bins:
-        b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
-        lo, hi = int(edges[a]), int(edges[b])
-        if hi > lo:
-            rows = np.repeat(np.arange(0, (b - a) * col_bins, col_bins), np.diff(edges[a:b + 1]))
-            dropped += add(a, b - a, rows, *(np.ascontiguousarray(c[lo:hi]) for c in (x, y, p)))
-        a = b
-    return out, dropped
+    return out, sum(add(*c) for c in chunks if c[3] > c[2])
 
 
 def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
@@ -309,9 +301,6 @@ def export_channel_image(tensor: ChsrTensor | ViewTensor, channel: int) -> bytes
     ch = data[channel]
     rows, cols = ch.shape
     lo, hi = float(ch.min()), float(ch.max())
-    if hi > lo:
-        img = np.rint((ch - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        img = np.zeros((rows, cols), dtype=np.uint8)
+    img = np.rint((ch - lo) / ((hi - lo) or 1.0) * 255.0).astype(np.uint8)  # zero range: all 0
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
     return header + img.tobytes()

@@ -112,8 +112,12 @@ def _ascending(v: np.ndarray) -> bool:
 
 def _int64_column(name: str, value) -> np.ndarray:
     """`value` as a C-contiguous int64 array. Bool, integers and whole-number
-    floats in the int64 range convert exactly; anything else is `SpecInvalid`."""
-    a = np.asarray(value)
+    floats in the int64 range convert exactly; anything else is `SpecInvalid`,
+    and a ragged nested sequence `ShapeMismatch`."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
     if a.dtype.kind == "f":
         exact = np.all((a == np.trunc(a)) & (a >= -_TWO_63) & (a < _TWO_63))
     else:
@@ -513,8 +517,8 @@ def parse_events_binary(data: bytes) -> EventStream:
     result are read-only views of `data` (p is a copy when some polarity
     is 0), so any other buffer than `bytes`, which may change later, is
     copied once first. One pass in steps of `_HEVS_CHUNK` records checks
-    every polarity and sign and, while t stays sorted, writes t - t[0] into
-    the normalized t column; an unsorted t is left to `normalized`.
+    every polarity and, while t stays sorted, writes t - t[0] into the
+    normalized t column; an unsorted t is sign-checked, then `normalized`.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
@@ -543,26 +547,24 @@ def parse_events_binary(data: bytes) -> EventStream:
     ascending = t0 >= 0 and span >= 0
     shifted = np.empty(count, np.uint32 if span < 1 << 32 else np.int64) if ascending and t0 else t
     d = np.empty(min(count, _HEVS_CHUNK), dtype=np.int64)
-    bad_t, zero, last = None, False, 0
+    zero, last = False, 0
     for lo in range(0, count, _HEVS_CHUNK):
         pc = p[lo:lo + _HEVS_CHUNK].copy()
-        if pc.min() < -1 or pc.max() > 1:  # beats a bad t in an earlier step
+        if pc.min() < -1 or pc.max() > 1:  # beats a bad t in any record
             i = int(((pc < -1) | (pc > 1)).argmax())
             raise BadPolarity(HEVS_HEADER + (lo + i) * HEVS_RECORD + 12, int(pc[i]))
         zero = zero or not pc.all()
-        tc = t[lo:lo + _HEVS_CHUNK]
         if ascending:  # a t below t0 or at or above 2**63 puts s outside [0, span]
-            s = d[:len(tc)]
-            np.copyto(s, tc)
+            s = d[:len(pc)]
+            np.copyto(s, t[lo:lo + _HEVS_CHUNK])
             s -= t0
             ascending = last <= s[0] and s[-1] <= span and _ascending(s)
             last = s[-1]
             if ascending and t0:
                 shifted[lo:lo + len(s)] = s
-        if bad_t is None and not ascending and tc.min() < 0:
-            bad_t = lo + int((tc < 0).argmax())
-    if bad_t is not None:
-        raise BadTimestamp(HEVS_HEADER + bad_t * HEVS_RECORD + 4, int(recs["t"][bad_t]))
+    if not ascending and t.min() < 0:  # a sorted t lies in [t0, t0 + span], t0 >= 0
+        i = int((t < 0).argmax())
+        raise BadTimestamp(HEVS_HEADER + i * HEVS_RECORD + 4, int(recs["t"][i]))
     if zero:  # polarity 0 becomes -1 in a copy, never in the input
         p = p.copy()
         p[p == 0] = -1

@@ -47,17 +47,21 @@ def half_spectrum_weights(cols: int) -> np.ndarray:
     return weights
 
 
-def _checked(name: str, value, dtype, shape: tuple) -> np.ndarray:
-    """`value` as a non-empty `dtype` array of `shape` (None: any extent), else
-    `ShapeMismatch`; a None dtype keeps f32/f64 and makes bool and ints f64. Text,
-    bytes, objects, complex into a real dtype: `SpecInvalid`; NaN, Inf: `NonFinite`."""
-    a = np.asarray(value)
+def _checked(name: str, value, dtype, shape: tuple | None) -> np.ndarray:
+    """`value` as a non-empty `dtype` array of `shape` (None: any extent; a None
+    shape: any array, empty too), else `ShapeMismatch`, as is a ragged sequence; a
+    None dtype keeps f32/f64 and makes bool and ints f64. Text, bytes, objects,
+    complex into a real dtype: `SpecInvalid`; NaN, Inf: `NonFinite`."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
     want = np.dtype(dtype or (a.dtype if a.dtype in (np.float32, np.float64) else np.float64))
     if a.dtype.kind not in ("biufc" if want.kind == "c" else "biuf"):
         raise SpecInvalid(f"{name} must convert to {want}, got dtype {a.dtype}")
     a = a.astype(want, copy=False)
-    if a.size == 0 or a.ndim != len(shape) or any(
-            n is not None and n != m for n, m in zip(shape, a.shape)):
+    if shape is not None and (a.size == 0 or a.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, a.shape))):
         dims = ", ".join("*" if n is None else str(n) for n in shape)
         raise ShapeMismatch(f"{name} must have non-empty shape ({dims}), got {a.shape}")
     if not np.isfinite(a).all():

@@ -123,18 +123,23 @@ def read_tensor(data: bytes) -> np.ndarray:
 
 
 def write_archive(entries: Sequence[tuple[str, np.ndarray]] | dict) -> bytes:
-    """Serialize named tensors to HARC bytes; names must be unique, and more
-    than 65535 sections or a name over 65535 bytes is `SpecInvalid`."""
+    """Serialize named tensors to HARC bytes. Names must be unique; more than
+    65535 sections, or a name not a UTF-8 str or over 65535 bytes, is `SpecInvalid`."""
     entries = list(entries.items() if isinstance(entries, dict) else entries)
     if len(entries) > 0xFFFF:
         raise SpecInvalid(f"{len(entries)} sections, beyond the u16 count of HARC")
     out = [ARCHIVE_MAGIC, struct.pack("<BH", VERSION, len(entries))]
     seen = set()
     for name, arr in entries:
+        if not isinstance(name, str):
+            raise SpecInvalid(f"section name must be a str, got {type(name).__name__}")
+        try:
+            raw = name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise SpecInvalid(f"section name {name!r} is not UTF-8 text") from None
         if name in seen:
             raise DuplicateName(f"duplicate section name {name!r}")
         seen.add(name)
-        raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise SpecInvalid(f"section name of {len(raw)} bytes, beyond the u16 length of HARC")
         out.append(struct.pack("<H", len(raw)))

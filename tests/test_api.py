@@ -130,6 +130,25 @@ BAD_VALUES = {
     "empty half spectrum": (lambda: evholo.irfft2(np.ones((0, 3), dtype=complex), 4),
                             evholo.ShapeMismatch),
     "overflowing rfft2": (lambda: evholo.rfft2(np.full((2, 2), 1e308)), evholo.NonFinite),
+    "ragged nested column": (lambda: evholo.EventStream.from_arrays(
+        (4, 4), [[1, 2], [3]], [0], [0], [1]), evholo.ShapeMismatch),
+    "ragged feature": (lambda: evholo.gsg_forward(
+        [[[1.0, 2.0], [3.0]]], evholo.GsgParams.random(1, 2, 2)), evholo.ShapeMismatch),
+    "ragged rate": (lambda: evholo.RateSeries(0.01, [[1], [2, 3]]), evholo.ShapeMismatch),
+    "ragged rfft2 input": (lambda: evholo.rfft2([[1.0], [2.0, 3.0]]), evholo.ShapeMismatch),
+    "phi sensor width 0": (lambda: evholo.phi([1], 0), evholo.ConfigInvalid),
+    "phi fractional sensor width": (lambda: evholo.phi([1], 2.5), evholo.ConfigInvalid),
+    "phi text x": (lambda: evholo.phi(["1"], 4), evholo.SpecInvalid),
+    "phi bytes x": (lambda: evholo.phi(np.array([b"1"]), 4), evholo.SpecInvalid),
+    "phi object x": (lambda: evholo.phi(np.array([1], dtype=object), 4), evholo.SpecInvalid),
+    "phi complex x": (lambda: evholo.phi([1 + 0j], 4), evholo.SpecInvalid),
+    "phi NaN x": (lambda: evholo.phi([np.nan], 4), evholo.NonFinite),
+    "phi Inf x": (lambda: evholo.phi(np.inf, 4), evholo.NonFinite),
+    "phi overflowing x": (lambda: evholo.phi([1e308], 1), evholo.NonFinite),
+    "HARC bytes name": (lambda: evholo.write_archive({b"a": np.zeros(1)}), evholo.SpecInvalid),
+    "HARC int name": (lambda: evholo.write_archive([(3, np.zeros(1))]), evholo.SpecInvalid),
+    "HARC surrogate name": (lambda: evholo.write_archive({"\ud800": np.zeros(1)}),
+                            evholo.SpecInvalid),
 }
 
 

@@ -164,6 +164,16 @@ def test_empty_stream_gives_zero_tensor():
     assert t.dropped == 0
 
 
+@pytest.mark.parametrize("view, shape", [
+    ("hw", (2, 32, 48)), ("tw", (2, 224, 48)), ("th", (2, 224, 32))])
+def test_empty_stream_gives_zero_view(view, shape):
+    # an empty stream plans no chunk with events: HW none, time rows empty ones
+    t = encode_view(EventStream.empty((48, 32)), view)
+    assert t.data.shape == shape
+    assert not t.data.any()
+    assert t.dropped == 0
+
+
 def test_final_event_lands_in_last_bin():
     s = EventStream.from_arrays((8, 8), [0, 0], [0, 0], [0, 999], [1, 1])
     t = encode_chsr(s, EncodeConfig(t_bins=10))
