@@ -8,14 +8,13 @@ import numpy as np
 
 from .encode import encode_chsr
 from .errors import SpecInvalid
-from .events import EventStream
+from .events import _INT64_MAX, EventStream, _integer
 
 
 def synthetic_uniform_stream(n_events: int) -> EventStream:
     """Seeded stream with exactly n_events uniform events over 10 s on a
     346x260 sensor, for benchmarking."""
-    if n_events < 0:
-        raise SpecInvalid(f"n_events must be >= 0, got {n_events}")
+    n_events = _integer("n_events", n_events, SpecInvalid, 0, _INT64_MAX)
     w, h = 346, 260
     rng = np.random.default_rng(0)
     x = rng.integers(0, w, n_events)
@@ -29,11 +28,10 @@ def encode_throughput(stream: EventStream, repeats: int, workers: int = 1) -> di
     """Time encode_chsr (default config) over `repeats` runs and summarize.
 
     events_per_sec is derived from the mean wall time, so the two timing
-    fields and the rate are mutually consistent. `workers` must be >= 1 and
-    leaves the result unchanged.
+    fields and the rate are mutually consistent. `workers` must be an
+    integer >= 1 and leaves the result unchanged.
     """
-    if repeats < 1:
-        raise SpecInvalid(f"repeats must be >= 1, got {repeats}")
+    repeats = _integer("repeats", repeats, SpecInvalid)
     samples_ms = []
     for _ in range(repeats):
         t0 = time.perf_counter()

@@ -45,7 +45,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ChannelOutOfRange, ConfigInvalid, TooLarge
-from .events import _INT64_MAX, EventStream, _positive_ints
+from .events import _INT64_MAX, EventStream, _integer
 from .spectral import _checked, _no_overflow
 
 NormalizeMode = Literal["none", "per_channel_max", "log1p"]
@@ -64,8 +64,7 @@ def phi(x, w_sensor: int):
     1 at midwidth. A w_sensor not an integer >= 1 is `ConfigInvalid`; x is
     checked as `spectral._checked` does, and an x overflowing pi * x `NonFinite`.
     """
-    if not _positive_ints(w_sensor):
-        raise ConfigInvalid(f"w_sensor must be an integer >= 1, got {w_sensor!r}")
+    w_sensor = _integer("w_sensor", w_sensor, ConfigInvalid)
     return np.sin(np.pi * _checked("x", x, np.float64, None) / w_sensor)
 
 
@@ -82,10 +81,10 @@ class EncodeConfig:
     normalize: NormalizeMode = "none"
 
     def __post_init__(self):
-        for name, value in (("t_bins", self.t_bins), ("h_bins", self.h_bins),
-                            ("w_bins", self.w_bins)):
-            if value is not None and not _positive_ints(value):
-                raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("t_bins", "h_bins", "w_bins"):
+            value = getattr(self, name)
+            if value is not None or name == "t_bins":  # only h_bins, w_bins may be None
+                object.__setattr__(self, name, _integer(name, value, ConfigInvalid))
         if self.normalize not in _NORMALIZE_MODES:
             raise ConfigInvalid(
                 f"normalize must be one of {_NORMALIZE_MODES}, got {self.normalize!r}"
@@ -94,11 +93,7 @@ class EncodeConfig:
     def resolved(self, geometry: tuple[int, int]) -> "EncodeConfig":
         """Replace None bin counts with the sensor extents."""
         w, h = geometry
-        return replace(
-            self,
-            h_bins=self.h_bins if self.h_bins is not None else h,
-            w_bins=self.w_bins if self.w_bins is not None else w,
-        )
+        return replace(self, h_bins=self.h_bins or h, w_bins=self.w_bins or w)
 
 
 @dataclass(frozen=True)
@@ -177,17 +172,13 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     w, h = stream.geometry
     planes = 3 if with_phi else 2
     # the planes' bytes must fit int64, and so the 2 * rows * cols polarity keys
-    nbytes = planes * 8 * row_bins * col_bins
-    if nbytes > _INT64_MAX:
-        raise TooLarge(f"{row_bins} x {col_bins} bins: {nbytes} bytes of planes overflow int64")
+    _integer(f"bytes of {planes} x {row_bins} x {col_bins} float64 planes",
+             planes * 8 * row_bins * col_bins, TooLarge, 1, _INT64_MAX)
     if rows_of == "t":
         stream = stream.normalized()
         t = stream.events.t
         span = int(t[-1]) + 1 if len(t) else 1  # duration + 1, as t starts at 0
-        if span * row_bins > _INT64_MAX:
-            raise TooLarge(
-                f"(duration + 1) * t_bins = {span * row_bins} overflows int64 temporal binning"
-            )
+        _integer("(duration + 1) * t_bins", span * row_bins, TooLarge, 1, _INT64_MAX)
     ev = stream.events
     x, y, p = ev.x, ev.y, ev.p
     n = len(ev)
@@ -253,14 +244,13 @@ def encode_chsr(stream: EventStream, config: EncodeConfig | None = None,
     Channel 0/1 count positive/negative events per (time bin, height bin)
     cell; channel 2 accumulates phi(x) over all in-geometry events
     regardless of polarity. An empty stream yields the all-zero tensor
-    with dropped = 0. `workers` must be >= 1 and leaves the result
+    with dropped = 0. `workers` must be an integer >= 1 and leaves the result
     unchanged: the encoder runs in one thread, as splitting the stream
     across threads is not faster.
     Raises `TooLarge` when (duration + 1) * t_bins, or the byte size of
     the 3 * t_bins * h_bins float64 tensor, overflows int64.
     """
-    if workers < 1:
-        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
+    _integer("workers", workers, ConfigInvalid)
     cfg = (config or EncodeConfig()).resolved(stream.geometry)
     planes, dropped = _histograms(stream, "t", cfg.t_bins, "y", cfg.h_bins, True)
     data = _normalize(planes, cfg.normalize)
@@ -294,11 +284,7 @@ def export_channel_image(tensor: ChsrTensor | ViewTensor, channel: int) -> bytes
     A zero-range channel exports an all-zero image of the same dimensions.
     """
     data = tensor.data
-    if not 0 <= channel < data.shape[0]:
-        raise ChannelOutOfRange(
-            f"channel {channel} outside 0..{data.shape[0] - 1}"
-        )
-    ch = data[channel]
+    ch = data[_integer("channel", channel, ChannelOutOfRange, 0, data.shape[0] - 1)]
     rows, cols = ch.shape
     lo, hi = float(ch.min()), float(ch.max())
     img = np.rint((ch - lo) / ((hi - lo) or 1.0) * 255.0).astype(np.uint8)  # zero range: all 0

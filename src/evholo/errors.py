@@ -82,23 +82,30 @@ class DuplicateName(ParseError):
 
 class SpecInvalid(EvholoError, ValueError):
     """A spec, or data held to one, violates its invariants: a synthetic
-    stream or benchmark spec; a stream that HEVS cannot hold (a side, x or y
-    outside u16, a t < 0, a p outside -1..1) or CSV (that p); a HARC of over
-    65535 sections or a name over 65535 bytes; integers not exact in int64, or
-    a negative count; text, bytes, objects, or complex where floats are due."""
+    stream spec (a rate, duration, frequency or amplitude not a finite real
+    in range, a seed or geometry side not an integer in range) or benchmark
+    count (`n_events`, `repeats`); a stream that HEVS cannot hold (a side, x
+    or y outside u16, a t < 0, a p outside -1..1) or CSV (that p); a HARC of
+    over 65535 sections or a name over 65535 bytes; integers not exact in
+    int64; text, bytes, objects, or complex where floats are due; input to a
+    byte reader that is not a buffer."""
 
 
 class ConfigInvalid(EvholoError, ValueError):
-    """A setting violates its invariants: an encoder configuration, a
-    stream's sensor geometry, a finite-difference step."""
+    """A setting violates its invariants: an encoder configuration (a bin or
+    worker count not an integer >= 1), a stream's sensor geometry or `phi`'s
+    sensor width (not integers >= 1), a random-parameter seed (not an
+    integer >= 0), a finite-difference step (not a finite real > 0, and for
+    the oracle in [1e-8, 1e-4])."""
 
 
 class ChannelOutOfRange(EvholoError, IndexError):
-    """Requested channel index outside the tensor's channel extent."""
+    """Requested channel index not an integer in the tensor's channel extent."""
 
 
 class ShapeMismatch(EvholoError, ValueError):
-    """Operand shapes are inconsistent."""
+    """Operand shapes are inconsistent, or a size that sets one (GSG channels,
+    rows and cols, `irfft2`'s cols) is not an integer >= 1."""
 
 
 class NonFinite(EvholoError, ValueError):
@@ -111,7 +118,8 @@ class TooLarge(EvholoError, ValueError):
 
 
 class BadBin(EvholoError, ValueError):
-    """Non-positive rate-series bin width."""
+    """A rate-series bin width or spectrum resolution that is not a Python or
+    NumPy real number, finite and > 0."""
 
 
 class TooShort(EvholoError, ValueError):
@@ -119,4 +127,5 @@ class TooShort(EvholoError, ValueError):
 
 
 class SelectorOutOfRange(EvholoError, IndexError):
-    """Parameter selector beyond the flattened parameter count."""
+    """A finite-difference parameter selector or index that is not an integer
+    in 0..n-1, for the n flattened parameters."""

@@ -45,6 +45,9 @@ with `BadTimestamp`; a stream whose timestamps span more than int64 is
 rejected with `TooLarge` when normalized. The HEVS pass goes in steps of
 8192 records, t and p copied contiguous; a bad polarity in any record beats
 a bad timestamp in an earlier one.
+
+The package's intake checks live here: `_integer` and `_positive` for every
+scalar argument, `_asarray` for nested sequences, `_bytes` for byte input.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ from .errors import (
 
 _FIELDS = ("x", "y", "t", "p")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)  # the least positive float64
+_HUGE = float(np.finfo(np.float64).max)
 _TWO_63 = np.float64(2.0 ** 63)  # a float64 scalar, so a float16 column does not cast it
 # Column dtypes kept as given; any other input becomes int64. uint64 is left
 # out: mixed with int64 it promotes to float64 and loses precision.
@@ -110,14 +115,51 @@ def _ascending(v: np.ndarray) -> bool:
     return bool(np.all(v[:-1] <= v[1:]))
 
 
+def _integer(name: str, value, error: type, lo: int = 1, hi: float = np.inf) -> int:
+    """`value` as a Python int if it is a Python or NumPy integer (bool too) in
+    lo..hi, else `error`; so no size guard computes in a NumPy scalar."""
+    if not (isinstance(value, numbers.Integral) and lo <= int(value) <= hi):
+        within = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
+        raise error(f"{name} must be an integer {within}, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value, error: type, lo: float = _TINY, hi: float = _HUGE):
+    """`value` if it is a Python or NumPy real number (bool too) in [lo, hi],
+    by default finite and > 0 in float64, else `error`; an integer comes back
+    as a Python int, so that no NumPy integer wraps, a float as given."""
+    # compared as Python floats: a NumPy float would cast a bound to its dtype
+    x = float(value) if isinstance(value, np.floating) else value
+    if not (isinstance(value, numbers.Real) and float(lo) <= x <= float(hi)):
+        within = "finite and > 0" if lo == _TINY else f"in [{lo:g}, {hi:g}]"
+        raise error(f"{name} must be {within}, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else value
+
+
+def _asarray(name: str, value) -> np.ndarray:
+    """`np.asarray(value)`; a ragged nested sequence is `ShapeMismatch`."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
+
+
+def _bytes(data) -> bytes:
+    """`data` itself if it is `bytes`, else a copy of any other buffer, which
+    may change later; anything else, text or an int, is `SpecInvalid`."""
+    if isinstance(data, bytes):
+        return data
+    try:
+        return bytes(memoryview(data))
+    except TypeError:  # not a buffer
+        raise SpecInvalid(f"input must be bytes or a buffer, got {type(data).__name__}") from None
+
+
 def _int64_column(name: str, value) -> np.ndarray:
     """`value` as a C-contiguous int64 array. Bool, integers and whole-number
     floats in the int64 range convert exactly; anything else is `SpecInvalid`,
     and a ragged nested sequence `ShapeMismatch`."""
-    try:
-        a = np.asarray(value)
-    except ValueError:  # NumPy's "inhomogeneous shape"
-        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
+    a = _asarray(name, value)
     if a.dtype.kind == "f":
         exact = np.all((a == np.trunc(a)) & (a >= -_TWO_63) & (a < _TWO_63))
     else:
@@ -127,9 +169,13 @@ def _int64_column(name: str, value) -> np.ndarray:
     return a.astype(np.int64, order="C", copy=False)
 
 
-def _positive_ints(*values) -> bool:
-    """Whether every value is an integer, Python or NumPy, >= 1."""
-    return all(isinstance(v, numbers.Integral) and v >= 1 for v in values)
+def _geometry(geometry, error: type) -> tuple[int, int]:
+    """A (W, H) pair of integers >= 1 as Python ints, else `error`."""
+    try:
+        w, h = geometry
+        return _integer("W", w, error), _integer("H", h, error)
+    except (TypeError, ValueError):  # not a pair, or `error` for a side
+        raise error(f"geometry must be two integers >= 1, got {geometry!r}") from None
 
 
 class Event(NamedTuple):
@@ -208,14 +254,11 @@ class EventStream:
             raise TypeError(
                 f"events must be EventColumns, got {type(self.events).__name__}"
             )
-        w, h = self.geometry
-        if not _positive_ints(w, h):
-            raise ConfigInvalid(f"geometry sides must be integers >= 1, got {self.geometry}")
-        object.__setattr__(self, "geometry", (int(w), int(h)))
+        object.__setattr__(self, "geometry", _geometry(self.geometry, ConfigInvalid))
 
     @classmethod
     def from_arrays(cls, geometry, x, y, t, p) -> "EventStream":
-        return cls(geometry=tuple(geometry), events=EventColumns(x, y, t, p))
+        return cls(geometry=geometry, events=EventColumns(x, y, t, p))
 
     @classmethod
     def empty(cls, geometry) -> "EventStream":
@@ -314,21 +357,14 @@ class PeriodicGenSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.f0 < np.inf:
-            raise SpecInvalid(f"f0 must be finite and > 0, got {self.f0}")
-        if not 0 < self.duration_s < np.inf:
-            raise SpecInvalid(f"duration_s must be finite and > 0, got {self.duration_s}")
-        if not 0 <= self.base_rate <= self.peak_rate < 2.0 ** 62 / self.duration_s:
-            raise SpecInvalid(
-                f"need peak_rate >= base_rate >= 0 and peak_rate * duration_s < 2**62, "
-                f"got base={self.base_rate} peak={self.peak_rate} duration={self.duration_s}"
-            )
-        if not np.isfinite(self.motion_amplitude):
-            raise SpecInvalid(f"motion_amplitude {self.motion_amplitude} is not finite")
-        if self.seed < 0:
-            raise SpecInvalid(f"seed must be >= 0, got {self.seed}")
-        if not _positive_ints(*self.geometry):
-            raise SpecInvalid(f"geometry sides must be integers >= 1, got {self.geometry}")
+        for name, lo in (("f0", _TINY), ("duration_s", _TINY), ("base_rate", 0.0),
+                         ("motion_amplitude", -_HUGE)):
+            object.__setattr__(self, name, _positive(name, getattr(self, name), SpecInvalid, lo))
+        cap = 2.0 ** 62 / float(self.duration_s)  # at most 2**62 candidate events
+        object.__setattr__(self, "peak_rate",
+                           _positive("peak_rate", self.peak_rate, SpecInvalid, self.base_rate, cap))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, SpecInvalid, 0))
+        object.__setattr__(self, "geometry", _geometry(self.geometry, SpecInvalid))
 
 
 def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> EventStream:
@@ -343,6 +379,7 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     joined by ``,`` and ended by ``\n``, with a polarity in {-1, 0, 1}.
     Any other input goes through the line walk, which alone raises.
     """
+    data = _bytes(data)
     header = _CSV_HEADER_RE.search(data)
     start = header.end() if header else 0
     cols = _csv_body_columns(data, start) if header and data[:start].isascii() else None
@@ -520,8 +557,7 @@ def parse_events_binary(data: bytes) -> EventStream:
     every polarity and, while t stays sorted, writes t - t[0] into the
     normalized t column; an unsorted t is sign-checked, then `normalized`.
     """
-    if not isinstance(data, bytes):
-        data = bytes(data)
+    data = _bytes(data)
     if data[:4] != HEVS_MAGIC:
         raise BadMagic(f"expected {HEVS_MAGIC!r} magic")
     if len(data) < HEVS_HEADER:
@@ -578,8 +614,7 @@ def write_events_binary(stream: EventStream) -> bytes:
     """Serialize a stream to HEVS bytes; a side or field value outside what
     `parse_events_binary` accepts (`_HEVS_RANGES`) is `SpecInvalid`."""
     w, h = stream.geometry
-    if max(w, h) > 0xFFFF:
-        raise SpecInvalid(f"geometry {w}x{h} outside u16 range")
+    _integer("u16 geometry side", max(w, h), SpecInvalid, 1, 0xFFFF)
     for field, (lo, hi) in _HEVS_RANGES.items():
         v = stream.events[field]
         if len(v) and (v.min() < lo or v.max() > hi):

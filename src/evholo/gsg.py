@@ -38,6 +38,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
+from .events import _integer, _positive
 from .spectral import _checked, _no_overflow, half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
@@ -64,6 +65,11 @@ def _sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
+
+
+def _sizes(*sizes) -> list[int]:
+    """C, rows and cols as Python ints >= 1, else `ShapeMismatch`."""
+    return [_integer(n, v, ShapeMismatch) for n, v in zip(("channels", "rows", "cols"), sizes)]
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,7 @@ class GsgParams:
     def identity(cls, channels: int, rows: int, cols: int) -> "GsgParams":
         """Identity kernels, unit spectral weights, unit LN affine, gate
         saturated open (bias +20): forward becomes x + SiLU(LN(x))."""
+        channels, rows, cols = _sizes(channels, rows, cols)
         dw = np.zeros((channels, 3, 3))
         dw[:, 1, 1] = 1.0
         return cls(
@@ -111,7 +118,8 @@ class GsgParams:
     @classmethod
     def random(cls, channels: int, rows: int, cols: int, seed: int = 0) -> "GsgParams":
         """Smooth random parameters near the identity point, for testing."""
-        rng = np.random.default_rng(seed)
+        channels, rows, cols = _sizes(channels, rows, cols)
+        rng = np.random.default_rng(_integer("seed", seed, ConfigInvalid, 0))
         hw = half_cols(cols)
         w = 1.0 + 0.3 * (rng.standard_normal((channels, rows, hw))
                          + 1j * rng.standard_normal((channels, rows, hw)))
@@ -358,28 +366,36 @@ def central_difference(f: Callable[[np.ndarray], float], theta: np.ndarray,
                        index: int, h: float) -> float:
     """(f(theta + h*e_i) - f(theta - h*e_i)) / (2h)."""
     tp = np.array(theta, dtype=np.float64)
+    index = _integer("index", index, SelectorOutOfRange, 0, tp.size - 1)
+    h = _positive("h", h, ConfigInvalid)
     tm = tp.copy()
     tp[index] += h
     tm[index] -= h
     return (f(tp) - f(tm)) / (2.0 * h)
 
 
+@_no_overflow
 def finite_difference_oracle(x_in, params: GsgParams, upstream,
                              param_selector: int, h: float = 1e-6) -> float:
-    """Central-difference dL/dtheta_i through the full forward pass.
+    """Central-difference dL/dtheta_i of the `gsg_loss` L through the full forward pass.
 
-    The selector indexes the flattened parameter vector in PARAM_SECTIONS
-    order (spectral weights split into a real block then an imaginary one).
+    Of x_out = x_in + g only g depends on the parameters, so the quotient
+    differences sum(g * upstream), whose derivative is that of L: the
+    residual sum(x_in * upstream) would only set the rounding of L, which
+    swamps the gradient of a nearly shut gate. x_in and upstream are checked
+    once per call. The selector indexes the flattened parameter vector in
+    PARAM_SECTIONS order (spectral weights split into a real block then an
+    imaginary one).
     """
-    if not 1e-8 <= h <= 1e-4:
-        raise ConfigInvalid(f"step h must lie in [1e-8, 1e-4], got {h}")
+    h = _positive("h", h, ConfigInvalid, 1e-8, 1e-4)
     theta = flatten_params(params)
-    if not 0 <= param_selector < theta.size:
-        raise SelectorOutOfRange(
-            f"selector {param_selector} outside 0..{theta.size - 1}"
-        )
+    _integer("param_selector", param_selector, SelectorOutOfRange, 0, theta.size - 1)
+    a = _block_input(x_in, params)
+    u = _checked("upstream", upstream, np.float64, a.shape)
     def loss_at(vec: np.ndarray) -> float:
-        return gsg_loss(x_in, unflatten_params(params, vec), upstream)
+        p = unflatten_params(params, vec)
+        z = _spectral(a, p, np.float64)[1]
+        return float((_gated(z, p, out=z) * u).sum())
     return central_difference(loss_at, theta, param_selector, h)
 
 

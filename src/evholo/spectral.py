@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadBin, NonFinite, ShapeMismatch, SpecInvalid, TooLarge, TooShort
-from .events import _INT64_MAX, EventStream, _int64_column
+from .events import _INT64_MAX, EventStream, _asarray, _int64_column, _integer, _positive
 
 #: dft2_oracle refuses inputs with more elements than this.
 ORACLE_MAX_ELEMENTS = 4096
@@ -52,10 +52,7 @@ def _checked(name: str, value, dtype, shape: tuple | None) -> np.ndarray:
     shape: any array, empty too), else `ShapeMismatch`, as is a ragged sequence; a
     None dtype keeps f32/f64 and makes bool and ints f64. Text, bytes, objects,
     complex into a real dtype: `SpecInvalid`; NaN, Inf: `NonFinite`."""
-    try:
-        a = np.asarray(value)
-    except ValueError:  # NumPy's "inhomogeneous shape"
-        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
+    a = _asarray(name, value)
     want = np.dtype(dtype or (a.dtype if a.dtype in (np.float32, np.float64) else np.float64))
     if a.dtype.kind not in ("biufc" if want.kind == "c" else "biuf"):
         raise SpecInvalid(f"{name} must convert to {want}, got dtype {a.dtype}")
@@ -95,6 +92,7 @@ def irfft2(z, cols: int) -> np.ndarray:
     `cols` is the true width of the original array; it cannot be inferred
     from the half spectrum when the width parity is unknown.
     """
+    cols = _integer("cols", cols, ShapeMismatch)
     a = _checked(f"half spectrum for cols={cols}", z, np.complex128, (None, half_cols(cols)))
     return np.fft.irfft2(a, s=(a.shape[0], cols))
 
@@ -109,10 +107,7 @@ def dft2_oracle(x) -> np.ndarray:
     """
     a = _checked("input", x, np.float64, (None, None))
     rows, cols = a.shape
-    if a.size > ORACLE_MAX_ELEMENTS:
-        raise TooLarge(
-            f"oracle input has {a.size} elements, cap is {ORACLE_MAX_ELEMENTS}"
-        )
+    _integer("oracle input elements", a.size, TooLarge, 1, ORACLE_MAX_ELEMENTS)
     n1 = np.arange(rows)[:, None]
     n2 = np.arange(cols)[None, :]
     out = np.empty((rows, half_cols(cols)), dtype=np.complex128)
@@ -131,8 +126,7 @@ class RateSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.bin_dt > 0:
-            raise BadBin(f"bin_dt must be > 0, got {self.bin_dt}")
+        object.__setattr__(self, "bin_dt", _positive("bin_dt", self.bin_dt, BadBin))
         v = _int64_column("values", self.values)
         if v.ndim != 1:
             raise ShapeMismatch(f"values must be 1D, got shape {v.shape}")
@@ -143,6 +137,7 @@ class RateSeries:
     def __len__(self) -> int:
         return len(self.values)
 
+    @_no_overflow
     def times(self) -> np.ndarray:
         """Left edge of each bin, in seconds."""
         return np.arange(len(self.values)) * self.bin_dt
@@ -156,11 +151,11 @@ class Spectrum:
     magnitudes: np.ndarray
 
     def __post_init__(self):
-        if not self.df > 0:
-            raise BadBin(f"df must be > 0, got {self.df}")
+        object.__setattr__(self, "df", _positive("df", self.df, BadBin))
         object.__setattr__(self, "magnitudes",
                            _checked("magnitudes", self.magnitudes, np.float64, (None,)))
 
+    @_no_overflow
     def frequencies(self) -> np.ndarray:
         return np.arange(len(self.magnitudes)) * self.df
 
@@ -170,6 +165,7 @@ class DominantFrequency(NamedTuple):
     magnitude: float
 
 
+@_no_overflow
 def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     """Histogram a stream's timestamps into bins of bin_dt seconds.
 
@@ -180,8 +176,7 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     series always sums to the event count. Empty streams give a single
     zero bin. Raises `TooLarge` beyond max(2**16, 64 * events) bins.
     """
-    if not bin_dt > 0:
-        raise BadBin(f"bin_dt must be > 0, got {bin_dt}")
+    bin_dt = _positive("bin_dt", bin_dt, BadBin)
     if len(stream) == 0:
         return RateSeries(bin_dt=bin_dt, values=np.zeros(1, dtype=np.int64))
     t = stream.events.t
@@ -198,17 +193,18 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     return RateSeries(bin_dt=bin_dt, values=np.bincount(idx, minlength=n))
 
 
+@_no_overflow
 def rate_spectrum(series: RateSeries) -> Spectrum:
     """Hann-windowed magnitude spectrum of the mean-subtracted rate series."""
     n = len(series)
-    if n < MIN_SPECTRUM_BINS:
-        raise TooShort(f"need at least {MIN_SPECTRUM_BINS} bins, got {n}")
+    _integer("rate bins", n, TooShort, MIN_SPECTRUM_BINS)
     x = series.values.astype(np.float64)
     x -= x.mean()
     mags = np.abs(np.fft.rfft(x * np.hanning(n)))
     return Spectrum(df=1.0 / (series.bin_dt * n), magnitudes=mags)
 
 
+@_no_overflow
 def dominant_frequency(series: RateSeries) -> DominantFrequency | None:
     """Strongest positive-frequency tone in a rate series, or None if flat.
 

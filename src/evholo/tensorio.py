@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatch,
     SpecInvalid,
 )
+from .events import _asarray, _bytes, _integer
 
 TENSOR_MAGIC = b"HTEN"
 ARCHIVE_MAGIC = b"HARC"
@@ -58,9 +59,8 @@ def write_tensor(arr: np.ndarray) -> bytes:
     C-contiguous little-endian array is copied once, into the result; any
     other is first made so.
     """
-    arr = np.asarray(arr)
-    if not 1 <= arr.ndim <= MAX_NDIM:  # what the reader accepts
-        raise ShapeMismatch(f"ndim {arr.ndim} outside 1..{MAX_NDIM}")
+    arr = _asarray("tensor", arr)
+    _integer("ndim", arr.ndim, ShapeMismatch, 1, MAX_NDIM)  # what the reader accepts
     arr = np.ascontiguousarray(arr)
     dt = arr.dtype.newbyteorder("<")
     if dt not in _DTYPE_CODES:
@@ -86,8 +86,7 @@ def _read_tensor_at(data: bytes, offset: int) -> tuple[np.ndarray, int]:
         raise BadMagic(f"unsupported tensor version {version}")
     if dtype_code not in _CODE_DTYPES:
         raise DtypeUnknown(f"unknown dtype code {dtype_code}")
-    if not 1 <= ndim <= MAX_NDIM:
-        raise LengthMismatch(f"ndim {ndim} outside 1..{MAX_NDIM}")
+    _integer("ndim", ndim, LengthMismatch, 1, MAX_NDIM)
     dims_end = offset + 8 + 8 * ndim
     if len(data) < dims_end:
         raise LengthMismatch(
@@ -112,8 +111,7 @@ def _read_tensor_at(data: bytes, offset: int) -> tuple[np.ndarray, int]:
 def read_tensor(data: bytes) -> np.ndarray:
     """Parse HTEN bytes back into an array (read-only view of the payload;
     any other buffer than `bytes`, which may change later, is copied once)."""
-    if not isinstance(data, bytes):
-        data = bytes(data)
+    data = _bytes(data)
     arr, end = _read_tensor_at(data, 0)
     if end != len(data):
         raise LengthMismatch(
@@ -126,8 +124,7 @@ def write_archive(entries: Sequence[tuple[str, np.ndarray]] | dict) -> bytes:
     """Serialize named tensors to HARC bytes. Names must be unique; more than
     65535 sections, or a name not a UTF-8 str or over 65535 bytes, is `SpecInvalid`."""
     entries = list(entries.items() if isinstance(entries, dict) else entries)
-    if len(entries) > 0xFFFF:
-        raise SpecInvalid(f"{len(entries)} sections, beyond the u16 count of HARC")
+    _integer("HARC section count", len(entries), SpecInvalid, 0, 0xFFFF)
     out = [ARCHIVE_MAGIC, struct.pack("<BH", VERSION, len(entries))]
     seen = set()
     for name, arr in entries:
@@ -140,8 +137,7 @@ def write_archive(entries: Sequence[tuple[str, np.ndarray]] | dict) -> bytes:
         if name in seen:
             raise DuplicateName(f"duplicate section name {name!r}")
         seen.add(name)
-        if len(raw) > 0xFFFF:
-            raise SpecInvalid(f"section name of {len(raw)} bytes, beyond the u16 length of HARC")
+        _integer("HARC section name bytes", len(raw), SpecInvalid, 0, 0xFFFF)
         out.append(struct.pack("<H", len(raw)))
         out.append(raw)
         out.append(write_tensor(arr))
@@ -150,8 +146,7 @@ def write_archive(entries: Sequence[tuple[str, np.ndarray]] | dict) -> bytes:
 
 def read_archive(data: bytes) -> dict[str, np.ndarray]:
     """Parse HARC bytes into an ordered name -> read-only array mapping."""
-    if not isinstance(data, bytes):
-        data = bytes(data)
+    data = _bytes(data)
     if data[:4] != ARCHIVE_MAGIC:
         raise BadMagic(f"expected {ARCHIVE_MAGIC!r} archive magic")
     if len(data) < 7:

@@ -79,6 +79,9 @@ def test_cli_options_match_the_table():
 
 
 _X = np.zeros((1, 4, 4))
+_STREAM = evholo.EventStream.from_arrays((4, 3), [0, 3], [0, 2], [0, 5], [1, -1])
+_SPEC = dict(f0=1.0, duration_s=1.0, base_rate=0.0, peak_rate=10.0, geometry=(8, 8),
+             motion_amplitude=1.0, seed=0)
 
 # a bad value, and the EvholoError (also a ValueError) it must raise
 BAD_VALUES = {
@@ -149,6 +152,56 @@ BAD_VALUES = {
     "HARC int name": (lambda: evholo.write_archive([(3, np.zeros(1))]), evholo.SpecInvalid),
     "HARC surrogate name": (lambda: evholo.write_archive({"\ud800": np.zeros(1)}),
                             evholo.SpecInvalid),
+    # scalars: each goes through one integer or one real check
+    "fractional workers": (lambda: evholo.encode_chsr(_STREAM, workers=1.5), evholo.ConfigInvalid),
+    "fractional repeats": (lambda: evholo.encode_throughput(_STREAM, 1.5), evholo.SpecInvalid),
+    "fractional n_events": (lambda: evholo.synthetic_uniform_stream(1.5), evholo.SpecInvalid),
+    "text n_events": (lambda: evholo.synthetic_uniform_stream("3"), evholo.SpecInvalid),
+    "NumPy bins past the plane guard": (lambda: evholo.encode_chsr(_STREAM, evholo.EncodeConfig(
+        t_bins=np.int64(2 ** 40), h_bins=np.int64(2 ** 40))), evholo.TooLarge),
+    "geometry of three sides": (lambda: evholo.EventStream.from_arrays(
+        (4, 4, 4), [1], [1], [0], [1]), evholo.ConfigInvalid),
+    "geometry None": (lambda: evholo.EventStream.from_arrays(None, [1], [1], [0], [1]),
+                      evholo.ConfigInvalid),
+    "spec geometry of three sides": (lambda: evholo.PeriodicGenSpec(
+        **{**_SPEC, "geometry": (8, 8, 8)}), evholo.SpecInvalid),
+    "fractional spec seed": (lambda: evholo.PeriodicGenSpec(**{**_SPEC, "seed": 1.5}),
+                             evholo.SpecInvalid),
+    "spec seed None": (lambda: evholo.PeriodicGenSpec(**{**_SPEC, "seed": None}),
+                       evholo.SpecInvalid),
+    "text spec f0": (lambda: evholo.PeriodicGenSpec(**{**_SPEC, "f0": "a"}), evholo.SpecInvalid),
+    "fractional params channels": (lambda: evholo.GsgParams.identity(1.5, 2, 2),
+                                   evholo.ShapeMismatch),
+    "zero params cols": (lambda: evholo.GsgParams.identity(1, 2, 0), evholo.ShapeMismatch),
+    "negative params seed": (lambda: evholo.GsgParams.random(1, 2, 2, seed=-1),
+                             evholo.ConfigInvalid),
+    "irfft2 zero cols": (lambda: evholo.irfft2(np.ones((2, 1), dtype=complex), 0),
+                         evholo.ShapeMismatch),
+    "irfft2 fractional cols": (lambda: evholo.irfft2(np.ones((2, 1), dtype=complex), 1.5),
+                               evholo.ShapeMismatch),
+    "zero difference step": (lambda: evholo.central_difference(
+        lambda v: float(v.sum()), np.zeros(3), 1, 0.0), evholo.ConfigInvalid),
+    "Inf rate bin": (lambda: evholo.RateSeries(np.inf, [1, 2, 3, 4]), evholo.BadBin),
+    "Inf spectrum df": (lambda: evholo.Spectrum(np.inf, [1.0, 2.0]).frequencies(), evholo.BadBin),
+    "text rate bin": (lambda: evholo.event_rate_series(_STREAM, "a"), evholo.BadBin),
+    "text spectrum df": (lambda: evholo.Spectrum("a", [1.0]), evholo.BadBin),
+    "ragged tensor": (lambda: evholo.write_tensor([[1.0], [2.0, 3.0]]), evholo.ShapeMismatch),
+    # byte readers take a buffer, never text or an int
+    **{f"{read.__name__} of {kind}": (lambda read=read, v=v: read(v), evholo.SpecInvalid)
+       for read in (evholo.parse_events_csv, evholo.parse_events_binary, evholo.read_tensor,
+                    evholo.read_archive)
+       for kind, v in (("text", "HEVS"), ("an int", 3))},
+}
+
+# an index out of range, and the EvholoError (also an IndexError) it must raise
+BAD_INDEXES = {
+    "fractional channel": (lambda: evholo.export_channel_image(
+        evholo.encode_chsr(_STREAM, evholo.EncodeConfig(t_bins=2)), 1.5),
+                           evholo.ChannelOutOfRange),
+    "fractional selector": (lambda: evholo.finite_difference_oracle(
+        _X, evholo.GsgParams.random(1, 4, 4), _X, 1.5), evholo.SelectorOutOfRange),
+    "difference index past theta": (lambda: evholo.central_difference(
+        lambda v: float(v.sum()), np.zeros(3), 5, 1e-4), evholo.SelectorOutOfRange),
 }
 
 
@@ -159,6 +212,15 @@ def test_bad_values_raise_evholo_errors(name):
         call()
     assert isinstance(raised.value, evholo.EvholoError)
     assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("name", BAD_INDEXES)
+def test_bad_indexes_raise_evholo_index_errors(name):
+    call, error = BAD_INDEXES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert isinstance(raised.value, evholo.EvholoError)
+    assert isinstance(raised.value, IndexError)
 
 
 def test_events_of_the_wrong_type_stay_a_type_error():

@@ -12,6 +12,7 @@ from evholo import (
     write_events_binary,
     write_events_csv,
 )
+from evholo.bench import synthetic_uniform_stream
 from evholo.cli import main
 from evholo.gsg import LN_EPS, GsgParams, params_to_archive
 from evholo.tensorio import write_tensor
@@ -304,6 +305,20 @@ def test_gsg_demo_check_grads(tmp_path, capsys):
     err = float(printed.split("grad_check_max_rel_err=")[1].split()[0])
     assert err < 1e-4
     assert out.exists()
+
+
+def test_gsg_demo_check_grads_passes_on_a_nearly_shut_gate(tmp_path, capsys):
+    """The t_bins 16 encode of 1M uniform events: on its check crop the gate
+    is nearly shut, max |dL/dW| is 6.8e-5 against a loss near 400, and a
+    quotient of the whole loss read 6.6e-2 from rounding alone."""
+    src = tmp_path / "u.hevs"
+    src.write_bytes(write_events_binary(synthetic_uniform_stream(1_000_000)))
+    feat = tmp_path / "u.hten"
+    assert main(["encode", "--in", str(src), "--t-bins", "16", "--out", str(feat)]) == 0
+    assert main(["gsg-demo", "--in", str(feat), "--identity-init", "--check-grads",
+                 "--out", str(tmp_path / "y.hten")]) == 0
+    err = float(capsys.readouterr().out.split("grad_check_max_rel_err=")[1].split()[0])
+    assert err < 1e-4
 
 
 def test_gsg_demo_failed_grad_check_exits_2_without_output(tmp_path, capsys, monkeypatch):
