@@ -113,8 +113,9 @@ class NonFinite(EvholoError, ValueError):
 
 
 class TooLarge(EvholoError, ValueError):
-    """Operand above a size guard: a brute-force oracle input too big, or a
-    stream or plane whose binning would overflow int64."""
+    """Operand above a size guard: a brute-force oracle input too big, a
+    stream or plane whose binning would overflow int64, or GSG sizes whose
+    weights' bytes would."""
 
 
 class BadBin(EvholoError, ValueError):

@@ -345,7 +345,9 @@ class PeriodicGenSpec:
     The event arrival rate follows
     ``r(t) = base_rate + (peak_rate - base_rate) * (1 + sin(2*pi*f0*t)) / 2``
     and event positions oscillate horizontally around the sensor center
-    with the given pixel amplitude at the same frequency.
+    with the given pixel amplitude at the same frequency. Positions are
+    drawn in float64, so each geometry side is at most 2**53, up to which
+    float64 holds every pixel index.
     """
 
     f0: float
@@ -364,7 +366,9 @@ class PeriodicGenSpec:
         object.__setattr__(self, "peak_rate",
                            _positive("peak_rate", self.peak_rate, SpecInvalid, self.base_rate, cap))
         object.__setattr__(self, "seed", _integer("seed", self.seed, SpecInvalid, 0))
-        object.__setattr__(self, "geometry", _geometry(self.geometry, SpecInvalid))
+        w, h = _geometry(self.geometry, SpecInvalid)
+        object.__setattr__(self, "geometry", (_integer("W", w, SpecInvalid, 1, 2 ** 53),
+                                              _integer("H", h, SpecInvalid, 1, 2 ** 53)))
 
 
 def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> EventStream:

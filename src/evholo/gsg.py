@@ -18,9 +18,11 @@ unchecked 64-bit chain `_conv` -> `_filter` -> `_gate`; `GsgParams` checks
 its own arrays when it is built. LayerNorm, the 1x1 gate and their backward
 act per location, so `_gate` and `_gate_backward` run on blocks of whole
 rows of the filtered z, one block's tape of intermediates at a time, and
-write each block's output (or dL/dz) back into z. The chain writes in place
-only into arrays it allocated itself; each in-place or blocked step rounds
-as the whole-tensor, out-of-place expression it stands for, so the outputs
+write each block's output (or dL/dz) back into z. Each 2-D FFT runs axis
+by axis in one buffer; the gradient, which keeps rfft2(x_local), drops each
+transform's input once it is transformed. The chain writes in place only
+into arrays it allocated itself; each in-place or blocked step rounds as
+the whole-tensor, out-of-place expression it stands for, so the outputs
 are bit for bit those of the plain expressions the tests keep as a
 reference. A finite input too large for the math (an overflow or an
 Inf - Inf anywhere in an entry) raises `NonFinite`.
@@ -37,8 +39,9 @@ from typing import Callable
 import numpy as np
 
 from . import tensorio
-from .errors import ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch
-from .events import _integer, _positive
+from .errors import (ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch,
+                     TooLarge)
+from .events import _INT64_MAX, _integer, _positive
 from .spectral import _checked, _no_overflow, half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
@@ -68,8 +71,14 @@ def _sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _sizes(*sizes) -> list[int]:
-    """C, rows and cols as Python ints >= 1, else `ShapeMismatch`."""
-    return [_integer(n, v, ShapeMismatch) for n, v in zip(("channels", "rows", "cols"), sizes)]
+    """C, rows and cols as Python ints >= 1, else `ShapeMismatch`; `TooLarge`
+    when the spectral or the gate weights' bytes are past int64, where NumPy
+    would refuse to address them."""
+    c, rows, cols = (_integer(n, v, ShapeMismatch)
+                     for n, v in zip(("channels", "rows", "cols"), sizes))
+    _integer("bytes of the spectral or gate weights", c * max(16 * rows * half_cols(cols), 8 * c),
+             TooLarge, 1, _INT64_MAX)
+    return [c, rows, cols]
 
 
 @dataclass(frozen=True)
@@ -155,13 +164,23 @@ def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _filter(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rfft2(x), irfft2(rfft2(x) * w)) per channel; the inverse is NumPy's
-    irfftn with its ifft done in place (`out=` needs NumPy >= 2.0)."""
-    xf = np.fft.rfft2(x.astype(np.float64, copy=False), axes=(1, 2))
-    t = xf * w
+def _filter(x: np.ndarray, w: np.ndarray, keep: bool = False):
+    """(rfft2(x) if keep else None, irfft2(rfft2(x) * w)) per channel. rfft2
+    is NumPy's rfftn, its fft done in place in the rfft's output; without
+    keep, the product with w is formed there too. The inverse is NumPy's
+    irfftn with its ifft done in place (`out=` needs NumPy >= 2.0).
+
+    With keep, x is dropped after the first transform (freed when the caller
+    passed its only reference). Without keep, dropping it lowers no peak but
+    made glibc trim and re-fault the heap on every step."""
+    cols = x.shape[2]
+    xf = np.fft.rfft(x.astype(np.float64, copy=False), axis=2)
+    if keep:
+        del x
+    np.fft.fft(xf, axis=1, out=xf)
+    t = xf * w if keep else np.multiply(xf, w, out=xf)
     np.fft.ifft(t, axis=1, out=t)
-    return xf, np.fft.irfft(t, n=x.shape[2], axis=2)
+    return xf if keep else None, np.fft.irfft(t, n=cols, axis=2)
 
 
 def _row_blocks(shape) -> list[slice]:
@@ -190,11 +209,11 @@ def _gate(z: np.ndarray, params: GsgParams):
     return zhat, inv, nrm, sig_n, carrier, gate
 
 
-def _spectral(a: np.ndarray, params: GsgParams, dt) -> tuple[np.ndarray, np.ndarray]:
-    """(rfft2(x_local), z) on validated input, each stage cast to dt exactly
-    as the public stage functions cast."""
-    x_local = _conv(a, params.dw_kernel).astype(dt, copy=False)
-    xf, z = _filter(x_local, params.spectral_weight)
+def _spectral(a: np.ndarray, params: GsgParams, dt, keep: bool = False):
+    """(rfft2(x_local) if keep else None, z) on validated input, each stage
+    cast to dt exactly as the public stage functions cast."""
+    xf, z = _filter(_conv(a, params.dw_kernel).astype(dt, copy=False),
+                    params.spectral_weight, keep)
     return xf, z.astype(dt, copy=False)  # an f32 chain drops the 64-bit z here
 
 
@@ -300,10 +319,12 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     a = _block_input(x_in, params)
     u = _checked("upstream", upstream, np.float64, a.shape)
     rows, cols = a.shape[1], a.shape[2]
-    xf, z = _spectral(a, params, np.float64)
+    xf, z = _spectral(a, params, np.float64, keep=True)
     for b in _row_blocks(z.shape):  # dL/dz, in z's buffer
         z[:, b] = _gate_backward(_gate(z[:, b], params), params, u[:, b])
-    g_s = np.fft.rfft2(z, axes=(1, 2))
+    g_s = np.fft.rfft(z, axis=2)  # rfft2(z), as in `_filter`
+    del z
+    np.fft.fft(g_s, axis=1, out=g_s)
     g_s *= half_spectrum_weights(cols)[None, None, :] / (rows * cols)
     # conj(xf) stays a temporary: NumPy's elision then multiplies as
     # conj(xf) * g_s above 256 KiB and as written below, two orders whose

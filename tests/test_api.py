@@ -175,6 +175,10 @@ BAD_VALUES = {
     "zero params cols": (lambda: evholo.GsgParams.identity(1, 2, 0), evholo.ShapeMismatch),
     "negative params seed": (lambda: evholo.GsgParams.random(1, 2, 2, seed=-1),
                              evholo.ConfigInvalid),
+    # byte sizes past int64, refused before any allocation
+    "params past int64": (lambda: evholo.GsgParams.identity(2**62, 1, 1), evholo.TooLarge),
+    "random params past int64": (lambda: evholo.GsgParams.random(2**40, 2**20, 2),
+                                 evholo.TooLarge),
     "irfft2 zero cols": (lambda: evholo.irfft2(np.ones((2, 1), dtype=complex), 0),
                          evholo.ShapeMismatch),
     "irfft2 fractional cols": (lambda: evholo.irfft2(np.ones((2, 1), dtype=complex), 1.5),

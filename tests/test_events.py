@@ -655,6 +655,23 @@ def test_generator_spec_invariants():
     assert generate_periodic_stream(spec).geometry == (4, 4)
 
 
+def test_generator_sides_stop_where_float64_stops_holding_every_pixel():
+    """Positions are clipped to the sensor in float64 and cast to int64: past
+    2**53 the clip bound rounds (W = 2**60 + 200 put an event at x = W + 56),
+    and near 2**63 the cast overflowed."""
+    spec = dict(f0=1.0, duration_s=0.01, base_rate=100.0, peak_rate=200.0,
+                motion_amplitude=1e300, seed=0)
+    for geometry in ((2 ** 70, 8), (8, 2 ** 53 + 1), (2 ** 60 + 200, 8),
+                     (2 ** 63 - 1, 2 ** 63 - 1)):
+        with pytest.raises(SpecInvalid):
+            PeriodicGenSpec(**spec, geometry=geometry)
+    side = 2 ** 53
+    s = generate_periodic_stream(PeriodicGenSpec(**spec, geometry=(side, side)))
+    assert len(s) > 0 and validate_stream(s).clean
+    # the amplitude pins each event to an edge, here the last pixel among them
+    assert set(s.events["x"].tolist()) <= {0, side - 1} and s.events["x"].max() == side - 1
+
+
 def test_parse_then_validate_reports_zero_defects():
     spec = PeriodicGenSpec(f0=2.5, duration_s=1.0, base_rate=500.0,
                            peak_rate=2000.0, geometry=(32, 32),
