@@ -12,22 +12,22 @@ Binning rules (shared by all encoders):
     width bin    = floor(x * w_bins / W_sensor)
 
 One rule for time rows: the CHSR, TW and TH encoders normalize the stream
-(stable sort by t, shift to t_min = 0), then bin it in chunks, so any event
-order encodes like its stable sort. The +1 on duration lets the final event
-land in the last bin without a special case. Out-of-geometry events are
-dropped and counted, never clamped. A stream whose (duration + 1) * t_bins,
-or a tensor whose float64 planes in bytes, does not fit int64 raises
-`TooLarge`. Every bin is widened to int64 before any arithmetic (under
-NEP 50 a uint16 column times an int stays uint16 and wraps).
+(stable sort by t and shift to t_min = 0, which a parsed HEVS t defers), then
+bin it in chunks, so any event order encodes like its stable sort. The +1 on
+duration lets the final event land in the last bin without a special case.
+Out-of-geometry events are dropped and counted, never clamped. A stream whose
+(duration + 1) * t_bins, or a tensor whose float64 planes in bytes, does not
+fit int64 raises `TooLarge`. Every bin is widened to int64 before any
+arithmetic (under NEP 50 a uint16 column times an int stays uint16 and wraps).
 
 In the sorted stream each time row is a contiguous slice, found by one
-`searchsorted` over the row thresholds. Chunks (a, b, lo, hi), events lo:hi
-filling rows a:b, are planned up front: whole time rows grouped up to 2**16
-events (a row with more is a chunk of its own), or for the HW view, which
-has no time axis, 2**16 events of the stream as it is over all rows. One
-loop bins every chunk: it copies x, y and p contiguous (a parsed stream's
-are strided views of its records), builds row offsets, drops out-of-geometry
-events and fills the chunk's rows, so temporaries are sized by the chunk.
+`searchsorted` over the row thresholds plus t_min. Chunks (a, b, lo, hi),
+events lo:hi filling rows a:b, are planned up front: whole time rows grouped up
+to 2**16 events (a row with more is a chunk of its own), or for the HW view,
+which has no time axis, 2**16 events of the stream as it is over all rows. One
+loop bins every chunk: it copies x, y and p contiguous (a parsed stream's are
+strided views of its records), builds row offsets, drops out-of-geometry events
+and fills the chunk's rows, so temporaries are sized by the chunk.
 No time-row cell spans two chunks, so the holographic channel (a weighted
 `bincount` in event order, phi from a W-entry table, or per event when
 events are fewer than W) sums each cell as one pass would, bit-identically.
@@ -145,19 +145,20 @@ def _scaled(v: np.ndarray, bins: int, extent: int) -> np.ndarray:
     return b
 
 
-def _row_edges(t: np.ndarray, span: int, row_bins: int) -> np.ndarray:
-    """Where each temporal row starts in normalized t, plus len(t) at the end.
+def _row_edges(t: np.ndarray, t0: int, span: int, row_bins: int) -> np.ndarray:
+    """Where each temporal row starts in sorted t, plus len(t) at the end.
 
-    Row r starts at the first event with t >= ceil(r * span / row_bins).
-    Only rows 1..row_bins-1 are searched, and only those whose threshold
-    is at most t_max: the others start at len(t). t is searched in chunks
-    of _CHUNK events, whose counts below each threshold add up, because
+    Row r starts at the first event with t - t0 >= ceil(r * span / row_bins).
+    Only rows 1..row_bins-1 are searched, and only those whose threshold is
+    at most t_max - t0: the others start at len(t). t is searched for each
+    threshold + t0, raw, in chunks of _CHUNK events whose counts add up:
     searchsorted copies a strided t (a parsed stream's record view) whole.
     """
     thr = np.arange(1, row_bins, dtype=np.int64)
     thr *= span
     thr = -(-thr // row_bins)
     thr = thr[:np.searchsorted(thr, span - 1, side="right")]
+    thr += t0
     thr = thr.astype(t.dtype)  # every threshold is at most t_max, so it fits
     edges = np.full(row_bins + 1, len(t), dtype=np.int64)
     edges[0] = 0
@@ -176,8 +177,8 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
              planes * 8 * row_bins * col_bins, TooLarge, 1, _INT64_MAX)
     if rows_of == "t":
         stream = stream.normalized()
-        t = stream.events.t
-        span = int(t[-1]) + 1 if len(t) else 1  # duration + 1, as t starts at 0
+        t, t0 = stream.events._t  # t - t0 starts at 0; t0 is 0 once t is shifted
+        span = int(t[-1]) - t0 + 1 if len(t) else 1  # duration + 1
         _integer("(duration + 1) * t_bins", span * row_bins, TooLarge, 1, _INT64_MAX)
     ev = stream.events
     x, y, p = ev.x, ev.y, ev.p
@@ -189,7 +190,7 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
         chunks = [(0, row_bins, lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
     else:  # whole time rows, at most _CHUNK events unless one row holds more
-        edges = _row_edges(t, span, row_bins)
+        edges = _row_edges(t, t0, span, row_bins)
         chunks, a = [], 0
         while a < row_bins:
             b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)

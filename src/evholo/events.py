@@ -15,8 +15,8 @@ before it has to be:
     HEVS        read-only views of the record fields in the input bytes,
                 the idiom of `tensorio.read_tensor`: x and y uint16, t
                 int64, p int8. p is copied (1 byte per event) only when a
-                polarity 0 must become -1; the one pass that checks the
-                records writes t shifted unless it starts at 0 (see below)
+                polarity 0 must become -1. A sorted t stays the int64
+                view until it is first read, when it is shifted (see below)
     CSV         int64, which holds any negative or out-of-bounds
                 coordinate that `validate_stream` must count
     from_arrays the dtype of an ndarray of a kept integer dtype (see
@@ -24,7 +24,8 @@ before it has to be:
 
 Normalizing shifts t so it starts at 0. The shifted copy is uint32 (4 bytes
 per event) when t_max - t_min < 2**32 us, about 71.6 minutes, and int64
-otherwise; a t that already starts at 0 is kept as it is.
+otherwise; a t starting at 0 is kept. A sorted HEVS t is shifted on the
+first read of ``events.t``, never by the encoders, which bin against t_min.
 
 Code that does arithmetic on a column widens it to int64 first: under
 NumPy 2 (NEP 50) a uint16 column times a Python int stays uint16 and wraps,
@@ -42,9 +43,9 @@ Parsers are lossless: out-of-bounds coordinates are retained and only
 flagged by `validate_stream`; encoders decide their own domain. An HEVS
 timestamp of 2**63 or more does not fit the int64 column and is rejected
 with `BadTimestamp`; a stream whose timestamps span more than int64 is
-rejected with `TooLarge` when normalized. The HEVS pass goes in steps of
-8192 records, t and p copied contiguous; a bad polarity in any record beats
-a bad timestamp in an earlier one.
+rejected with `TooLarge` when normalized. The HEVS pass checks polarity and
+order in steps of 8192 records, t and p copied contiguous; a bad polarity
+in any record beats a bad timestamp in an earlier one.
 
 The package's intake checks live here: `_integer` and `_positive` for every
 scalar argument, `_asarray` for nested sequences, `_bytes` for byte input.
@@ -178,6 +179,12 @@ def _geometry(geometry, error: type) -> tuple[int, int]:
         raise error(f"geometry must be two integers >= 1, got {geometry!r}") from None
 
 
+def _shifted(t: np.ndarray, t0: int) -> np.ndarray:
+    """Sorted t - t0 (exact in int64) in a fresh uint32 column below a 2**32 span, else int64."""
+    out = np.empty(len(t), dtype=np.uint32 if int(t[-1]) - t0 < 1 << 32 else np.int64)
+    return np.subtract(t, t0, out=out, dtype=np.int64, casting="unsafe")
+
+
 class Event(NamedTuple):
     """A single sensor event."""
 
@@ -192,7 +199,9 @@ class EventColumns:
 
     A column that is an ndarray of a native-order int8/16/32/64 or
     uint8/16/32 dtype is kept as given, strided or read-only views
-    included; anything else becomes an exact contiguous int64 copy.
+    included; anything else becomes an exact contiguous int64 copy. A stream
+    that `parse_events_binary` found sorted keeps its int64 t view and t[0]
+    in `_t`, one (column, t0) pair; `t` shifts it on first read, then caches.
 
     Indexed like a structured array with those fields: ``cols["x"]`` is a
     column, ``cols[i]`` with an integer is one `Event`, and any other index
@@ -200,7 +209,7 @@ class EventColumns:
     column and returns new `EventColumns`.
     """
 
-    __slots__ = _FIELDS
+    __slots__ = ("x", "y", "_t", "p")
 
     def __init__(self, x, y, t, p):
         cols = [c if isinstance(c, np.ndarray) and c.dtype in _KEPT_DTYPES
@@ -211,7 +220,15 @@ class EventColumns:
                 f"columns must be 1-D of one length, got shapes "
                 f"{[c.shape for c in cols]}"
             )
-        self.x, self.y, self.t, self.p = cols
+        self.x, self.y, t, self.p = cols
+        self._t = (t, 0)
+
+    @property
+    def t(self) -> np.ndarray:
+        t, t0 = self._t
+        if t0:  # one assignment: no reader sees a shifted t with t0 pending
+            self._t = (_shifted(t, t0), 0)
+        return self._t[0]
 
     def __len__(self) -> int:
         return len(self.x)
@@ -275,14 +292,16 @@ class EventStream:
     def normalized(self) -> "EventStream":
         """Stable-sort by timestamp and shift so t_min = 0.
 
-        An already sorted stream skips the sort: the result shares its x, y
-        and p columns with this stream. A t that already starts at 0 is
-        kept as it is; any other is shifted into a fresh uint32 column when
-        t_max - t_min < 2**32 us, else into an int64 one. Code doing
-        arithmetic on t widens it first, as for x and y. The input is never
-        modified. Raises `TooLarge` when t_max - t_min does not fit int64.
+        An already sorted stream skips the sort and shares its x, y and p
+        columns with the result; a parsed one whose shift waits for the first
+        read of t (`EventColumns`) is the result. A t that starts at 0 is
+        kept; any other is shifted into a fresh uint32 column when t_max -
+        t_min < 2**32 us, else int64; arithmetic on t widens it first. The
+        input is never modified. Raises `TooLarge` when the span passes int64.
         """
         ev = self.events
+        if ev._t[1]:  # parsed and found sorted: t is shifted on first read
+            return self
         if not _ascending(ev.t):
             ev = ev[np.argsort(ev.t, kind="stable")]
         t = ev.t
@@ -290,9 +309,7 @@ class EventStream:
             span = int(t[-1]) - int(t[0])
             if span > _INT64_MAX:
                 raise TooLarge(f"timestamps span {span} us, beyond int64")
-            shifted = np.empty(len(t), dtype=np.uint32 if span < 1 << 32 else np.int64)
-            # computed in int64, which holds every difference, then stored
-            t = np.subtract(t, t[0], out=shifted, dtype=np.int64, casting="unsafe")
+            t = _shifted(t, int(t[0]))
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
 
     def __len__(self) -> int:
@@ -558,8 +575,8 @@ def parse_events_binary(data: bytes) -> EventStream:
     result are read-only views of `data` (p is a copy when some polarity
     is 0), so any other buffer than `bytes`, which may change later, is
     copied once first. One pass in steps of `_HEVS_CHUNK` records checks
-    every polarity and, while t stays sorted, writes t - t[0] into the
-    normalized t column; an unsorted t is sign-checked, then `normalized`.
+    every polarity and whether t is sorted; a sorted t is shifted on its
+    first read (`EventColumns`), an unsorted one sign-checked, then `normalized`.
     """
     data = _bytes(data)
     if data[:4] != HEVS_MAGIC:
@@ -580,38 +597,31 @@ def parse_events_binary(data: bytes) -> EventStream:
     recs = np.frombuffer(data, dtype=_HEVS_RECORD_DTYPE, count=count, offset=HEVS_HEADER)
     # u64 viewed as i64 maps exactly the timestamps >= 2**63 onto negative values
     p, t = recs["p"], recs["t"].view(np.int64)
-    # t counts as sorted until a step shows otherwise; until then every
-    # t - t0 lies in [0, span], exact in the column it is shifted into, so
-    # the sign check starts at that step
-    t0, span = int(t[0]), int(t[-1]) - int(t[0])
-    ascending = t0 >= 0 and span >= 0
-    shifted = np.empty(count, np.uint32 if span < 1 << 32 else np.int64) if ascending and t0 else t
+    # t counts as sorted until a step shows otherwise; sorted from a t[0] >= 0,
+    # no t is at or above 2**63, so only an unsorted t is sign-checked
+    zero, ascending, last = False, int(t[0]) >= 0, t[0]
     d = np.empty(min(count, _HEVS_CHUNK), dtype=np.int64)
-    zero, last = False, 0
     for lo in range(0, count, _HEVS_CHUNK):
         pc = p[lo:lo + _HEVS_CHUNK].copy()
         if pc.min() < -1 or pc.max() > 1:  # beats a bad t in any record
             i = int(((pc < -1) | (pc > 1)).argmax())
             raise BadPolarity(HEVS_HEADER + (lo + i) * HEVS_RECORD + 12, int(pc[i]))
         zero = zero or not pc.all()
-        if ascending:  # a t below t0 or at or above 2**63 puts s outside [0, span]
-            s = d[:len(pc)]
-            np.copyto(s, t[lo:lo + _HEVS_CHUNK])
-            s -= t0
-            ascending = last <= s[0] and s[-1] <= span and _ascending(s)
-            last = s[-1]
-            if ascending and t0:
-                shifted[lo:lo + len(s)] = s
-    if not ascending and t.min() < 0:  # a sorted t lies in [t0, t0 + span], t0 >= 0
+        if ascending:
+            tc = d[:len(pc)]
+            np.copyto(tc, t[lo:lo + _HEVS_CHUNK])
+            ascending = last <= tc[0] and _ascending(tc)
+            last = tc[-1]
+    if not ascending and t.min() < 0:
         i = int((t < 0).argmax())
         raise BadTimestamp(HEVS_HEADER + i * HEVS_RECORD + 4, int(recs["t"][i]))
     if zero:  # polarity 0 becomes -1 in a copy, never in the input
         p = p.copy()
         p[p == 0] = -1
-    if ascending:
-        return EventStream.from_arrays((w, h), recs["x"], recs["y"], shifted, p)
-    del shifted  # sorted, then shifted, by normalized()
-    return EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p).normalized()
+    stream = EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p)
+    if ascending:  # t - t[0] waits for the first read of t
+        stream.events._t = (t, int(t[0]))
+    return stream if ascending else stream.normalized()
 
 
 def write_events_binary(stream: EventStream) -> bytes:

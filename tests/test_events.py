@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from evholo.errors import (
 )
 from evholo.events import (
     _CSV_CHUNK,
+    _HEVS_RECORD_DTYPE,
     HEVS_HEADER,
     HEVS_RECORD,
     _csv_body_columns,
@@ -532,6 +534,32 @@ def test_hevs_mutable_buffers_are_copied_once():
         assert not np.shares_memory(got.events.x, np.frombuffer(buf, np.uint8))
         buf[HEVS_HEADER:] = bytes(len(buf) - HEVS_HEADER)
         assert got == want
+
+
+def test_first_reads_of_a_deferred_t_race_to_the_same_column():
+    """Four threads read t of one freshly parsed stream at once: each gets
+    the eager shift, whichever of them makes the column; then none is pending."""
+    data = _hevs_blob(n=1 << 17)
+    t = np.frombuffer(data, _HEVS_RECORD_DTYPE, offset=HEVS_HEADER)["t"].astype(np.int64)
+    zeros = np.zeros_like(t)
+    want = EventStream.from_arrays((300, 200), zeros, zeros, t, zeros + 1).normalized().events.t
+    assert want.dtype == np.uint32
+    for _ in range(50):
+        ev = parse_events_binary(data).events
+        assert ev._t[1] == 5
+        barrier, got = threading.Barrier(4), []
+
+        def read():
+            barrier.wait()
+            got.append(ev.t)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert len(got) == 4 and ev._t[1] == 0
+        assert all(g.dtype == np.uint32 and np.array_equal(g, want) for g in got)
 
 
 def test_hevs_zero_polarity_remap_never_writes_into_the_input():

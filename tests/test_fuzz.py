@@ -6,10 +6,11 @@ other exception, or a NumPy RuntimeWarning (an error under this suite's
 warning filter), fails the test. On any CSV bytes, `parse_events_csv`
 gives what its line walk alone gives, and on HEVS records drawn about the
 edges of its steps, `parse_events_binary` gives what whole-array checks
-give. `evholo validate` on a fuzzed event file exits 0 or 2; `encode`,
-`spectrum`, `gsg-demo` and `bench --in` on fuzzed inputs exit 0, 1 or 2
-with at most one line of error and write no output on failure. Runs are
-derandomized and bounded so the suite stays fast and reproducible.
+give, and so do the encoders of the parsed stream before its t is read.
+`evholo validate` on a fuzzed event file exits 0 or 2; `encode` (CSV and
+HEVS input), `spectrum`, `gsg-demo` and `bench --in` on fuzzed inputs exit
+0, 1 or 2 with at most one line of error and write no output on failure.
+Runs are derandomized and bounded so the suite stays fast and reproducible.
 """
 
 import contextlib
@@ -24,7 +25,10 @@ from hypothesis import strategies as st
 from test_events import assert_same_as_line_walk
 
 from evholo import (
+    EncodeConfig,
     EventStream,
+    encode_chsr,
+    encode_view,
     parse_events_binary,
     parse_events_csv,
     read_archive,
@@ -254,6 +258,28 @@ def test_hevs_parser_equals_its_whole_array_checks(blob):
     assert got == parse_outcome(parse_hevs_whole, blob)
 
 
+def encode_outcome(parse, blob):
+    """The CHSR tensor at 8 temporal bins and the TW view of the parsed
+    stream, encoded before anything reads its t, or the error's class and args."""
+    config = EncodeConfig(t_bins=8)
+    try:
+        s = parse(blob)
+        tensors = (encode_chsr(s, config), encode_view(s, "tw", config))
+    except EvholoError as e:
+        return type(e), e.args
+    return [(e.data.tobytes(), e.dropped) for e in tensors]
+
+
+@settings(FUZZ, max_examples=300)
+@given(hevs_blobs())
+def test_hevs_encode_of_the_deferred_t_equals_the_eager_one(blob):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("evholo.events._HEVS_CHUNK", HEVS_STEP)
+        mp.setattr("evholo.encode._CHUNK", 5)  # row search and bins in chunks of the raw t
+        got = encode_outcome(parse_events_binary, blob)
+    assert got == encode_outcome(parse_hevs_whole, blob)
+
+
 HTEN = write_tensor(np.random.default_rng(0).standard_normal((2, 4, 6)))
 HARC = params_to_archive(GsgParams.random(2, 4, 6, seed=1))
 
@@ -281,6 +307,13 @@ def test_encode_on_fuzzed_csv(tmp_path_factory, blob):
     run_fuzzed(tmp_path_factory, ["encode", "--in", "{d}/ev.csv", "--t-bins", "8",
                                   "--out", "{d}/out.hten", "--pgm-dir", "{d}/img"],
                {"ev.csv": blob})
+
+
+@FUZZ
+@given(st.one_of(hevs_blobs(), fuzzed(EVENT_FILES[0])))
+def test_encode_on_fuzzed_hevs(tmp_path_factory, blob):
+    run_fuzzed(tmp_path_factory, ["encode", "--in", "{d}/ev.hevs", "--t-bins", "8",
+                                  "--out", "{d}/out.hten"], {"ev.hevs": blob})
 
 
 @FUZZ
