@@ -2,9 +2,10 @@
 
 An event is the asynchronous sensor record (x, y, t, p): pixel coordinates,
 a timestamp in integer microseconds, and a brightness-change polarity in
-{-1, +1}. Streams are normalized at ingestion: events sorted by timestamp
-(stable) and shifted so the earliest timestamp is 0. A stream that is
-already sorted, as HEVS files written by this package are, skips the sort.
+{-1, +1}. Streams are normalized at ingestion: events sorted by timestamp,
+ties in input order (one sort of packed (t, index) keys), and shifted so the
+earliest timestamp is 0. A stream that is already sorted, as HEVS files
+written by this package are, skips the sort.
 
 In memory a stream stores its events column-wise (`EventColumns`): four
 integer arrays x, y, t and p, one value per event. ``events["t"]`` is the
@@ -239,8 +240,8 @@ class EventColumns:
                 raise KeyError(key)
             return getattr(self, key)
         if isinstance(key, (int, np.integer)):
-            return Event(int(self.x[key]), int(self.y[key]), int(self.t[key]),
-                         int(self.p[key]))
+            t, t0 = self._t  # one value of a pending shift, not the column
+            return Event(int(self.x[key]), int(self.y[key]), int(t[key]) - t0, int(self.p[key]))
         return EventColumns(self.x[key], self.y[key], self.t[key], self.p[key])
 
     def __eq__(self, other) -> bool:
@@ -284,26 +285,46 @@ class EventStream:
     @property
     def duration(self) -> int:
         """t_max - t_min in microseconds; 0 for an empty stream."""
-        t = self.events.t
+        t, t0 = self.events._t  # a pending shift: the raw view, sorted
         if len(t) == 0:
             return 0
-        return int(t.max()) - int(t.min())
+        return int(t[-1]) - int(t[0]) if t0 else int(t.max()) - int(t.min())
 
     def normalized(self) -> "EventStream":
         """Stable-sort by timestamp and shift so t_min = 0.
 
-        An already sorted stream skips the sort and shares its x, y and p
-        columns with the result; a parsed one whose shift waits for the first
-        read of t (`EventColumns`) is the result. A t that starts at 0 is
-        kept; any other is shifted into a fresh uint32 column when t_max -
-        t_min < 2**32 us, else int64; arithmetic on t widens it first. The
-        input is never modified. Raises `TooLarge` when the span passes int64.
+        An unsorted stream sorts one int64 key per event, (t - t_min) << bits
+        | index with bits = (n - 1).bit_length(). The keys are distinct, so
+        any sort is stable: key >> bits is the shifted t, and key & mask
+        gathers x, y and p. A span of 2**(63 - bits) us or more leaves no room
+        for the index and takes a stable argsort instead. An already sorted
+        stream skips the sort and shares its x, y and p columns with the
+        result; a parsed one whose shift waits for the first read of t
+        (`EventColumns`) is the result. A t whose minimum is 0 keeps its dtype
+        (sorted, it is kept); any other is shifted into a fresh uint32 column
+        when t_max - t_min < 2**32 us, else int64; arithmetic on t widens it
+        first. The input is never modified. Raises `TooLarge` when the span
+        passes int64.
         """
         ev = self.events
         if ev._t[1]:  # parsed and found sorted: t is shifted on first read
             return self
-        if not _ascending(ev.t):
-            ev = ev[np.argsort(ev.t, kind="stable")]
+        t = ev.t
+        if not _ascending(t):
+            t0, bits = int(t.min()), (len(t) - 1).bit_length()
+            span = int(t.max()) - t0
+            if span >= 1 << (63 - bits):
+                ev = ev[np.argsort(t, kind="stable")]
+            else:
+                key = np.subtract(t, t0, dtype=np.int64)
+                key <<= bits
+                key |= np.arange(len(t))
+                key.sort()
+                t = np.empty(len(t), t.dtype if t0 == 0 else
+                             np.uint32 if span < 1 << 32 else np.int64)
+                np.right_shift(key, bits, out=t, dtype=np.int64, casting="unsafe")
+                key &= (1 << bits) - 1
+                return EventStream(self.geometry, EventColumns(ev.x[key], ev.y[key], t, ev.p[key]))
         t = ev.t
         if len(t) and t[0] != 0:
             span = int(t[-1]) - int(t[0])
@@ -481,7 +502,7 @@ def _long_csv_field(field: str, line_no: int) -> int:
     text = field.strip()
     body = text.lstrip("+-")
     sign, digits = text[:len(text) - len(body)], body.lstrip("0") or "0"
-    if len(sign) > 1 or not digits.isdecimal():
+    if len(sign) > 1 or not body.isdecimal():  # a field of no digit too
         raise MalformedLine(line_no, "non-numeric field") from None
     value = int(sign + digits) if len(digits) <= 19 else _INT64_MAX + 1
     if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
@@ -495,7 +516,9 @@ def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
     grammar. Works in chunks of whole rows to bound the temporaries."""
     if not data.endswith(b"\n"):  # declines before any bulk work
         return None
-    n = data.count(b"\n", start)
+    body = memoryview(data)[start:]  # NumPy counts ~5x faster than bytes.count's byte loop
+    n = sum(np.count_nonzero(np.frombuffer(body[i:i + _CSV_CHUNK], np.uint8) == 10)
+            for i in range(0, len(body), _CSV_CHUNK))
     if not n or 8 * n > len(data) - start:  # a row takes at least 8 bytes, "0,0,0,0\n"
         return None
     cols = np.empty((4, n), dtype=np.int64)
@@ -515,13 +538,13 @@ def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
 def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
     """Parse whole rows ``b`` (ending in ``\n``) into ``out[:, :rows]``.
 
-    Every byte is classified first: digit, ``-``, or a separator (``,`` or
-    ``\n``). Each row's separators must read ``,,,\n``, each field one
+    Every byte is classified first: digit, ``-``, or a separator (any byte
+    below ``-``). Each row's separators must read ``,,,\n``, each field one
     optional leading ``-`` and 1 to 18 digits, the polarity one digit of
     at most 1. A field's value is summed from its digits right to left,
     one digit position per pass; polarity 0 then becomes -1.
     """
-    ends = np.flatnonzero((b == 44) | (b == 10))  # ',' and '\n' end a field
+    ends = np.flatnonzero(b < 45)  # ',' and '\n' end a field, and fail any other
     d = b - np.uint8(48)
     n_minus = np.count_nonzero(b == 45)
     if len(ends) % 4 or np.count_nonzero(d <= 9) + n_minus + len(ends) != len(b):

@@ -78,6 +78,15 @@ def test_validate_csv_field_outside_int64_exits_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_validate_csv_field_without_a_digit_exits_2(tmp_path, capsys):
+    # an empty y used to read as 0, and validate exited 0
+    path = tmp_path / "empty.csv"
+    path.write_text("# geometry 4x4\nx,y,t,p\n0,0,0,1\n1,,3,1\n")
+    assert main(["validate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "line 4" in err and "non-numeric" in err
+
+
 def test_validate_timestamp_span_beyond_int64_exits_2(tmp_path, capsys):
     path = tmp_path / "span.csv"
     path.write_text("# geometry 4x4\nx,y,t,p\n"

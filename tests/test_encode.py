@@ -23,6 +23,7 @@ from evholo import (
     write_tensor,
 )
 from evholo import encode as encode_module
+from evholo.events import _HEVS_RECORD_DTYPE, HEVS_HEADER
 
 
 def chsr_reference(stream, t_bins, h_bins):
@@ -375,7 +376,7 @@ def test_deferred_t_shift_reads_like_the_eager_twin(case):
     """A parsed HEVS stream found sorted shifts t on its first read. Every
     reader, each on a freshly parsed stream, gives what it gives on the
     stream normalized eagerly from int64 columns; the encoders run first
-    and leave the shift pending."""
+    and, with duration, repr and one-event reads, leave the shift pending."""
     geom, (x, y, t, p) = (40, 30), _deferred_case(case)
     data = write_events_binary(EventStream.from_arrays(geom, x, y, t, p))
     twin = EventStream.from_arrays(geom, x, y, t.astype(np.int64), p).normalized()
@@ -404,7 +405,8 @@ def test_deferred_t_shift_reads_like_the_eager_twin(case):
         fresh = parse_events_binary(data)
         assert fresh.events._t[1] == pending
         assert read(fresh) == read(stream) == read(twin), name
-        assert fresh.events._t[1] == (pending if name == "encoders" else 0), name
+        keeps = name in ("encoders", "duration", "repr", "index")
+        assert fresh.events._t[1] == (pending if keeps else 0), name
 
 
 def test_few_events_on_a_wide_sensor_skip_the_phi_table():
@@ -665,6 +667,25 @@ def test_1m_hw_view_peak_stays_chunk_sized():
     finally:
         tracemalloc.stop()
     assert peak < 3_200_000
+
+
+def test_one_value_of_a_1m_parse_leaves_its_t_unshifted():
+    """duration, repr and one event read the raw view and t0 of a pending
+    shift: each read built the whole uint32 t column, 4.13 MB at its peak."""
+    s = hevs_encode_1m_stream(11)
+    raw = np.frombuffer(hevs_encode_1m_bytes(11), _HEVS_RECORD_DTYPE, offset=HEVS_HEADER)["t"]
+    want = (int(raw[-1] - raw[0]), int(raw[400_000] - raw[0]), int(raw[-1] - raw[0]))
+    for read in (lambda: s.duration, lambda: repr(s), lambda: (s[400_000].t, s[-1].t)):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+    assert s.events._t[1] == raw[0]
+    assert (s.duration, s[400_000].t, s[-1].t) == want
+    assert f"duration={want[0]} us" in repr(s)
 
 
 def test_1m_hevs_parse_peak_is_its_t_column():

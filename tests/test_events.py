@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evholo import (
     EventColumns,
@@ -85,6 +87,19 @@ def test_csv_non_numeric_field():
     with pytest.raises(MalformedLine) as exc:
         parse_events_csv(_csv(["# geometry 4x4", "x,y,t,p", "a,0,0,1"]))
     assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("blank", ["", "-", "+", " ", "\t"])
+@pytest.mark.parametrize("field", range(4))
+def test_csv_field_without_a_digit_is_non_numeric(field, blank):
+    # such a field used to read as 0: "1,,3,1" gave y = 0, "1,2,3," p = -1
+    row = ["1", "2", "3", "1"]
+    row[field] = blank
+    data = _csv(["# geometry 4x4", "x,y,t,p", "0,0,0,1", ",".join(row)])
+    with pytest.raises(MalformedLine, match="non-numeric field") as exc:
+        parse_events_csv(data)
+    assert exc.value.line_no == 4
+    assert_same_as_line_walk(data)
 
 
 def test_csv_field_outside_int64_is_malformed_line_with_number():
@@ -226,6 +241,20 @@ def test_csv_edge_cases_match_the_line_walk(text):
     assert_same_as_line_walk(text.encode(), geometry=(5, 7))
 
 
+_MUTATED_BODY = b"12,-3,456,1\n7,0,-89,0\n-1,22,333,-1\n"
+
+
+@pytest.mark.parametrize("pos", range(len(_MUTATED_BODY)))
+def test_csv_single_byte_mutations_match_the_line_walk(pos):
+    """Every byte 0-255 at every position of a three-row body: a byte below
+    ',' counts as a field end in the bulk path, so every stray one (a space,
+    tab, CR, '+' or '*') must still fail its separator check there."""
+    for value in range(256):
+        body = bytearray(_MUTATED_BODY)
+        body[pos] = value
+        assert_same_as_line_walk(_HEAD.encode() + bytes(body))
+
+
 def test_csv_only_lf_ends_a_line():
     for c in _NON_LF_BREAKS:
         s = parse_events_csv((_HEAD + f"# note{c}1,1,5,1\n3,3,4,1\n").encode())
@@ -272,6 +301,107 @@ def test_csv_blank_lines_do_not_size_the_columns():
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000
+
+
+def _shuffled_csv(n, seed):
+    """n events shaped like the benchmark's CSV ingest: t sorted over 10 s
+    on a 346x260 sensor, a few x out of bounds, then each row moved at most
+    64 places."""
+    rng = np.random.default_rng(seed)
+    cols = np.stack([rng.integers(0, 350, n), rng.integers(0, 260, n),
+                     np.sort(rng.integers(0, 10_000_000, n)), rng.choice([-1, 1], n)], axis=1)
+    order = np.argsort(np.arange(n) + rng.uniform(-32.0, 32.0, n), kind="stable")
+    return _csv(["# geometry 346x260", "x,y,t,p", *(f"{x},{y},{t},{p}" for x, y, t, p in
+                                                  cols[order].tolist())])
+
+
+def test_csv_parse_peak_of_a_shuffled_100k():
+    """The stable argsort's int64 permutation and its gathered int64 t
+    peaked at 7.20 MB; the packed key sort, whose key also becomes the
+    uint32 t and the gather index of x, y and p, measures 6.80 MB."""
+    data = _shuffled_csv(100_000, 17)
+    parse_events_csv(data)
+    tracemalloc.start()
+    try:
+        s = parse_events_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 100_000 and s.events.t.dtype == np.uint32
+    assert peak < 7_075_000
+
+
+_KEPT = ("i1", "i2", "i4", "i8", "u1", "u2", "u4")
+_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129)
+_SPANS = {"span 2**32 - 1": lambda bits: 2 ** 32 - 1, "span 2**32": lambda bits: 2 ** 32,
+          "packing edge - 1": lambda bits: 2 ** (63 - bits) - 1,
+          "packing edge": lambda bits: 2 ** (63 - bits)}
+
+
+@st.composite
+def t_columns(draw):
+    """A t column of a kept dtype and a length about a power of two: values
+    over the whole dtype (its extremes too, so int64 spans past int64), ties, a minimum
+    of 0, or int64 spans about 2**32 and about the packing limit
+    2**(63 - bits), where the sort falls back to the stable argsort."""
+    kind = draw(st.sampled_from(["whole dtype", "ties", "from 0", *_SPANS]))
+    dtype = np.dtype("i8" if kind in _SPANS else draw(st.sampled_from(_KEPT)))
+    n = draw(st.sampled_from(_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    if kind == "whole dtype":
+        t = rng.integers(lo, hi, n, dtype=dtype, endpoint=True)
+        if draw(st.booleans()):  # both extremes: an int64 t then spans past int64
+            t[:2] = [hi, lo][:n]
+        return rng.permutation(t)
+    if kind == "ties":
+        base = draw(st.integers(lo, hi - 3))
+        return rng.integers(base, base + 3, n, dtype=dtype, endpoint=True)
+    if kind == "from 0":
+        t = rng.integers(0, min(hi, 1000), n, dtype=dtype, endpoint=True)
+        t[:1] = 0
+        return rng.permutation(t)
+    span = min(_SPANS[kind]((n - 1).bit_length()), 2 ** 62)  # 2**63 at n = 1
+    t0 = draw(st.integers(-(2 ** 62), 2 ** 62 - 1))
+    t = t0 + rng.integers(0, span, n, endpoint=True)
+    t[:2] = [t0 + span, t0][:n]  # both ends, the maximum first
+    return rng.permutation(t)
+
+
+def _normalized_by_argsort(ev):
+    """x, y, t, p after a stable argsort of t, t then shifted by the rule of
+    `normalized`: kept when its minimum is 0, else uint32 below a 2**32 span
+    and int64 from there on, exact; `TooLarge` past int64."""
+    order = np.argsort(ev.t, kind="stable")
+    t = ev.t[order]
+    if len(t) and t[0] != 0:
+        t0, span = int(t[0]), int(t[-1]) - int(t[0])
+        if span > 2 ** 63 - 1:
+            raise TooLarge(f"timestamps span {span} us, beyond int64")
+        t = np.array([v - t0 for v in t.tolist()], np.uint32 if span < 2 ** 32 else np.int64)
+    return ev.x[order], ev.y[order], t, ev.p[order]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(t_columns())
+def test_normalized_equals_the_stable_argsort(t):
+    n = len(t)
+    cols = (np.arange(n) * 7 - 5, np.arange(n, dtype=np.uint16)[::-1], t,
+            np.where(np.arange(n) % 3, 1, -1).astype(np.int8))
+    before = [c.copy() for c in cols]
+    raw = EventStream.from_arrays((8, 8), *cols)
+    try:
+        want = _normalized_by_argsort(raw.events)
+    except TooLarge as e:
+        with pytest.raises(TooLarge, match=str(e)):
+            raw.normalized()
+    else:
+        got = raw.normalized().events
+        for f, w in zip("xytp", want):
+            g = getattr(got, f)
+            assert g.dtype == w.dtype and np.array_equal(g, w), f
+    for c, b in zip(cols, before):
+        assert c.dtype == b.dtype and np.array_equal(c, b)
 
 
 def test_normalized_rejects_a_timestamp_span_beyond_int64():

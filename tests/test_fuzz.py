@@ -7,9 +7,10 @@ warning filter), fails the test. On any CSV bytes, `parse_events_csv`
 gives what its line walk alone gives, and on HEVS records drawn about the
 edges of its steps, `parse_events_binary` gives what whole-array checks
 give, and so do the encoders of the parsed stream before its t is read.
-`evholo validate` on a fuzzed event file exits 0 or 2; `encode` (CSV and
-HEVS input), `spectrum`, `gsg-demo` and `bench --in` on fuzzed inputs exit
-0, 1 or 2 with at most one line of error and write no output on failure.
+`evholo validate` on a fuzzed event file exits 0 or 2; `encode`,
+`spectrum` and `bench --in` on fuzzed CSV and HEVS inputs (unsorted HEVS
+too) and `gsg-demo` on fuzzed tensors exit 0, 1 or 2 with at most one line
+of error and write no output on failure.
 Runs are derandomized and bounded so the suite stays fast and reproducible.
 """
 
@@ -220,6 +221,20 @@ def hevs_blobs(draw):
     return struct.pack("<4sB3xHHQ", b"HEVS", 1, 16, 12, n) + recs.tobytes()
 
 
+@st.composite
+def unsorted_hevs_blobs(draw):
+    """HEVS bytes of 2 to 40 records in drawn order, t within 200 us of 0,
+    2**40 or 2**63 - 300 with ties, some x and y off the 16x12 sensor,
+    polarities in {-1, 0, 1}: streams that `normalized` sorts."""
+    n = draw(st.integers(2, 40))
+    base = draw(st.sampled_from([0, 7, 2 ** 40, 2 ** 63 - 300]))
+    recs = np.zeros(n, _HEVS_RECORD_DTYPE)
+    recs["t"] = [base + v for v in draw(st.lists(st.integers(0, 200), min_size=n, max_size=n))]
+    recs["x"], recs["y"] = np.arange(n) % 20, np.arange(n)[::-1] % 15
+    recs["p"] = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    return struct.pack("<4sB3xHHQ", b"HEVS", 1, 16, 12, n) + recs.tobytes()
+
+
 def parse_hevs_whole(data: bytes) -> EventStream:
     """The HEVS records checked over whole arrays, bad polarity first, then
     normalized: the oracle of the parser's one pass in steps."""
@@ -325,6 +340,14 @@ def test_spectrum_on_fuzzed_csv(tmp_path_factory, blob):
                                   "--out-csv", "{d}/spec.csv"], {"ev.csv": blob})
 
 
+@FUZZ
+@given(st.one_of(hevs_blobs(), unsorted_hevs_blobs()))
+def test_spectrum_on_fuzzed_hevs(tmp_path_factory, blob):
+    # a span of 2**32 us or more is past the rate-bin bound at 10 us bins
+    run_fuzzed(tmp_path_factory, ["spectrum", "--in", "{d}/ev.hevs", "--bin-dt", "1e-5",
+                                  "--out-csv", "{d}/spec.csv"], {"ev.hevs": blob})
+
+
 # timestamps anywhere in int64, or within 1000 s of 0, where some series
 # are short enough to compute and others are beyond the rate-bin bound
 STAMP = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(0, 10 ** 9))
@@ -348,6 +371,13 @@ def test_bench_on_fuzzed_csv(tmp_path_factory, blob):
     # default 224 temporal bins and the sensor rows stay cheap to encode
     run_fuzzed(tmp_path_factory, ["bench", "--in", "{d}/ev.csv", "--repeat", "1",
                                   "--out-json", "{d}/b.json"], {"ev.csv": blob})
+
+
+@FUZZ
+@given(st.one_of(hevs_blobs(), unsorted_hevs_blobs()))
+def test_bench_on_fuzzed_hevs(tmp_path_factory, blob):
+    run_fuzzed(tmp_path_factory, ["bench", "--in", "{d}/ev.hevs", "--repeat", "1",
+                                  "--out-json", "{d}/b.json"], {"ev.hevs": blob})
 
 
 @FUZZ
