@@ -20,21 +20,27 @@ Out-of-geometry events are dropped and counted, never clamped. A stream whose
 fit int64 raises `TooLarge`. Every bin is widened to int64 before any
 arithmetic (under NEP 50 a uint16 column times an int stays uint16 and wraps).
 
-In the sorted stream each time row is a contiguous slice, found by one
-`searchsorted` over the row thresholds plus t_min. Chunks (a, b, lo, hi),
-events lo:hi filling rows a:b, are planned up front: whole time rows grouped up
-to 2**16 events (a row with more is a chunk of its own), or for the HW view,
-which has no time axis, 2**16 events of the stream as it is over all rows. One
-loop bins every chunk: it copies x, y and p contiguous (a parsed stream's are
-strided views of its records), builds row offsets, drops out-of-geometry events
-and fills the chunk's rows, so temporaries are sized by the chunk.
+In the sorted stream each time row is a contiguous slice; all row thresholds
+plus t_min are bisected at once over the raw t, which reads a few values per
+row where `searchsorted` would copy a parsed stream's strided t whole. Chunks
+(a, b, lo, hi), events lo:hi filling rows a:b, are planned up front: whole time
+rows grouped up to 2**16 events (a row with more is a chunk of its own), or for
+the HW view, which has no time axis, 2**16 events of the stream as it is over
+all rows. One loop bins every chunk: it copies x, y and p contiguous (a parsed
+stream's are strided views of its records), drops out-of-geometry events,
+gathers phi, takes the column bins, frees x, and only then builds the row
+offsets and fills the chunk's rows, so temporaries are sized by the chunk.
+The CHSR copies x into intp, as the phi gather runs 3x faster on an intp
+index than on uint16; freeing it before the row offsets keeps the call peak
+where the uint16 copy had it. The views, with no phi, keep x's own dtype.
 No time-row cell spans two chunks, so the holographic channel (a weighted
 `bincount` in event order, phi from a W-entry table, or per event when
 events are fewer than W) sums each cell as one pass would, bit-identically.
 Counts keep two accumulates, each faster and smaller for its rows: time rows
-one `bincount` over (cell, polarity) keys made in place on the cell index
-(1.6x faster than `np.add.at`); HW `np.add.at` into the whole planes (a
-full-plane `bincount` per chunk took 1M events 10.2 -> 13.2 ms, 3.0 -> 5.7 MB).
+one `bincount` over (cell, polarity) keys made in place on the cell index,
+the polarity mask added as int8 (1.6x faster than `np.add.at`); HW
+`np.add.at` into the whole planes (a full-plane `bincount` per chunk took 1M
+events 10.2 -> 13.2 ms, 3.0 -> 5.7 MB).
 """
 
 from __future__ import annotations
@@ -150,20 +156,24 @@ def _row_edges(t: np.ndarray, t0: int, span: int, row_bins: int) -> np.ndarray:
 
     Row r starts at the first event with t - t0 >= ceil(r * span / row_bins).
     Only rows 1..row_bins-1 are searched, and only those whose threshold is
-    at most t_max - t0: the others start at len(t). t is searched for each
-    threshold + t0, raw, in chunks of _CHUNK events whose counts add up:
-    searchsorted copies a strided t (a parsed stream's record view) whole.
+    at most t_max - t0: the others start at len(t). All thresholds + t0 are
+    bisected at once over the raw t, so each step reads one value per row of
+    a strided view (searchsorted would copy it whole): the edges equal
+    ``searchsorted(t, thr + t0, side="left")``.
     """
     thr = np.arange(1, row_bins, dtype=np.int64)
     thr *= span
     thr = -(-thr // row_bins)
     thr = thr[:np.searchsorted(thr, span - 1, side="right")]
-    thr += t0
-    thr = thr.astype(t.dtype)  # every threshold is at most t_max, so it fits
-    edges = np.full(row_bins + 1, len(t), dtype=np.int64)
+    thr += t0  # every threshold is at most t_max, so it fits
+    n = len(t)
+    below = np.zeros(len(thr), dtype=np.int64)  # events known to lie below each threshold
+    for k in reversed(range(n.bit_length())):
+        step = np.minimum(below + (1 << k), n)
+        below = np.where(t[step - 1] < thr, step, below)
+    edges = np.full(row_bins + 1, n, dtype=np.int64)
     edges[0] = 0
-    edges[1:1 + len(thr)] = sum(np.searchsorted(t[lo:lo + _CHUNK], thr)
-                                for lo in range(0, len(t), _CHUNK))
+    edges[1:1 + len(thr)] = below
     return edges
 
 
@@ -188,7 +198,7 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     phi_table = phi(np.arange(w), w) if with_phi and n >= w else None
     # chunks (a, b, lo, hi): events lo:hi fill rows a:b
     if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
-        chunks = [(0, row_bins, lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+        chunks = [(0, row_bins, lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     else:  # whole time rows, at most _CHUNK events unless one row holds more
         edges = _row_edges(t, t0, span, row_bins)
         chunks, a = [], 0
@@ -199,21 +209,26 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
 
     def add(a, b, lo, hi):
         """Bin events lo:hi into out's rows a:b; returns how many it dropped."""
-        xs, ys, ps = (np.ascontiguousarray(c[lo:hi]) for c in (x, y, p))
-        if rows_of == "y":  # row * col_bins of each event, as a fresh int64 array
-            rows = np.multiply(_scaled(ys, row_bins, h), col_bins, dtype=np.int64)
-        else:
-            rows = np.repeat(np.arange(0, (b - a) * col_bins, col_bins), np.diff(edges[a:b + 1]))
-        dropped = 0
+        # phi_table[xs] gathers 3x faster with an intp xs than with u16; the
+        # views keep x's own dtype, as an intp one would raise their peaks
+        xs = np.empty(hi - lo, dtype=np.intp if with_phi else x.dtype)
+        np.copyto(xs, x[lo:hi])
+        ys, ps = np.ascontiguousarray(y[lo:hi]), np.ascontiguousarray(p[lo:hi])
+        inb = slice(None)  # every event, until some fall outside the geometry
         if _outside(xs, w) or _outside(ys, h):
             inb = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
-            dropped = len(xs) - int(np.count_nonzero(inb))
-            rows, xs, ys, ps = rows[inb], xs[inb], ys[inb], ps[inb]
-        cells = (b - a) * col_bins
-        cell = rows
-        cell += _scaled(ys, col_bins, h) if cols_of == "y" else _scaled(xs, col_bins, w)
+            xs, ys, ps = xs[inb], ys[inb], ps[inb]
         if with_phi:
             phi_x = phi(xs, w) if phi_table is None else phi_table[xs]
+        cols = _scaled(ys, col_bins, h) if cols_of == "y" else _scaled(xs, col_bins, w)
+        del xs  # freed before the row offsets, so its 8 bytes per event never meet theirs
+        cells = (b - a) * col_bins
+        if rows_of == "y":  # row * col_bins of each event, as a fresh int64 array
+            cell = np.multiply(_scaled(ys, row_bins, h), col_bins, dtype=np.int64)
+        else:
+            cell = np.repeat(np.arange(0, cells, col_bins), np.diff(edges[a:b + 1]))[inb]
+        cell += cols
+        if with_phi:
             out[2, a:b] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(b - a, -1)
             del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
         neg = ps == -1
@@ -221,18 +236,18 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         if rows_of == "y":  # a chunk of the HW view adds its counts into the planes
             cell += neg * cells
             np.add.at(out.reshape(-1), cell if signed.all() else cell[signed], 1.0)
-            return dropped
+            return hi - lo - len(ps)
         # One count over (cell, polarity) keys, made in place from the cells:
         # even = positive, odd = negative.
         key = cell
         key *= 2
-        key += neg
+        key += neg.view(np.int8)
         if not signed.all():
             key = key[signed]
         counts = np.bincount(key, minlength=2 * cells).reshape(b - a, col_bins, 2)
         out[0, a:b] = counts[..., 0]
         out[1, a:b] = counts[..., 1]
-        return dropped
+        return hi - lo - len(ps)
 
     return out, sum(add(*c) for c in chunks if c[3] > c[2])
 

@@ -133,7 +133,7 @@ def _positive(name: str, value, error: type, lo: float = _TINY, hi: float = _HUG
     # compared as Python floats: a NumPy float would cast a bound to its dtype
     x = float(value) if isinstance(value, np.floating) else value
     if not (isinstance(value, numbers.Real) and float(lo) <= x <= float(hi)):
-        within = "finite and > 0" if lo == _TINY else f"in [{lo:g}, {hi:g}]"
+        within = "finite and > 0" if (lo, hi) == (_TINY, _HUGE) else f"in [{lo:g}, {hi:g}]"
         raise error(f"{name} must be {within}, got {value!r}")
     return int(value) if isinstance(value, numbers.Integral) else value
 
@@ -180,9 +180,10 @@ def _geometry(geometry, error: type) -> tuple[int, int]:
         raise error(f"geometry must be two integers >= 1, got {geometry!r}") from None
 
 
-def _shifted(t: np.ndarray, t0: int) -> np.ndarray:
-    """Sorted t - t0 (exact in int64) in a fresh uint32 column below a 2**32 span, else int64."""
-    out = np.empty(len(t), dtype=np.uint32 if int(t[-1]) - t0 < 1 << 32 else np.int64)
+def _shifted(t: np.ndarray, t0: int, t_max: int) -> np.ndarray:
+    """t - t0 (exact in int64) in a fresh column: uint32 when the whole
+    column's t_max - t0 is below 2**32, else int64."""
+    out = np.empty(len(t), dtype=np.uint32 if t_max - t0 < 1 << 32 else np.int64)
     return np.subtract(t, t0, out=out, dtype=np.int64, casting="unsafe")
 
 
@@ -202,7 +203,8 @@ class EventColumns:
     uint8/16/32 dtype is kept as given, strided or read-only views
     included; anything else becomes an exact contiguous int64 copy. A stream
     that `parse_events_binary` found sorted keeps its int64 t view and t[0]
-    in `_t`, one (column, t0) pair; `t` shifts it on first read, then caches.
+    in `_t`, one (column, t0) pair; `t` shifts it on first read, then caches,
+    and a selection shifts only its own events, into the whole column's dtype.
 
     Indexed like a structured array with those fields: ``cols["x"]`` is a
     column, ``cols[i]`` with an integer is one `Event`, and any other index
@@ -228,7 +230,7 @@ class EventColumns:
     def t(self) -> np.ndarray:
         t, t0 = self._t
         if t0:  # one assignment: no reader sees a shifted t with t0 pending
-            self._t = (_shifted(t, t0), 0)
+            self._t = (_shifted(t, t0, int(t[-1])), 0)
         return self._t[0]
 
     def __len__(self) -> int:
@@ -239,10 +241,11 @@ class EventColumns:
             if key not in _FIELDS:
                 raise KeyError(key)
             return getattr(self, key)
+        t, t0 = self._t  # a pending shift: read raw, shift only what is read
         if isinstance(key, (int, np.integer)):
-            t, t0 = self._t  # one value of a pending shift, not the column
             return Event(int(self.x[key]), int(self.y[key]), int(t[key]) - t0, int(self.p[key]))
-        return EventColumns(self.x[key], self.y[key], self.t[key], self.p[key])
+        return EventColumns(self.x[key], self.y[key],
+                            _shifted(t[key], t0, int(t[-1])) if t0 else t[key], self.p[key])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventColumns):
@@ -330,7 +333,7 @@ class EventStream:
             span = int(t[-1]) - int(t[0])
             if span > _INT64_MAX:
                 raise TooLarge(f"timestamps span {span} us, beyond int64")
-            t = _shifted(t, int(t[0]))
+            t = _shifted(t, int(t[0]), int(t[-1]))
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
 
     def __len__(self) -> int:
@@ -385,7 +388,9 @@ class PeriodicGenSpec:
     and event positions oscillate horizontally around the sensor center
     with the given pixel amplitude at the same frequency. Positions are
     drawn in float64, so each geometry side is at most 2**53, up to which
-    float64 holds every pixel index.
+    float64 holds every pixel index. Timestamps are int64 microseconds, so
+    duration_s is at most 2**62 us, and f0 * max(1, duration_s) is at most
+    the float64 maximum / 8, so every phase 2*pi*f0*t is finite.
     """
 
     f0: float
@@ -397,9 +402,13 @@ class PeriodicGenSpec:
     seed: int
 
     def __post_init__(self):
-        for name, lo in (("f0", _TINY), ("duration_s", _TINY), ("base_rate", 0.0),
-                         ("motion_amplitude", -_HUGE)):
-            object.__setattr__(self, name, _positive(name, getattr(self, name), SpecInvalid, lo))
+        # every t in int64 us, and every phase 2 * pi * f0 * t finite
+        object.__setattr__(self, "duration_s", _positive(
+            "duration_s", self.duration_s, SpecInvalid, _TINY, 2.0 ** 62 / 1e6))
+        for name, lo, hi in (("f0", _TINY, _HUGE / 8 / max(1.0, float(self.duration_s))),
+                             ("base_rate", 0.0, _HUGE), ("motion_amplitude", -_HUGE, _HUGE)):
+            value = _positive(name, getattr(self, name), SpecInvalid, lo, hi)
+            object.__setattr__(self, name, value)
         cap = 2.0 ** 62 / float(self.duration_s)  # at most 2**62 candidate events
         object.__setattr__(self, "peak_rate",
                            _positive("peak_rate", self.peak_rate, SpecInvalid, self.base_rate, cap))

@@ -813,6 +813,22 @@ def test_generator_spec_invariants():
     assert generate_periodic_stream(spec).geometry == (4, 4)
 
 
+def test_generator_spec_keeps_timestamps_and_phases_finite():
+    """A phase 2*pi*f0*t past float64 made sin warn "invalid value", and a t
+    past int64 us made the cast to int64 warn (`evholo gen --f0 1e308` and
+    `--duration 1e300 --rate-peak 1e-299`); both are now `SpecInvalid`."""
+    good = dict(f0=1.0, duration_s=0.5, base_rate=0.0, peak_rate=100.0,
+                geometry=(8, 8), motion_amplitude=1.0, seed=0)
+    for field, value in (("f0", 1e308), ("f0", 2.25e307), ("duration_s", 1e300),
+                         ("duration_s", 2.0 ** 62 / 1e6 * 1.0001)):
+        with pytest.raises(SpecInvalid):
+            PeriodicGenSpec(**{**good, field: value, "peak_rate": 1e-299})
+    for spec in ({**good, "f0": 2.2e307}, {**good, "f0": 1e300, "duration_s": 1000.0},
+                 {**good, "duration_s": 2.0 ** 62 / 1e6, "peak_rate": 1e-12}):
+        s = generate_periodic_stream(PeriodicGenSpec(**spec))
+        assert validate_stream(s).clean and s.duration < 2 ** 62
+
+
 def test_generator_sides_stop_where_float64_stops_holding_every_pixel():
     """Positions are clipped to the sensor in float64 and cast to int64: past
     2**53 the clip bound rounds (W = 2**60 + 200 put an event at x = W + 56),

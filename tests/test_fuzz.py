@@ -9,8 +9,9 @@ edges of its steps, `parse_events_binary` gives what whole-array checks
 give, and so do the encoders of the parsed stream before its t is read.
 `evholo validate` on a fuzzed event file exits 0 or 2; `encode`,
 `spectrum` and `bench --in` on fuzzed CSV and HEVS inputs (unsorted HEVS
-too) and `gsg-demo` on fuzzed tensors exit 0, 1 or 2 with at most one line
-of error and write no output on failure.
+too), `gsg-demo` on fuzzed tensors and `gen` on fuzzed flags exit 0, 1 or 2
+with one line of error and write no output on failure. A failing fuzz test
+of this suite reports its falsifying example.
 Runs are derandomized and bounded so the suite stays fast and reproducible.
 """
 
@@ -18,10 +19,14 @@ import contextlib
 import io
 import shutil
 import struct
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_events import assert_same_as_line_walk
 
@@ -301,7 +306,8 @@ HARC = params_to_archive(GsgParams.random(2, 4, 6, seed=1))
 
 def run_fuzzed(tmp_path_factory, argv, files):
     """`main(argv)` with {d} in argv the directory of `files`: it exits 0, 1
-    or 2, says why in one line when it fails, and then leaves no output."""
+    or 2, says why in one line when it fails (after the usage for a flag
+    argparse refuses), and then leaves no output."""
     d = tmp_path_factory.getbasetemp() / "fuzzed_cli"
     shutil.rmtree(d, ignore_errors=True)
     d.mkdir()
@@ -312,7 +318,11 @@ def run_fuzzed(tmp_path_factory, argv, files):
         rc = main([a.format(d=d) for a in argv])
     assert rc in (0, 1, 2)
     if rc:
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        lines = err.getvalue().splitlines()
+        if rc == 1 and lines[0].startswith("usage: evholo"):  # argparse's usage, then its error
+            lines = [line for line in lines if "error:" in line]
+            assert err.getvalue().endswith(lines[-1] + "\n")
+        assert len(lines) == 1, err.getvalue()
         assert sorted(p.name for p in d.iterdir()) == sorted(files)
 
 
@@ -385,3 +395,90 @@ def test_bench_on_fuzzed_hevs(tmp_path_factory, blob):
 def test_gsg_demo_on_fuzzed_tensor_and_params(tmp_path_factory, blobs):
     run_fuzzed(tmp_path_factory, ["gsg-demo", "--in", "{d}/x.hten", "--params", "{d}/p.harc",
                                   "--out", "{d}/out.hten"], dict(zip(["x.hten", "p.harc"], blobs)))
+
+
+# text argparse or the generator refuses, or None to leave the flag out
+ODD_NUMBER = st.one_of(st.floats().map(repr), st.text("0123456789.-+einfa", max_size=5),
+                       st.sampled_from([None, "0", "-0", "-1", "-1e-9", "5", "nan", "inf", "-inf",
+                                        "1e300", "1e308", "1e-320", "", " ", "x", "1,5", "0x10"]))
+
+
+def number(lo, hi):
+    """A float in [lo, hi] as text, written as a user may write it."""
+    return st.tuples(st.floats(lo, hi), st.sampled_from(["{!r}", "{:g}", " {:.3e}"])).map(
+        lambda v: v[1].format(v[0]))
+
+
+GEN_FLAGS = {  # flag -> (a value gen takes, one it may refuse); None leaves the flag out
+    # an f0 near the float64 maximum passes argparse; the generator refuses most (exit 2)
+    "--f0": (number(1e-3, 1e4), st.one_of(ODD_NUMBER, st.floats(1e307, 1.7e308).map(repr))),
+    "--duration": (number(1e-6, 10.0), ODD_NUMBER),
+    # an odd rate-base or rate-peak may also pass, and leave the peak below the base
+    "--rate-base": (st.one_of(st.none(), number(0.0, 1e3)), ODD_NUMBER),
+    "--rate-peak": (st.one_of(st.none(), number(1e3, 1e4)), ODD_NUMBER),
+    "--geometry": (
+        st.one_of(st.none(), st.tuples(st.integers(1, 65535), st.integers(1, 65535)).map(
+            "{0[0]}x{0[1]}".format)),
+        st.sampled_from([None, "0x5", "5x0", "65536x2", "8x8\n", "-1x3", "4x", "", "1e3x2"])),
+    "--seed": (st.one_of(st.none(), st.integers(0, 2 ** 70).map(str)),
+               st.sampled_from([None, "-1", "1.5", "x", ""])),
+}
+
+
+@st.composite
+def gen_argv(draw):
+    """gen's flags, none, one or two of them odd."""
+    odd = draw(st.one_of(st.just(()), *(st.sampled_from(list(combinations(GEN_FLAGS, k)))
+                                        for k in (1, 2))))
+    values = {flag: draw(GEN_FLAGS[flag][flag in odd]) for flag in GEN_FLAGS}
+    return {flag: value for flag, value in values.items() if value is not None}
+
+
+def gen_events(flags) -> float:
+    """duration x rate-peak as `gen` reads them (rate-peak 10000 when left
+    out), or 0 when argparse refuses either."""
+    try:
+        duration = float(flags["--duration"])
+        peak = float(flags.get("--rate-peak", "10000"))
+    except (KeyError, ValueError):  # left out, or not a number
+        return 0.0
+    return duration * peak if duration > 0 and peak >= 0 else 0.0
+
+
+@settings(FUZZ, max_examples=400)
+@given(gen_argv())
+def test_gen_on_fuzzed_flags(tmp_path_factory, flags):
+    # about 1e5 candidate events at most, so that no example makes large arrays
+    assume(not gen_events(flags) > 1e5)
+    argv = [a for flag, value in flags.items() for a in (flag, value.replace("{", "{{"))]
+    run_fuzzed(tmp_path_factory, ["gen", *argv, "--out", "{d}/g.hevs"], {})
+
+FAILING_FUZZ = '''
+import warnings
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails_by_example(n):
+    assert n < 5
+
+def test_any_other_deprecation_warning_is_an_error():
+    warnings.warn("some other API is deprecated", DeprecationWarning)
+'''
+
+
+def test_a_failing_fuzz_test_reports_its_falsifying_example(tmp_path):
+    """Under this suite's warning filter a failing `@given` test is a plain
+    failure with its falsifying example (it was an INTERNALERROR, since
+    hypothesis's report touches a deprecated `mypy_extensions.TypedDict`),
+    and any other warning still fails its test."""
+    (tmp_path / "test_failing.py").write_text(FAILING_FUZZ)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c",
+                          str(config), "--rootdir", str(tmp_path), "test_failing.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example: test_fails_by_example(" in out
+    assert "INTERNALERROR" not in out
+    assert "2 failed" in out
