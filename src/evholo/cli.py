@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .bench import encode_throughput, synthetic_uniform_stream
-from .encode import EncodeConfig, encode_chsr, encode_view, export_channel_image
+from .encode import EncodeConfig, encode_chsr, encode_throughput, encode_view, export_channel_image
 from .errors import EvholoError, ShapeMismatch
 from .events import (
     HEVS_MAGIC,
@@ -30,6 +29,7 @@ from .events import (
     generate_periodic_stream,
     parse_events_binary,
     parse_events_csv,
+    synthetic_uniform_stream,
     validate_stream,
     write_events_binary,
 )
@@ -179,8 +179,8 @@ def cmd_spectrum(args) -> tuple[dict, str]:
 
 
 def _grad_check_crop(x: np.ndarray) -> np.ndarray:
-    """Down-sample a feature tensor to at most 2x6x6 for the gradient suite."""
-    c = min(2, x.shape[0])
+    """Down-sample a feature tensor to at most 3x6x6 for the gradient suite."""
+    c = min(3, x.shape[0])
     step_r = max(1, x.shape[1] // 6)
     step_c = max(1, x.shape[2] // 6)
     return x[:c, ::step_r, ::step_c][:, :6, :6].astype(np.float64)  # a C-contiguous copy

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the intake checks that raise them.
 
 ParseError subclasses signal defective input data (the CLI maps them to
 exit code 2); the remaining classes signal contract violations at API
@@ -6,9 +6,20 @@ boundaries, and those about a bad value also subclass ValueError. The one
 library raise outside `EvholoError` is the `TypeError` of an `EventStream`
 built from anything but `EventColumns`: a wrong argument type is a
 caller's programming error, never malformed input.
+
+The package's intake checks live here, beside the errors they raise, and
+every layer takes outside values through them: `_integer` and `_positive`
+for every scalar argument, `_asarray` for nested sequences, `_bytes` for
+byte input, `_int64_column` for integer columns, `_checked` for real and
+complex arrays, and `_no_overflow` around an entry's float math.
 """
 
 from __future__ import annotations
+
+import functools
+import numbers
+
+import numpy as np
 
 
 class EvholoError(Exception):
@@ -130,3 +141,95 @@ class TooShort(EvholoError, ValueError):
 class SelectorOutOfRange(EvholoError, IndexError):
     """A finite-difference parameter selector or index that is not an integer
     in 0..n-1, for the n flattened parameters."""
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)  # the least positive float64
+_HUGE = float(np.finfo(np.float64).max)
+_TWO_63 = np.float64(2.0 ** 63)  # a float64 scalar, so a float16 column does not cast it
+
+
+def _integer(name: str, value, error: type, lo: int = 1, hi: float = np.inf) -> int:
+    """`value` as a Python int if it is a Python or NumPy integer (bool too) in
+    lo..hi, else `error`; so no size guard computes in a NumPy scalar."""
+    if not (isinstance(value, numbers.Integral) and lo <= int(value) <= hi):
+        within = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
+        raise error(f"{name} must be an integer {within}, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value, error: type, lo: float = _TINY, hi: float = _HUGE):
+    """`value` if it is a Python or NumPy real number (bool too) in [lo, hi],
+    by default finite and > 0 in float64, else `error`; an integer comes back
+    as a Python int, so that no NumPy integer wraps, a float as given."""
+    # compared as Python floats: a NumPy float would cast a bound to its dtype
+    x = float(value) if isinstance(value, np.floating) else value
+    if not (isinstance(value, numbers.Real) and float(lo) <= x <= float(hi)):
+        within = "finite and > 0" if (lo, hi) == (_TINY, _HUGE) else f"in [{lo:g}, {hi:g}]"
+        raise error(f"{name} must be {within}, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else value
+
+
+def _asarray(name: str, value) -> np.ndarray:
+    """`np.asarray(value)`; a ragged nested sequence is `ShapeMismatch`."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
+
+
+def _bytes(data) -> bytes:
+    """`data` itself if it is `bytes`, else a copy of any other buffer, which
+    may change later; anything else, text or an int, is `SpecInvalid`."""
+    if isinstance(data, bytes):
+        return data
+    try:
+        return bytes(memoryview(data))
+    except TypeError:  # not a buffer
+        raise SpecInvalid(f"input must be bytes or a buffer, got {type(data).__name__}") from None
+
+
+def _int64_column(name: str, value) -> np.ndarray:
+    """`value` as a C-contiguous int64 array. Bool, integers and whole-number
+    floats in the int64 range convert exactly; anything else is `SpecInvalid`,
+    and a ragged nested sequence `ShapeMismatch`."""
+    a = _asarray(name, value)
+    if a.dtype.kind == "f":
+        exact = np.all((a == np.trunc(a)) & (a >= -_TWO_63) & (a < _TWO_63))
+    else:
+        exact = a.dtype.kind in "bi" or a.dtype.kind == "u" and a.max(initial=0) <= _INT64_MAX
+    if not exact:
+        raise SpecInvalid(f"{name} must hold integers in the int64 range, got {a.dtype} values")
+    return a.astype(np.int64, order="C", copy=False)
+
+
+def _checked(name: str, value, dtype, shape: tuple | None) -> np.ndarray:
+    """`value` as a non-empty `dtype` array of `shape` (None: any extent; a None
+    shape: any array, empty too), else `ShapeMismatch`, as is a ragged sequence; a
+    None dtype keeps f32/f64 and makes bool and ints f64. Text, bytes, objects,
+    complex into a real dtype: `SpecInvalid`; NaN, Inf: `NonFinite`."""
+    a = _asarray(name, value)
+    want = np.dtype(dtype or (a.dtype if a.dtype in (np.float32, np.float64) else np.float64))
+    if a.dtype.kind not in ("biufc" if want.kind == "c" else "biuf"):
+        raise SpecInvalid(f"{name} must convert to {want}, got dtype {a.dtype}")
+    a = a.astype(want, copy=False)
+    if shape is not None and (a.size == 0 or a.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, a.shape))):
+        dims = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ShapeMismatch(f"{name} must have non-empty shape ({dims}), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite(f"{name} contains NaN or Inf")
+    return a
+
+
+def _no_overflow(entry):
+    """Make a float overflow or invalid operation inside `entry` a
+    `NonFinite`, instead of an Inf, a NaN or a saturated value in its result."""
+    @functools.wraps(entry)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return entry(*args, **kwargs)
+        except FloatingPointError as e:
+            raise NonFinite(f"{entry.__name__}: {e}, input too large") from None
+    return run

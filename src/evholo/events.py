@@ -48,13 +48,12 @@ rejected with `TooLarge` when normalized. The HEVS pass checks polarity and
 order in steps of 8192 records, t and p copied contiguous; a bad polarity
 in any record beats a bad timestamp in an earlier one.
 
-The package's intake checks live here: `_integer` and `_positive` for every
-scalar argument, `_asarray` for nested sequences, `_bytes` for byte input.
+Arguments and columns from outside go through the intake checks of
+`errors`; the checks here are the event model's own (geometry, order).
 """
 
 from __future__ import annotations
 
-import numbers
 import re
 import struct
 from array import array
@@ -64,6 +63,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import (
+    _HUGE,
+    _INT64_MAX,
+    _TINY,
     BadMagic,
     BadPolarity,
     BadTimestamp,
@@ -76,13 +78,13 @@ from .errors import (
     SpecInvalid,
     TooLarge,
     TruncatedRecord,
+    _bytes,
+    _int64_column,
+    _integer,
+    _positive,
 )
 
 _FIELDS = ("x", "y", "t", "p")
-_INT64_MAX = int(np.iinfo(np.int64).max)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)  # the least positive float64
-_HUGE = float(np.finfo(np.float64).max)
-_TWO_63 = np.float64(2.0 ** 63)  # a float64 scalar, so a float16 column does not cast it
 # Column dtypes kept as given; any other input becomes int64. uint64 is left
 # out: mixed with int64 it promotes to float64 and loses precision.
 _KEPT_DTYPES = frozenset(map(np.dtype, ("i1", "i2", "i4", "i8", "u1", "u2", "u4")))
@@ -115,60 +117,6 @@ _HEVS_RANGES = {"x": (0, 0xFFFF), "y": (0, 0xFFFF), "t": (0, _INT64_MAX), "p": (
 def _ascending(v: np.ndarray) -> bool:
     """Whether v never decreases: one O(n) neighbour compare."""
     return bool(np.all(v[:-1] <= v[1:]))
-
-
-def _integer(name: str, value, error: type, lo: int = 1, hi: float = np.inf) -> int:
-    """`value` as a Python int if it is a Python or NumPy integer (bool too) in
-    lo..hi, else `error`; so no size guard computes in a NumPy scalar."""
-    if not (isinstance(value, numbers.Integral) and lo <= int(value) <= hi):
-        within = f">= {lo}" if hi == np.inf else f"in {lo}..{hi}"
-        raise error(f"{name} must be an integer {within}, got {value!r}")
-    return int(value)
-
-
-def _positive(name: str, value, error: type, lo: float = _TINY, hi: float = _HUGE):
-    """`value` if it is a Python or NumPy real number (bool too) in [lo, hi],
-    by default finite and > 0 in float64, else `error`; an integer comes back
-    as a Python int, so that no NumPy integer wraps, a float as given."""
-    # compared as Python floats: a NumPy float would cast a bound to its dtype
-    x = float(value) if isinstance(value, np.floating) else value
-    if not (isinstance(value, numbers.Real) and float(lo) <= x <= float(hi)):
-        within = "finite and > 0" if (lo, hi) == (_TINY, _HUGE) else f"in [{lo:g}, {hi:g}]"
-        raise error(f"{name} must be {within}, got {value!r}")
-    return int(value) if isinstance(value, numbers.Integral) else value
-
-
-def _asarray(name: str, value) -> np.ndarray:
-    """`np.asarray(value)`; a ragged nested sequence is `ShapeMismatch`."""
-    try:
-        return np.asarray(value)
-    except ValueError:  # NumPy's "inhomogeneous shape"
-        raise ShapeMismatch(f"{name} is a ragged nested sequence, not an array") from None
-
-
-def _bytes(data) -> bytes:
-    """`data` itself if it is `bytes`, else a copy of any other buffer, which
-    may change later; anything else, text or an int, is `SpecInvalid`."""
-    if isinstance(data, bytes):
-        return data
-    try:
-        return bytes(memoryview(data))
-    except TypeError:  # not a buffer
-        raise SpecInvalid(f"input must be bytes or a buffer, got {type(data).__name__}") from None
-
-
-def _int64_column(name: str, value) -> np.ndarray:
-    """`value` as a C-contiguous int64 array. Bool, integers and whole-number
-    floats in the int64 range convert exactly; anything else is `SpecInvalid`,
-    and a ragged nested sequence `ShapeMismatch`."""
-    a = _asarray(name, value)
-    if a.dtype.kind == "f":
-        exact = np.all((a == np.trunc(a)) & (a >= -_TWO_63) & (a < _TWO_63))
-    else:
-        exact = a.dtype.kind in "bi" or a.dtype.kind == "u" and a.max(initial=0) <= _INT64_MAX
-    if not exact:
-        raise SpecInvalid(f"{name} must hold integers in the int64 range, got {a.dtype} values")
-    return a.astype(np.int64, order="C", copy=False)
 
 
 def _geometry(geometry, error: type) -> tuple[int, int]:
@@ -727,3 +675,16 @@ def generate_periodic_stream(spec: PeriodicGenSpec) -> EventStream:
     t_us = np.floor(t_s * 1e6).astype(np.int64)
     stream = EventStream.from_arrays(spec.geometry, x, y, t_us, p)
     return stream.normalized()
+
+
+def synthetic_uniform_stream(n_events: int) -> EventStream:
+    """Seeded stream with exactly n_events uniform events over 10 s on a
+    346x260 sensor, for benchmarking."""
+    n_events = _integer("n_events", n_events, SpecInvalid, 0, _INT64_MAX)
+    w, h = 346, 260
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, w, n_events)
+    y = rng.integers(0, h, n_events)
+    t = np.sort(rng.integers(0, 10_000_000, n_events))
+    p = rng.choice(np.array([-1, 1], dtype=np.int64), n_events)
+    return EventStream.from_arrays((w, h), x, y, t, p).normalized()

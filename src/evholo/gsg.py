@@ -39,10 +39,9 @@ from typing import Callable
 import numpy as np
 
 from . import tensorio
-from .errors import (ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange, ShapeMismatch,
-                     TooLarge)
-from .events import _INT64_MAX, _integer, _positive
-from .spectral import _checked, _no_overflow, half_cols, half_spectrum_weights
+from .errors import (_INT64_MAX, ConfigInvalid, NonFinite, ParseError, SelectorOutOfRange,
+                     ShapeMismatch, TooLarge, _checked, _integer, _no_overflow, _positive)
+from .spectral import half_cols, half_spectrum_weights
 
 LN_EPS = 1e-5
 _BLOCK_BYTES = 200_000  # per float64 array of a gate row block

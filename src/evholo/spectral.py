@@ -5,19 +5,20 @@ package relies on (half-spectrum column count = cols // 2 + 1, and the
 inverse always told the true column count so odd widths round-trip).
 `dft2_oracle` is an independent direct evaluation of the same transform,
 kept deliberately slow and size-capped; it exists so the fast path can be
-checked against something that shares no code with it.
+checked against something that shares no code with it. Arrays come in
+through `errors._checked`, and each entry runs under `errors._no_overflow`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadBin, NonFinite, ShapeMismatch, SpecInvalid, TooLarge, TooShort
-from .events import _INT64_MAX, EventStream, _asarray, _int64_column, _integer, _positive
+from .errors import (_INT64_MAX, BadBin, ShapeMismatch, SpecInvalid, TooLarge, TooShort, _checked,
+                     _int64_column, _integer, _no_overflow, _positive)
+from .events import EventStream
 
 #: dft2_oracle refuses inputs with more elements than this.
 ORACLE_MAX_ELEMENTS = 4096
@@ -45,38 +46,6 @@ def half_spectrum_weights(cols: int) -> np.ndarray:
     if cols % 2 == 0:
         weights[-1] = 1.0
     return weights
-
-
-def _checked(name: str, value, dtype, shape: tuple | None) -> np.ndarray:
-    """`value` as a non-empty `dtype` array of `shape` (None: any extent; a None
-    shape: any array, empty too), else `ShapeMismatch`, as is a ragged sequence; a
-    None dtype keeps f32/f64 and makes bool and ints f64. Text, bytes, objects,
-    complex into a real dtype: `SpecInvalid`; NaN, Inf: `NonFinite`."""
-    a = _asarray(name, value)
-    want = np.dtype(dtype or (a.dtype if a.dtype in (np.float32, np.float64) else np.float64))
-    if a.dtype.kind not in ("biufc" if want.kind == "c" else "biuf"):
-        raise SpecInvalid(f"{name} must convert to {want}, got dtype {a.dtype}")
-    a = a.astype(want, copy=False)
-    if shape is not None and (a.size == 0 or a.ndim != len(shape) or any(
-            n is not None and n != m for n, m in zip(shape, a.shape))):
-        dims = ", ".join("*" if n is None else str(n) for n in shape)
-        raise ShapeMismatch(f"{name} must have non-empty shape ({dims}), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite(f"{name} contains NaN or Inf")
-    return a
-
-
-def _no_overflow(entry):
-    """Make a float overflow or invalid operation inside `entry` a
-    `NonFinite`, instead of an Inf, a NaN or a saturated value in its result."""
-    @functools.wraps(entry)
-    def run(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return entry(*args, **kwargs)
-        except FloatingPointError as e:
-            raise NonFinite(f"{entry.__name__}: {e}, input too large") from None
-    return run
 
 
 @_no_overflow

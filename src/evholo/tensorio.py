@@ -36,8 +36,10 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     SpecInvalid,
+    _asarray,
+    _bytes,
+    _integer,
 )
-from .events import _asarray, _bytes, _integer
 
 TENSOR_MAGIC = b"HTEN"
 ARCHIVE_MAGIC = b"HARC"

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +234,52 @@ def test_events_of_the_wrong_type_stay_a_type_error():
     with pytest.raises(TypeError) as raised:
         evholo.EventStream((4, 4), [(1, 2, 3, 1)])
     assert not isinstance(raised.value, evholo.EvholoError)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "evholo"
+
+#: The package's modules; adding or removing one should be a deliberate change.
+MODULES = {"__init__", "cli", "encode", "errors", "events", "gsg", "spectral", "tensorio"}
+
+#: The intake checks and their bounds, defined in `errors` alone.
+INTAKE_NAMES = {"_INT64_MAX", "_TINY", "_HUGE", "_TWO_63", "_integer", "_positive", "_asarray",
+                "_bytes", "_int64_column", "_checked", "_no_overflow"}
+
+
+def _package_modules():
+    """{module: (names it defines at top level, {sibling: names imported from it})}."""
+    modules = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined, siblings = set(), {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("evholo") for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                assert node.module.split(".")[0] != "evholo", path.name
+            elif isinstance(node, ast.ImportFrom) and node.module:  # from .sibling import names
+                siblings.setdefault(node.module, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):  # from . import sibling
+                siblings.update((a.name, set()) for a in node.names)
+        modules[path.stem] = defined, siblings
+    return modules
+
+
+def test_layers_take_private_names_only_from_errors():
+    modules = _package_modules()
+    assert set(modules) == MODULES
+    private = sorted((m, sib, name) for m, (_, siblings) in modules.items()
+                     for sib, names in siblings.items() if sib != "errors"
+                     for name in names if name.startswith("_"))
+    assert private == []
+    for m, (defined, _) in modules.items():
+        assert defined & INTAKE_NAMES == (INTAKE_NAMES if m == "errors" else set()), m
+    assert set(modules["events"][1]) == set(modules["tensorio"][1]) == {"errors"}
+    edges = sum(len(siblings) for m, (_, siblings) in modules.items() if m != "__init__")
+    assert edges <= 15

@@ -488,6 +488,24 @@ def test_narrow_columns_encode_like_int64(dtype):
         assert np.array_equal(hw.data, want)
 
 
+@pytest.mark.parametrize("chunk", [64, 2 ** 16])
+def test_parsed_uint16_columns_drop_events_past_the_geometry(monkeypatch, chunk):
+    """A parsed stream's x and y are uint16, which no bound check needs to
+    test below 0: events with x >= W or y >= H are still dropped and counted
+    in every chunk, as in the stream's int64 twin and a per-event reference."""
+    monkeypatch.setattr(encode_module, "_CHUNK", chunk)
+    s = random_stream(3000, geometry=(90, 70), t_max=5000, seed=12, oob_fraction=0.1)
+    parsed = parse_events_binary(write_events_binary(s))
+    assert parsed.events.x.dtype == parsed.events.y.dtype == np.uint16
+    for config in (EncodeConfig(t_bins=40, h_bins=33, w_bins=51), EncodeConfig(t_bins=40)):
+        _assert_same_encodings(parsed, s, config)
+    ref, ref_dropped = chsr_reference(s, 40, 70)
+    t = encode_chsr(parsed, EncodeConfig(t_bins=40))
+    assert t.dropped == ref_dropped == 300
+    assert np.array_equal(t.data[:2], ref[:2])
+    assert np.allclose(t.data[2], ref[2], rtol=1e-12, atol=1e-12)
+
+
 # lengths about the bisection's steps: 0, 1 and 2**k - 1, 2**k, 2**k + 1
 ROW_EDGE_LENGTHS = sorted({0, 1} | {2 ** k + d for k in range(1, 13) for d in (-1, 0, 1)})
 
