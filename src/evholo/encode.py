@@ -12,31 +12,30 @@ Binning rules (shared by all encoders):
     height bin   = floor(y * h_bins / H_sensor)
     width bin    = floor(x * w_bins / W_sensor)
 
-One rule for time rows: the CHSR, TW and TH encoders normalize the stream
-(stable sort by t and shift to t_min = 0, which a parsed HEVS t defers), then
-bin it in chunks, so any event order encodes like its stable sort. The +1 on
+One rule for time rows: the CHSR, TW and TH encoders take the normalized
+stream (stable sort by t and shift to t_min = 0, which a parsed HEVS t defers)
+and the slice of it each time row holds from `EventStream.time_bins`, then bin
+it in chunks, so any event order encodes like its stable sort. The +1 on
 duration lets the final event land in the last bin without a special case.
 Out-of-geometry events are dropped and counted, never clamped. A stream whose
 (duration + 1) * t_bins, or a tensor whose float64 planes in bytes, does not
 fit int64 raises `TooLarge`. Every bin is widened to int64 before any
 arithmetic (under NEP 50 a uint16 column times an int stays uint16 and wraps).
 
-In the sorted stream each time row is a contiguous slice; all row thresholds
-plus t_min are bisected at once over the raw t, which reads a few values per
-row where `searchsorted` would copy a parsed stream's strided t whole. Chunks
-(a, b, lo, hi), events lo:hi filling rows a:b, are planned up front: whole time
-rows grouped up to 2**16 events (a row with more is a chunk of its own), or for
-the HW view, which has no time axis, 2**16 events of the stream as it is over
-all rows. One loop bins every chunk: it copies x, y and p contiguous (a parsed
-stream's are strided views of its records), drops out-of-geometry events,
-gathers phi, takes the column bins, frees x, and only then builds the row
-offsets and fills the chunk's rows, so temporaries are sized by the chunk.
-The CHSR copies x into intp, as the phi gather runs 3x faster on an intp
-index than on uint16; freeing it before the row offsets keeps the call peak
-where the uint16 copy had it. The views, with no phi, keep x's own dtype.
-No time-row cell spans two chunks, so the holographic channel (a weighted
-`bincount` in event order, phi from a W-entry table, or per event when
-events are fewer than W) sums each cell as one pass would, bit-identically.
+Chunks (a, b, lo, hi), events lo:hi filling rows a:b, are planned up front:
+whole time rows grouped up to 2**16 events (a row with more is a chunk of its
+own), or for the HW view, which has no time axis, 2**16 events of the stream
+as it is over all rows. One loop bins every chunk: it copies x, y and p
+contiguous (a parsed stream's are strided views of its records), drops
+out-of-geometry events, gathers phi, takes the column bins, frees x, and only
+then builds the row offsets and fills the chunk's rows, so temporaries are
+sized by the chunk. The CHSR copies x into intp, as the phi gather runs 3x
+faster on an intp index than on uint16; freeing it before the row offsets
+keeps the call peak where the uint16 copy had it. The views, with no phi,
+keep x's own dtype. No time-row cell spans two chunks, so the holographic
+channel (a weighted `bincount` in event order, phi from a W-entry table, or
+per event when events are fewer than W) sums each cell as one pass would,
+bit-identically.
 Counts keep two accumulates, each faster and smaller for its rows: time rows
 one `bincount` over (cell, polarity) keys made in place on the cell index,
 the polarity mask added as int8 (1.6x faster than `np.add.at`); HW
@@ -154,32 +153,6 @@ def _scaled(v: np.ndarray, bins: int, extent: int) -> np.ndarray:
     return b
 
 
-def _row_edges(t: np.ndarray, t0: int, span: int, row_bins: int) -> np.ndarray:
-    """Where each temporal row starts in sorted t, plus len(t) at the end.
-
-    Row r starts at the first event with t - t0 >= ceil(r * span / row_bins).
-    Only rows 1..row_bins-1 are searched, and only those whose threshold is
-    at most t_max - t0: the others start at len(t). All thresholds + t0 are
-    bisected at once over the raw t, so each step reads one value per row of
-    a strided view (searchsorted would copy it whole): the edges equal
-    ``searchsorted(t, thr + t0, side="left")``.
-    """
-    thr = np.arange(1, row_bins, dtype=np.int64)
-    thr *= span
-    thr = -(-thr // row_bins)
-    thr = thr[:np.searchsorted(thr, span - 1, side="right")]
-    thr += t0  # every threshold is at most t_max, so it fits
-    n = len(t)
-    below = np.zeros(len(thr), dtype=np.int64)  # events known to lie below each threshold
-    for k in reversed(range(n.bit_length())):
-        step = np.minimum(below + (1 << k), n)
-        below = np.where(t[step - 1] < thr, step, below)
-    edges = np.full(row_bins + 1, n, dtype=np.int64)
-    edges[0] = 0
-    edges[1:1 + len(thr)] = below
-    return edges
-
-
 def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     """Bin the stream into a (pos, neg[, phi]) x row_bins x col_bins array;
     returns it and the count of dropped out-of-geometry events."""
@@ -188,11 +161,8 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     # the planes' bytes must fit int64, and so the 2 * rows * cols polarity keys
     _integer(f"bytes of {planes} x {row_bins} x {col_bins} float64 planes",
              planes * 8 * row_bins * col_bins, TooLarge, 1, _INT64_MAX)
-    if rows_of == "t":
-        stream = stream.normalized()
-        t, t0 = stream.events._t  # t - t0 starts at 0; t0 is 0 once t is shifted
-        span = int(t[-1]) - t0 + 1 if len(t) else 1  # duration + 1
-        _integer("(duration + 1) * t_bins", span * row_bins, TooLarge, 1, _INT64_MAX)
+    if rows_of == "t":  # the sorted stream, and where each time row starts in it
+        stream, edges = stream.time_bins(row_bins)
     ev = stream.events
     x, y, p = ev.x, ev.y, ev.p
     n = len(ev)
@@ -203,7 +173,6 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
         chunks = [(0, row_bins, lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     else:  # whole time rows, at most _CHUNK events unless one row holds more
-        edges = _row_edges(t, t0, span, row_bins)
         chunks, a = [], 0
         while a < row_bins:
             b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
@@ -320,13 +289,17 @@ def encode_view(stream: EventStream, view: ViewKind,
     return ViewTensor(view=view, data=data, dropped=dropped, config=cfg)
 
 
+@_no_overflow
 def export_channel_image(tensor: ChsrTensor | ViewTensor, channel: int) -> bytes:
     """Render one channel as an 8-bit binary PGM (P5), min-max normalized.
 
-    A zero-range channel exports an all-zero image of the same dimensions.
+    A zero-range channel exports an all-zero image of the same dimensions. A
+    channel holding NaN or Inf, or whose range overflows float64, is
+    `NonFinite`.
     """
     data = tensor.data
     ch = data[_integer("channel", channel, ChannelOutOfRange, 0, data.shape[0] - 1)]
+    ch = _checked(f"channel {channel}", ch, None, None)
     rows, cols = ch.shape
     lo, hi = float(ch.min()), float(ch.max())
     img = np.rint((ch - lo) / ((hi - lo) or 1.0) * 255.0).astype(np.uint8)  # zero range: all 0

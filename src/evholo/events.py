@@ -284,6 +284,30 @@ class EventStream:
             t = _shifted(t, int(t[0]), int(t[-1]))
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
 
+    def time_bins(self, t_bins) -> tuple["EventStream", np.ndarray]:
+        """The stream normalized, and the t_bins + 1 edges of its time bins.
+
+        Bin k holds the events with (t - t_min) * t_bins // (duration + 1) == k,
+        events edges[k]:edges[k + 1] of the normalized stream; the +1 lets the
+        last event land in the last bin. Every bin start is bisected at once
+        over t as stored, t_min subtracted per probe, so each step reads one
+        value per bin of a strided view (`searchsorted` would copy it whole)
+        and a parsed stream's shift stays pending. A t_bins not an integer >= 1
+        is `ConfigInvalid`; (duration + 1) * t_bins past int64 is `TooLarge`.
+        """
+        t_bins = _integer("t_bins", t_bins, ConfigInvalid)
+        stream = self.normalized()
+        t, t0 = stream.events._t  # t - t0 starts at 0; t0 is 0 once t is shifted
+        n = len(t)
+        span = int(t[-1]) - t0 + 1 if n else 1  # duration + 1
+        _integer("(duration + 1) * t_bins", span * t_bins, TooLarge, 1, _INT64_MAX)
+        k = np.arange(1, t_bins)
+        below = np.zeros(t_bins - 1, dtype=np.int64)  # events known to lie below bin k
+        for b in reversed(range(n.bit_length())):
+            step = np.minimum(below + (1 << b), n)
+            below = np.where((t[step - 1].astype(np.int64) - t0) * t_bins // span < k, step, below)
+        return stream, np.r_[0, below, n]
+
     def __len__(self) -> int:
         return len(self.events)
 

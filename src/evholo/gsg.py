@@ -354,11 +354,6 @@ def _from_sections(sections) -> GsgParams:
     return GsgParams(spectral_weight=w, **real)
 
 
-def param_component_count(params: GsgParams) -> int:
-    """Total scalar parameter components (complex weights count twice)."""
-    return sum(a.size for a in _sections(params).values())
-
-
 def flatten_params(params: GsgParams) -> np.ndarray:
     """All scalar components as one vector, in PARAM_SECTIONS order."""
     return np.concatenate([a.ravel() for a in _sections(params).values()])

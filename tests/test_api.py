@@ -159,6 +159,9 @@ BAD_VALUES = {
     "fractional repeats": (lambda: evholo.encode_throughput(_STREAM, 1.5), evholo.SpecInvalid),
     "fractional n_events": (lambda: evholo.synthetic_uniform_stream(1.5), evholo.SpecInvalid),
     "text n_events": (lambda: evholo.synthetic_uniform_stream("3"), evholo.SpecInvalid),
+    "fractional t_bins": (lambda: _STREAM.time_bins(1.5), evholo.ConfigInvalid),
+    "span times t_bins past int64": (lambda: evholo.EventStream.from_arrays(
+        (4, 3), [0, 3], [0, 2], [0, 2 ** 62], [1, -1]).time_bins(4), evholo.TooLarge),
     "NumPy bins past the plane guard": (lambda: evholo.encode_chsr(_STREAM, evholo.EncodeConfig(
         t_bins=np.int64(2 ** 40), h_bins=np.int64(2 ** 40))), evholo.TooLarge),
     "geometry of three sides": (lambda: evholo.EventStream.from_arrays(
@@ -191,6 +194,12 @@ BAD_VALUES = {
     "Inf spectrum df": (lambda: evholo.Spectrum(np.inf, [1.0, 2.0]).frequencies(), evholo.BadBin),
     "text rate bin": (lambda: evholo.event_rate_series(_STREAM, "a"), evholo.BadBin),
     "text spectrum df": (lambda: evholo.Spectrum("a", [1.0]), evholo.BadBin),
+    "PGM of a NaN channel": (lambda: evholo.export_channel_image(
+        evholo.ChsrTensor(np.array([[[np.nan, 1.0]]]), 0, evholo.EncodeConfig()), 0),
+                             evholo.NonFinite),
+    "PGM of a range past float64": (lambda: evholo.export_channel_image(
+        evholo.ChsrTensor(np.array([[[-1e308, 1e308]]]), 0, evholo.EncodeConfig()), 0),
+                                    evholo.NonFinite),
     "ragged tensor": (lambda: evholo.write_tensor([[1.0], [2.0, 3.0]]), evholo.ShapeMismatch),
     # byte readers take a buffer, never text or an int
     **{f"{read.__name__} of {kind}": (lambda read=read, v=v: read(v), evholo.SpecInvalid)
@@ -283,3 +292,8 @@ def test_layers_take_private_names_only_from_errors():
     assert set(modules["events"][1]) == set(modules["tensorio"][1]) == {"errors"}
     edges = sum(len(siblings) for m, (_, siblings) in modules.items() if m != "__init__")
     assert edges <= 15
+    # t as stored (a record view with its shift pending) is the event model's own
+    reads = sorted((path.stem, node.lineno) for path in SRC.glob("*.py") if path.stem != "events"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr == "_t")
+    assert reads == []

@@ -403,6 +403,7 @@ def test_deferred_t_shift_reads_like_the_eager_twin(case):
         "hevs": write_events_binary,
         "csv": write_events_csv,
         "rate": lambda s: event_rate_series(s, bin_dt).values.tolist(),
+        "time_bins": lambda s: s.time_bins(50)[1].tolist(),
     }
     pending = int(t[0]) if case not in ("t0 = 0", "unsorted") else 0
     stream = parse_events_binary(data)
@@ -410,7 +411,7 @@ def test_deferred_t_shift_reads_like_the_eager_twin(case):
         fresh = parse_events_binary(data)
         assert fresh.events._t[1] == pending
         assert read(fresh) == read(stream) == read(twin), name
-        keeps = name in ("encoders", "duration", "repr", "index", "slice", "mask")
+        keeps = name in ("encoders", "duration", "repr", "index", "slice", "mask", "time_bins")
         assert fresh.events._t[1] == (pending if keeps else 0), name
 
 
@@ -516,10 +517,10 @@ ROW_EDGE_LENGTHS = sorted({0, 1} | {2 ** k + d for k in range(1, 13) for d in (-
        t0=st.one_of(st.just(0), st.integers(1, 2 ** 63)), dtype=st.sampled_from(["<u4", "<i8"]),
        strided=st.booleans(), near=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_row_edges_equal_searchsorted(n, row_bins, span, t0, dtype, strided, near, seed):
-    """`_row_edges` bisects every row threshold + t0 over t at once; its
+    """`EventStream.time_bins` bisects every bin start over t at once; its
     edges equal `searchsorted(t, thr + t0)`, on a uint32 or int64 t, a
-    contiguous one or a strided record view (as parsed), with ties, empty
-    rows and events at a threshold, -1 or +1."""
+    contiguous one or a strided record view with its shift pending (as
+    parsed), with ties, empty rows and events at a threshold, -1 or +1."""
     top = 2 ** 32 - 1 if dtype == "<u4" else 2 ** 63 - 2  # t_max + 1 fits int64
     span = min(span, top + 1) if n > 1 else 1  # t[0] = t0, t[-1] = t0 + span - 1
     t0 = min(t0, top + 1 - span) if n else 0
@@ -537,7 +538,13 @@ def test_row_edges_equal_searchsorted(n, row_bins, span, t0, dtype, strided, nea
     t[:] = rel.astype(np.uint64) + np.uint64(t0)
     assert t.flags.c_contiguous != strided or n <= 1
     want = np.r_[0, np.searchsorted(t, thr + t0), n]
-    assert encode_module._row_edges(t, t0, span, row_bins).tolist() == want.tolist()
+    stream = EventStream.from_arrays((1, 1), np.zeros(n, "u2"), np.zeros(n, "u2"), t,
+                                     np.ones(n, "i1"))
+    if n and dtype == "<i8":  # t - t[0] waits for the first read, as `parse_events_binary` sets it
+        stream.events._t = (t, int(t[0]))
+    normalized, edges = stream.time_bins(row_bins)
+    assert edges.tolist() == want.tolist()
+    assert normalized.events._t[1] == stream.events._t[1]  # a pending shift stays pending
 
 
 def test_per_channel_max_normalization():

@@ -28,7 +28,6 @@ from evholo.errors import ParseError
 from evholo.gsg import (
     LN_EPS,
     flatten_params,
-    param_component_count,
     spectral_weight_selectors,
     unflatten_params,
 )
@@ -382,7 +381,7 @@ def test_oracle_selector_out_of_range():
     p = GsgParams.random(1, 4, 4)
     x = np.zeros((1, 4, 4))
     with pytest.raises(SelectorOutOfRange):
-        finite_difference_oracle(x, p, x, param_component_count(p))
+        finite_difference_oracle(x, p, x, flatten_params(p).size)
 
 
 def test_flatten_unflatten_round_trip():
