@@ -151,7 +151,8 @@ class EventColumns:
     uint8/16/32 dtype is kept as given, strided or read-only views
     included; anything else becomes an exact contiguous int64 copy. A stream
     that `parse_events_binary` found sorted keeps its int64 t view and t[0]
-    in `_t`, one (column, t0) pair; `t` shifts it on first read, then caches,
+    in `_t`, one (column, t0, sorted) triple whose mark tells `normalized`
+    that t is known to be sorted; `t` shifts it on first read, then caches,
     and a selection shifts only its own events, into the whole column's dtype.
 
     Indexed like a structured array with those fields: ``cols["x"]`` is a
@@ -172,13 +173,13 @@ class EventColumns:
                 f"{[c.shape for c in cols]}"
             )
         self.x, self.y, t, self.p = cols
-        self._t = (t, 0)
+        self._t = (t, 0, False)
 
     @property
     def t(self) -> np.ndarray:
-        t, t0 = self._t
+        t, t0, known = self._t
         if t0:  # one assignment: no reader sees a shifted t with t0 pending
-            self._t = (_shifted(t, t0, int(t[-1])), 0)
+            self._t = (_shifted(t, t0, int(t[-1])), 0, known)
         return self._t[0]
 
     def __len__(self) -> int:
@@ -189,7 +190,7 @@ class EventColumns:
             if key not in _FIELDS:
                 raise KeyError(key)
             return getattr(self, key)
-        t, t0 = self._t  # a pending shift: read raw, shift only what is read
+        t, t0, _ = self._t  # a pending shift: read raw, shift only what is read
         if isinstance(key, (int, np.integer)):
             return Event(int(self.x[key]), int(self.y[key]), int(t[key]) - t0, int(self.p[key]))
         return EventColumns(self.x[key], self.y[key],
@@ -236,10 +237,10 @@ class EventStream:
     @property
     def duration(self) -> int:
         """t_max - t_min in microseconds; 0 for an empty stream."""
-        t, t0 = self.events._t  # a pending shift: the raw view, sorted
+        t, _, known = self.events._t  # with a pending shift, the raw view
         if len(t) == 0:
             return 0
-        return int(t[-1]) - int(t[0]) if t0 else int(t.max()) - int(t.min())
+        return int(t[-1]) - int(t[0]) if known else int(t.max()) - int(t.min())
 
     def normalized(self) -> "EventStream":
         """Stable-sort by timestamp and shift so t_min = 0.
@@ -250,15 +251,16 @@ class EventStream:
         gathers x, y and p. A span of 2**(63 - bits) us or more leaves no room
         for the index and takes a stable argsort instead. An already sorted
         stream skips the sort and shares its x, y and p columns with the
-        result; a parsed one whose shift waits for the first read of t
-        (`EventColumns`) is the result. A t whose minimum is 0 keeps its dtype
+        result; a parsed one that `parse_events_binary` found sorted is the
+        result, with no second order check, its shift waiting for the first
+        read of t (`EventColumns`). A t whose minimum is 0 keeps its dtype
         (sorted, it is kept); any other is shifted into a fresh uint32 column
         when t_max - t_min < 2**32 us, else int64; arithmetic on t widens it
         first. The input is never modified. Raises `TooLarge` when the span
         passes int64.
         """
         ev = self.events
-        if ev._t[1]:  # parsed and found sorted: t is shifted on first read
+        if ev._t[2]:  # parsed and found sorted: t is shifted on first read
             return self
         t = ev.t
         if not _ascending(t):
@@ -297,7 +299,7 @@ class EventStream:
         """
         t_bins = _integer("t_bins", t_bins, ConfigInvalid)
         stream = self.normalized()
-        t, t0 = stream.events._t  # t - t0 starts at 0; t0 is 0 once t is shifted
+        t, t0, _ = stream.events._t  # t - t0 starts at 0; t0 is 0 once t is shifted
         n = len(t)
         span = int(t[-1]) - t0 + 1 if n else 1  # duration + 1
         _integer("(duration + 1) * t_bins", span * t_bins, TooLarge, 1, _INT64_MAX)
@@ -623,8 +625,8 @@ def parse_events_binary(data: bytes) -> EventStream:
         p = p.copy()
         p[p == 0] = -1
     stream = EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p)
-    if ascending:  # t - t[0] waits for the first read of t
-        stream.events._t = (t, int(t[0]))
+    if ascending:  # marked sorted; t - t[0] waits for the first read of t
+        stream.events._t = (t, int(t[0]), True)
     return stream if ascending else stream.normalized()
 
 

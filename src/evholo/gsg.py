@@ -18,9 +18,15 @@ unchecked 64-bit chain `_conv` -> `_filter` -> `_gate`; `GsgParams` checks
 its own arrays when it is built. LayerNorm, the 1x1 gate and their backward
 act per location, so `_gate` and `_gate_backward` run on blocks of whole
 rows of the filtered z, one block's tape of intermediates at a time, and
-write each block's output (or dL/dz) back into z. Each 2-D FFT runs axis
-by axis in one buffer; the gradient, which keeps rfft2(x_local), drops each
-transform's input once it is transformed. The chain writes in place only
+write each block's output (or dL/dz) back into z. The conv runs one channel
+at a time through one zero-bordered scratch and one product scratch, so its
+nine passes stay in cache. Each 2-D FFT runs axis by axis in one buffer;
+the gradient, which keeps rfft2(x_local), drops each transform's input once
+it is transformed. A training step (`gsg_value_and_grad`) runs the chain
+once for float64 input: each gate row block writes its output, then runs
+its backward on the same tape. Float32 input runs the forward's chain and
+then the gradient's, since the forward casts each stage to float32 while
+the gradient differentiates the float64 chain. The chain writes in place only
 into arrays it allocated itself; each in-place or blocked step rounds as
 the whole-tensor, out-of-place expression it stands for, so the outputs
 are bit for bit those of the plain expressions the tests keep as a
@@ -150,16 +156,20 @@ def _block_input(x_in, params: GsgParams) -> np.ndarray:
 
 
 def _conv(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit."""
-    c, rows, cols = x.shape
-    xp = np.zeros((c, rows + 2, cols + 2))
-    xp[:, 1:-1, 1:-1] = x
+    """Per-channel 3x3 cross-correlation with zero padding 1, in 64 bit. One
+    channel at a time goes through a zero-bordered scratch and a product
+    scratch, so its nine passes stay in cache; each output element sums its
+    taps in order i, j from 0.0, as the whole-tensor expression does (a
+    negative tap times 0 is -0.0, which 0.0 + -0.0 makes +0.0)."""
+    rows, cols = x.shape[1:]
     out = np.zeros(x.shape)
-    prod = np.empty(x.shape)
-    for i in range(3):
-        for j in range(3):
-            out += np.multiply(k[:, i, j][:, None, None], xp[:, i:i + rows, j:j + cols],
-                               out=prod)
+    xp = np.zeros((rows + 2, cols + 2))
+    prod = np.empty((rows, cols))
+    for ch, taps in enumerate(k.tolist()):
+        xp[1:-1, 1:-1] = x[ch]
+        for i, row in enumerate(taps):
+            for j, tap in enumerate(row):
+                out[ch] += np.multiply(xp[i:i + rows, j:j + cols], tap, out=prod)
     return out
 
 
@@ -303,6 +313,31 @@ def _gate_backward(tape, params: GsgParams, dout: np.ndarray) -> np.ndarray:
     return dzhat
 
 
+def _step(a: np.ndarray, params: GsgParams, u: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """dL/dW on validated input, from the 64-bit chain. With `out`, a float64
+    array of a's shape, each gate row block also writes a + carrier * gate
+    into it from the tape that its backward then overwrites: the forward
+    output of a float64 a, from the same chain."""
+    rows, cols = a.shape[1], a.shape[2]
+    xf, z = _spectral(a, params, np.float64, keep=True)
+    for b in _row_blocks(z.shape):  # dL/dz, in z's buffer
+        tape = _gate(z[:, b], params)
+        if out is not None:  # carrier * gate + a
+            o = np.multiply(tape[4], tape[5], out=out[:, b])
+            o += a[:, b]
+        z[:, b] = _gate_backward(tape, params, u[:, b])
+        del tape  # else it lives on beside the next block's
+    g_s = np.fft.rfft(z, axis=2)  # rfft2(z), as in `_filter`
+    del z
+    np.fft.fft(g_s, axis=1, out=g_s)
+    g_s *= half_spectrum_weights(cols)[None, None, :] / (rows * cols)
+    # conj(xf) stays a temporary: NumPy's elision then multiplies as
+    # conj(xf) * g_s above 256 KiB and as written below, two orders whose
+    # complex products round differently
+    return g_s * np.conj(xf)
+
+
 @_no_overflow
 def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     """Analytic dL/dW for the `gsg_loss` L, whose block output is computed
@@ -316,19 +351,25 @@ def grad_spectral_weight(x_in, params: GsgParams, upstream) -> np.ndarray:
     then the elementwise product rule against conj(rfft2(x_local)).
     """
     a = _block_input(x_in, params)
+    return _step(a, params, _checked("upstream", upstream, np.float64, a.shape))
+
+
+@_no_overflow
+def gsg_value_and_grad(x_in, params: GsgParams, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """(gsg_forward(x_in, params), grad_spectral_weight(x_in, params, upstream)),
+    bit for bit, for one training step.
+
+    Float64 input runs the chain once: each gate row block writes its output
+    and then runs its backward on the same tape. Float32 input runs two
+    chains, the forward's and then the gradient's, since the forward casts
+    each stage to f32 while the gradient differentiates the f64 chain.
+    """
+    a = _block_input(x_in, params)
     u = _checked("upstream", upstream, np.float64, a.shape)
-    rows, cols = a.shape[1], a.shape[2]
-    xf, z = _spectral(a, params, np.float64, keep=True)
-    for b in _row_blocks(z.shape):  # dL/dz, in z's buffer
-        z[:, b] = _gate_backward(_gate(z[:, b], params), params, u[:, b])
-    g_s = np.fft.rfft(z, axis=2)  # rfft2(z), as in `_filter`
-    del z
-    np.fft.fft(g_s, axis=1, out=g_s)
-    g_s *= half_spectrum_weights(cols)[None, None, :] / (rows * cols)
-    # conj(xf) stays a temporary: NumPy's elision then multiplies as
-    # conj(xf) * g_s above 256 KiB and as written below, two orders whose
-    # complex products round differently
-    return g_s * np.conj(xf)
+    if a.dtype == np.float32:
+        return _block_output(a, params, a.dtype), _step(a, params, u)
+    out = np.empty(a.shape)
+    return out, _step(a, params, u, out)
 
 
 def _sections(params: GsgParams) -> dict[str, np.ndarray]:

@@ -10,7 +10,7 @@ import evholo
 from evholo.cli import build_parser
 
 #: The size of the public API; a change to it should be a deliberate one.
-PUBLIC_NAMES = 66
+PUBLIC_NAMES = 67
 
 
 def test_all_names_every_public_name_once():

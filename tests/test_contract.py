@@ -51,6 +51,7 @@ from evholo import (
     grad_spectral_weight,
     gsg_forward,
     gsg_loss,
+    gsg_value_and_grad,
     irfft2,
     params_from_archive,
     parse_events_binary,
@@ -111,6 +112,8 @@ ARRAY_ENTRIES = {
     "gsg_loss upstream": lambda a: gsg_loss(_X, _P, a),
     "grad_spectral_weight x_in": lambda a: grad_spectral_weight(a, _P, _X),
     "grad_spectral_weight upstream": lambda a: grad_spectral_weight(_X, _P, a),
+    "gsg_value_and_grad x_in": lambda a: gsg_value_and_grad(a, _P, _X),
+    "gsg_value_and_grad upstream": lambda a: gsg_value_and_grad(_X, _P, a),
     "rfft2": rfft2,
     "irfft2": lambda a: irfft2(a, 6),
     "dft2_oracle": dft2_oracle,

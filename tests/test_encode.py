@@ -19,12 +19,14 @@ from evholo import (
     event_rate_series,
     parse_events_binary,
     phi,
+    synthetic_uniform_stream,
     validate_stream,
     write_events_binary,
     write_events_csv,
     write_tensor,
 )
 from evholo import encode as encode_module
+from evholo import events as events_module
 from evholo.events import _HEVS_RECORD_DTYPE, HEVS_HEADER
 
 
@@ -541,7 +543,11 @@ def test_row_edges_equal_searchsorted(n, row_bins, span, t0, dtype, strided, nea
     stream = EventStream.from_arrays((1, 1), np.zeros(n, "u2"), np.zeros(n, "u2"), t,
                                      np.ones(n, "i1"))
     if n and dtype == "<i8":  # t - t[0] waits for the first read, as `parse_events_binary` sets it
-        stream.events._t = (t, int(t[0]))
+        stream.events._t = (t, int(t[0]), True)
+    if span * row_bins > 2 ** 63 - 1:  # (duration + 1) * t_bins past int64
+        with pytest.raises(TooLarge):
+            stream.time_bins(row_bins)
+        return
     normalized, edges = stream.time_bins(row_bins)
     assert edges.tolist() == want.tolist()
     assert normalized.events._t[1] == stream.events._t[1]  # a pending shift stays pending
@@ -685,6 +691,25 @@ def hevs_encode_1m_bytes(seed):
 def hevs_encode_1m_stream(seed):
     """`hevs_encode_1m_bytes(seed)` as parsed."""
     return parse_events_binary(hevs_encode_1m_bytes(seed))
+
+
+def test_a_parsed_stream_from_t_0_has_its_order_checked_once(monkeypatch):
+    """`parse_events_binary` marks the sorted stream it has checked, so
+    `normalized` and the encoder take it as it is, also when its t starts at
+    0 and no shift is pending (as in every HEVS file of a normalized stream):
+    checking its order again cost 1.6 ms of an 11 ms 1M-event encode."""
+    twin = synthetic_uniform_stream(100_000)
+    data = write_events_binary(twin)
+    want = encode_chsr(twin).data.tobytes()
+    stream = parse_events_binary(data)
+    assert stream.events._t[1] == 0
+
+    def check_again(v):
+        raise AssertionError("the order of a parsed sorted stream was checked again")
+    monkeypatch.setattr(events_module, "_ascending", check_again)
+    assert write_events_binary(stream.normalized()) == data
+    assert encode_chsr(stream).data.tobytes() == want
+    assert stream.duration == twin.duration
 
 
 #: sha256 of the CHSR tensor bytes and of the hw, tw and th view bytes, one

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from evholo import (
     grad_spectral_weight,
     gsg_forward,
     gsg_loss,
+    gsg_value_and_grad,
     irfft2,
     params_from_archive,
     params_to_archive,
@@ -593,6 +595,29 @@ def test_chain_is_bit_identical_to_the_out_of_place_expressions(shape, dtype):
     loss = float((_forward_ref(x.astype(np.float64, copy=False), p)[0] * u).sum())
     assert _same_bits(gsg_loss(x, p, u), loss)
     assert _same_bits(grad_spectral_weight(x, p, u), _grad_ref(x, p, u))
+    y, dw = gsg_value_and_grad(x, p, u)
+    assert _same_bits(y, gsg_forward(x, p)) and _same_bits(dw, grad_spectral_weight(x, p, u))
+
+
+# An event window is log1p of sparse counts, mostly 0. There a negative tap
+# gives -0.0, and only a conv sum that starts at 0.0, as the reference's
+# does, makes the zeros of an all-negative kernel +0.0
+@pytest.mark.parametrize("shape", [(3, 224, 260), (1, 1, 3), (2, 9, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chain_is_bit_identical_on_sparse_event_counts(shape, dtype):
+    rng = np.random.default_rng(35)
+    x = np.log1p(rng.poisson(0.2, shape)).astype(dtype)
+    u = rng.standard_normal(shape)
+    k = rng.standard_normal((shape[0], 3, 3))
+    k[0] = -np.abs(k[0])
+    p = dataclasses.replace(GsgParams.random(*shape, seed=12), dw_kernel=k)
+    assert (x == 0).any()
+    x_out, dw_ref = _forward_ref(x, p)[0], _grad_ref(x, p, u)
+    assert _same_bits(depthwise_conv3x3(x, k), _conv_ref(x, k).astype(dtype, copy=False))
+    assert _same_bits(gsg_forward(x, p), x_out)
+    assert _same_bits(grad_spectral_weight(x, p, u), dw_ref)
+    y, dw = gsg_value_and_grad(x, p, u)
+    assert _same_bits(y, x_out) and _same_bits(dw, dw_ref)
 
 
 @pytest.mark.parametrize("shape", [(3, 224, 260), (1, 5, 7), (2, 9, 4),
@@ -629,7 +654,8 @@ def test_entries_leave_their_arrays_alone_and_return_fresh_ones(dtype):
     given = [x, u, *(getattr(p, name) for name in _FIELDS)]
     before = [a.tobytes() for a in given]
     outs = [depthwise_conv3x3(x, p.dw_kernel), spectral_filter(x, p.spectral_weight),
-            gated_reconstruction(x, p), gsg_forward(x, p), grad_spectral_weight(x, p, u)]
+            gated_reconstruction(x, p), gsg_forward(x, p), grad_spectral_weight(x, p, u),
+            *gsg_value_and_grad(x, p, u)]
     gsg_loss(x, p, u)
     finite_difference_oracle(x, p, u, 9)
     check_spectral_weight_gradients(x, p, u)
@@ -665,7 +691,8 @@ def test_gradient_peak_on_the_benchmark_window():
 def test_f32_forward_peak_on_the_benchmark_window():
     # 15.2 MB out of place, 12.4 MB in place, 11.0 MB with the output
     # formed in the carrier; 4.9 MB with the gate in row blocks writing into
-    # z; 4.3 MB, the padded conv's, with the transforms in one buffer
+    # z; 4.3 MB, the padded conv's, with the transforms in one buffer; 3.5 MB
+    # with the conv one channel at a time
     x = np.random.default_rng(29).standard_normal((3, 224, 260)).astype(np.float32)
     p = GsgParams.random(3, 224, 260, seed=9)
     assert _peak(lambda: gsg_forward(x, p)) < 4_800_000
@@ -675,10 +702,19 @@ def test_f64_forward_peak_on_the_benchmark_window():
     # 11.66 MB with the block output a fresh carrier * gate; formed in the
     # carrier's buffer, 10.26 MB; 5.6 MB with the gate in row blocks writing
     # into z, the peak then x_local, rfft2(x_local), its product and z; 4.3 MB,
-    # the padded conv's, with the transforms and the product in one buffer
+    # the padded conv's, with the transforms and the product in one buffer;
+    # 4.2 MB, the filter's, with the conv one channel at a time
     x = np.random.default_rng(30).standard_normal((3, 224, 260))
     p = GsgParams.random(3, 224, 260, seed=8)
     assert _peak(lambda: gsg_forward(x, p)) < 4_800_000
+
+
+def test_conv_peak_on_the_benchmark_window():
+    # 4.28 MB with a C-wide padded copy and product beside the output; 2.4 MB
+    # with one channel's padded scratch and product
+    x = np.random.default_rng(36).standard_normal((3, 224, 260))
+    k = GsgParams.random(3, 224, 260, seed=8).dw_kernel
+    assert _peak(lambda: depthwise_conv3x3(x, k)) < 2_600_000
 
 
 def test_spectral_filter_peak_on_the_benchmark_window():
@@ -702,6 +738,16 @@ def test_forward_then_gradient_peak_on_the_benchmark_window():
         y = gsg_forward(x, p)
         return y, grad_spectral_weight(x, p, u)
     assert _peak(step) < 6_300_000
+
+
+def test_value_and_grad_peak_on_the_benchmark_window():
+    # the output is live through the gradient's chain, as the forward's output
+    # is in the step above: 5.8 MB, the peak of that step
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((3, 224, 260))
+    u = rng.standard_normal((3, 224, 260))
+    p = GsgParams.random(3, 224, 260, seed=8)
+    assert _peak(lambda: gsg_value_and_grad(x, p, u)) < 6_300_000
 
 
 def test_f64_gate_peak_on_the_benchmark_window():
