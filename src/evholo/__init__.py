@@ -8,149 +8,19 @@ modulation with learnable complex weights, gated reconstruction, residual
 fusion) together with analytic gradient verification.
 """
 
-from .encode import (
-    ChsrTensor,
-    EncodeConfig,
-    ViewTensor,
-    encode_chsr,
-    encode_throughput,
-    encode_view,
-    export_channel_image,
-    phi,
-)
-from .errors import (
-    BadBin,
-    BadMagic,
-    BadPolarity,
-    BadTimestamp,
-    ChannelOutOfRange,
-    ConfigInvalid,
-    DtypeUnknown,
-    DuplicateName,
-    EmptyInput,
-    EvholoError,
-    GeometryMissing,
-    LengthMismatch,
-    MalformedLine,
-    NonFinite,
-    ParseError,
-    SelectorOutOfRange,
-    ShapeMismatch,
-    SpecInvalid,
-    TooLarge,
-    TooShort,
-    TruncatedRecord,
-)
-from .events import (
-    Event,
-    EventColumns,
-    EventStream,
-    PeriodicGenSpec,
-    ValidationReport,
-    generate_periodic_stream,
-    parse_events_binary,
-    parse_events_csv,
-    synthetic_uniform_stream,
-    validate_stream,
-    write_events_binary,
-    write_events_csv,
-)
-from .gsg import (
-    GsgParams,
-    central_difference,
-    check_spectral_weight_gradients,
-    depthwise_conv3x3,
-    finite_difference_oracle,
-    gated_reconstruction,
-    grad_spectral_weight,
-    gsg_forward,
-    gsg_loss,
-    gsg_value_and_grad,
-    params_from_archive,
-    params_to_archive,
-    spectral_filter,
-)
-from .spectral import (
-    DominantFrequency,
-    RateSeries,
-    Spectrum,
-    dft2_oracle,
-    dominant_frequency,
-    event_rate_series,
-    irfft2,
-    rate_spectrum,
-    rfft2,
-)
-from .tensorio import read_archive, read_tensor, write_archive, write_tensor
+from .encode import *
+from .errors import *
+from .events import *
+from .gsg import *
+from .spectral import *
+from .tensorio import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadBin",
-    "BadMagic",
-    "BadPolarity",
-    "BadTimestamp",
-    "ChannelOutOfRange",
-    "ChsrTensor",
-    "ConfigInvalid",
-    "DominantFrequency",
-    "DtypeUnknown",
-    "DuplicateName",
-    "EmptyInput",
-    "EvholoError",
-    "Event",
-    "EventColumns",
-    "EventStream",
-    "EncodeConfig",
-    "GeometryMissing",
-    "GsgParams",
-    "LengthMismatch",
-    "MalformedLine",
-    "NonFinite",
-    "ParseError",
-    "PeriodicGenSpec",
-    "RateSeries",
-    "SelectorOutOfRange",
-    "ShapeMismatch",
-    "SpecInvalid",
-    "Spectrum",
-    "TooLarge",
-    "TooShort",
-    "TruncatedRecord",
-    "ValidationReport",
-    "ViewTensor",
-    "central_difference",
-    "check_spectral_weight_gradients",
-    "depthwise_conv3x3",
-    "dft2_oracle",
-    "dominant_frequency",
-    "encode_chsr",
-    "encode_throughput",
-    "encode_view",
-    "event_rate_series",
-    "export_channel_image",
-    "finite_difference_oracle",
-    "gated_reconstruction",
-    "generate_periodic_stream",
-    "grad_spectral_weight",
-    "gsg_forward",
-    "gsg_loss",
-    "gsg_value_and_grad",
-    "irfft2",
-    "params_from_archive",
-    "params_to_archive",
-    "parse_events_binary",
-    "parse_events_csv",
-    "phi",
-    "rate_spectrum",
-    "read_archive",
-    "read_tensor",
-    "rfft2",
-    "spectral_filter",
-    "synthetic_uniform_stream",
-    "validate_stream",
-    "write_archive",
-    "write_events_binary",
-    "write_events_csv",
-    "write_tensor",
-]
+__all__ = []
+__all__ += encode.__all__
+__all__ += errors.__all__
+__all__ += events.__all__
+__all__ += gsg.__all__
+__all__ += spectral.__all__
+__all__ += tensorio.__all__

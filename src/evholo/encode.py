@@ -45,6 +45,17 @@ events 10.2 -> 13.2 ms, 3.0 -> 5.7 MB).
 
 from __future__ import annotations
 
+__all__ = [
+    "ChsrTensor",
+    "EncodeConfig",
+    "ViewTensor",
+    "encode_chsr",
+    "encode_throughput",
+    "encode_view",
+    "export_channel_image",
+    "phi",
+]
+
 import time
 from dataclasses import dataclass, replace
 from typing import Literal

@@ -2,10 +2,11 @@
 
 ParseError subclasses signal defective input data (the CLI maps them to
 exit code 2); the remaining classes signal contract violations at API
-boundaries, and those about a bad value also subclass ValueError. The one
-library raise outside `EvholoError` is the `TypeError` of an `EventStream`
-built from anything but `EventColumns`: a wrong argument type is a
-caller's programming error, never malformed input.
+boundaries, and those about a bad value also subclass ValueError. Two
+library raises stay outside `EvholoError`: the `TypeError` of an
+`EventStream` built from anything but `EventColumns`, and the `KeyError` of
+`EventColumns` indexed by a name that is not a field. Each is a caller's
+programming error, as in the mapping protocol, never malformed input.
 
 The package's intake checks live here, beside the errors they raise, and
 every layer takes outside values through them: `_integer` and `_positive`
@@ -15,6 +16,30 @@ complex arrays, and `_no_overflow` around an entry's float math.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "BadBin",
+    "BadMagic",
+    "BadPolarity",
+    "BadTimestamp",
+    "ChannelOutOfRange",
+    "ConfigInvalid",
+    "DtypeUnknown",
+    "DuplicateName",
+    "EmptyInput",
+    "EvholoError",
+    "GeometryMissing",
+    "LengthMismatch",
+    "MalformedLine",
+    "NonFinite",
+    "ParseError",
+    "SelectorOutOfRange",
+    "ShapeMismatch",
+    "SpecInvalid",
+    "TooLarge",
+    "TooShort",
+    "TruncatedRecord",
+]
 
 import functools
 import numbers

@@ -54,6 +54,21 @@ Arguments and columns from outside go through the intake checks of
 
 from __future__ import annotations
 
+__all__ = [
+    "Event",
+    "EventColumns",
+    "EventStream",
+    "PeriodicGenSpec",
+    "ValidationReport",
+    "generate_periodic_stream",
+    "parse_events_binary",
+    "parse_events_csv",
+    "synthetic_uniform_stream",
+    "validate_stream",
+    "write_events_binary",
+    "write_events_csv",
+]
+
 import re
 import struct
 from array import array

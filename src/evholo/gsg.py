@@ -39,6 +39,22 @@ and the returned gradient tensor packs dL/d(re) + 1j * dL/d(im).
 
 from __future__ import annotations
 
+__all__ = [
+    "GsgParams",
+    "central_difference",
+    "check_spectral_weight_gradients",
+    "depthwise_conv3x3",
+    "finite_difference_oracle",
+    "gated_reconstruction",
+    "grad_spectral_weight",
+    "gsg_forward",
+    "gsg_loss",
+    "gsg_value_and_grad",
+    "params_from_archive",
+    "params_to_archive",
+    "spectral_filter",
+]
+
 from dataclasses import dataclass
 from typing import Callable
 

@@ -11,6 +11,18 @@ through `errors._checked`, and each entry runs under `errors._no_overflow`.
 
 from __future__ import annotations
 
+__all__ = [
+    "DominantFrequency",
+    "RateSeries",
+    "Spectrum",
+    "dft2_oracle",
+    "dominant_frequency",
+    "event_rate_series",
+    "irfft2",
+    "rate_spectrum",
+    "rfft2",
+]
+
 from dataclasses import dataclass
 from typing import NamedTuple
 

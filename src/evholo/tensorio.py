@@ -22,6 +22,13 @@ Files are byte-identical across platforms for identical inputs.
 
 from __future__ import annotations
 
+__all__ = [
+    "read_archive",
+    "read_tensor",
+    "write_archive",
+    "write_tensor",
+]
+
 import math
 import struct
 from typing import Sequence

@@ -245,6 +245,13 @@ def test_events_of_the_wrong_type_stay_a_type_error():
     assert not isinstance(raised.value, evholo.EvholoError)
 
 
+def test_an_unknown_field_name_stays_a_key_error():
+    # the mapping protocol's signal of a caller's programming error
+    with pytest.raises(KeyError) as raised:
+        evholo.EventStream.empty((4, 4)).events["q"]
+    assert not isinstance(raised.value, evholo.EvholoError)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "evholo"
 
 #: The package's modules; adding or removing one should be a deliberate change.
@@ -297,3 +304,26 @@ def test_layers_take_private_names_only_from_errors():
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.Attribute) and node.attr == "_t")
     assert reads == []
+
+
+def test_each_public_name_is_declared_once_in_its_module():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    order = [node.module for node in init.body if isinstance(node, ast.ImportFrom)]
+    assert sorted(order) == sorted(MODULES - {"__init__", "cli"})
+    modules, joined = _package_modules(), []
+    for m in order:
+        (declared,) = [node for node in ast.parse((SRC / f"{m}.py").read_text()).body
+                       if "__all__" in {t.id for t in ast.walk(node) if isinstance(t, ast.Name)}]
+        assert isinstance(declared, ast.Assign) and isinstance(declared.value, ast.List), m
+        names = [ast.literal_eval(e) for e in declared.value.elts]
+        assert all(isinstance(n, str) and n.isidentifier() for n in names), m
+        assert set(names) <= modules[m][0], m
+        assert not [n for n in names if n.startswith("_")], m
+        joined += names
+    assert evholo.__all__ == joined
+    assert len(joined) == len(set(joined))
+    # `__init__` re-exports the lists and names no public name itself
+    written = {n.id for n in ast.walk(init) if isinstance(n, ast.Name)}
+    written |= {n.value for n in ast.walk(init) if isinstance(n, ast.Constant)}
+    written |= {a.asname or a.name for a in ast.walk(init) if isinstance(a, ast.alias)}
+    assert written & set(joined) == set()

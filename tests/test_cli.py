@@ -219,6 +219,17 @@ def test_encode_data_error_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_failed_rename_leaves_no_output_or_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr("evholo.cli.os.replace", refuse)
+    out = tmp_path / "a.hevs"
+    assert main(["gen", "--f0", "3", "--duration", "1", "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_csvs_and_dominant_line(tmp_path, capsys):
     path = gen(tmp_path, duration="10")
     out = tmp_path / "spec.csv"

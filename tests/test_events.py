@@ -497,6 +497,14 @@ def test_event_stream_takes_only_event_columns():
             EventStream((4, 4), events)
 
 
+def test_events_compare_unequal_to_a_foreign_object():
+    s = EventStream.from_arrays((4, 4), [1], [2], [3], [1])
+    for value in (s, s.events):
+        for other in (object(), "xytp", (1, 2, 0, 1)):
+            assert not value == other
+            assert value != other
+
+
 def test_event_stream_geometry_sides_are_integers():
     for geometry in ((2.5, 4), (4, 2.5), (np.inf, 4), (0, 4), ("4", 4), (np.float64(4), 4)):
         with pytest.raises(ValueError, match="integers >= 1"):

@@ -120,6 +120,11 @@ def test_archive_bad_magic():
         read_archive(b"HTEN" + bytes(10))
 
 
+def test_archive_other_version():
+    with pytest.raises(BadMagic, match="^unsupported archive version 2$"):
+        read_archive(b"HARC" + bytes([2]) + b"\x00\x00")
+
+
 def test_archive_truncated_entry():
     blob = write_archive([("a", np.ones(4))])
     with pytest.raises(LengthMismatch):
