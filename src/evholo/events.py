@@ -35,7 +35,8 @@ and a uint32 t minus a larger value wraps the same way.
 Two interchange formats are supported:
 
     CSV   header ``x,y,t,p``, optional ``# geometry WxH`` comment line,
-          LF line endings, polarity -1/+1 (0/1 accepted, 0 mapped to -1)
+          LF line endings, polarity -1/+1 (0/1 accepted, 0 mapped to -1),
+          each field ASCII: an optional sign, digits, surrounding whitespace
     HEVS  binary: magic ``HEVS``, version u8=1, reserved u8*3, W u16 LE,
           H u16 LE, count u64 LE, then 13-byte records
           {x u16 LE, y u16 LE, t u64 LE, p i8}
@@ -167,8 +168,10 @@ class EventColumns:
     included; anything else becomes an exact contiguous int64 copy. A stream
     that `parse_events_binary` found sorted keeps its int64 t view and t[0]
     in `_t`, one (column, t0, sorted) triple whose mark tells `normalized`
-    that t is known to be sorted; `t` shifts it on first read, then caches,
-    and a selection shifts only its own events, into the whole column's dtype.
+    that t is known to be sorted; `t` shifts it on first read and caches the
+    shifted column read-only, like the x, y and p views, so no write can undo
+    the mark. A selection shifts only its own events, into the whole
+    column's dtype.
 
     Indexed like a structured array with those fields: ``cols["x"]`` is a
     column, ``cols[i]`` with an integer is one `Event`, and any other index
@@ -194,7 +197,9 @@ class EventColumns:
     def t(self) -> np.ndarray:
         t, t0, known = self._t
         if t0:  # one assignment: no reader sees a shifted t with t0 pending
-            self._t = (_shifted(t, t0, int(t[-1])), 0, known)
+            t = _shifted(t, t0, int(t[-1]))
+            t.flags.writeable = False  # as read-only as the view it replaces: `known` holds
+            self._t = (t, 0, known)
         return self._t[0]
 
     def __len__(self) -> int:
@@ -478,6 +483,8 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
         fields = stripped.split(",")
         if len(fields) != 4:
             raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
+        if "_" in line or not line.isascii():  # `int` would read 1_0 or a non-ASCII digit
+            raise MalformedLine(line_no, "non-numeric field")
         try:
             values.extend(map(int, fields))
         except ValueError:  # non-numeric, or past Python's limit on digits

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (_INT64_MAX, BadBin, ShapeMismatch, SpecInvalid, TooLarge, TooShort, _checked,
+from .errors import (BadBin, ShapeMismatch, SpecInvalid, TooLarge, TooShort, _checked,
                      _int64_column, _integer, _no_overflow, _positive)
 from .events import EventStream
 
@@ -150,9 +150,9 @@ class DominantFrequency(NamedTuple):
 def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     """Histogram a stream's timestamps into bins of bin_dt seconds.
 
-    Bins count from the first timestamp, raw stream or normalized: the bin
-    index is floor((t - t_min) / bin_dt), in seconds, with t - t_min exact
-    in int64 (a span beyond it is `TooLarge`), and the final event
+    The stream is normalized first, so an unsorted one is sorted (as by
+    `encode_chsr`) and a span beyond int64 is `TooLarge`. The bin index is
+    floor(t / bin_dt) of the normalized t, in seconds, and the final event
     (exactly at the duration boundary) is clamped into the last bin so the
     series always sums to the event count. Empty streams give a single
     zero bin. Raises `TooLarge` beyond max(2**16, 64 * events) bins.
@@ -160,16 +160,12 @@ def event_rate_series(stream: EventStream, bin_dt: float) -> RateSeries:
     bin_dt = _positive("bin_dt", bin_dt, BadBin)
     if len(stream) == 0:
         return RateSeries(bin_dt=bin_dt, values=np.zeros(1, dtype=np.int64))
-    t = stream.events.t
-    t_min = int(t.min())
-    span = int(t.max()) - t_min
-    if span > _INT64_MAX:
-        raise TooLarge(f"timestamps span {span} us, beyond int64")
-    bins = span / 1e6 / bin_dt
+    t = stream.normalized().events.t  # sorted, from 0
+    bins = int(t[-1]) / 1e6 / bin_dt
     if not bins <= max(2 ** 16, 64 * len(t)):  # beyond it, mostly empty bins
         raise TooLarge(f"{bins:.3g} rate bins for {len(t)} events, beyond max(2**16, 64 per event)")
     n = max(1, int(np.ceil(bins)))
-    idx = np.floor(np.subtract(t, t_min, dtype=np.int64) / 1e6 / bin_dt).astype(np.int64)
+    idx = np.floor(t / 1e6 / bin_dt).astype(np.int64)
     np.clip(idx, 0, n - 1, out=idx)
     return RateSeries(bin_dt=bin_dt, values=np.bincount(idx, minlength=n))
 

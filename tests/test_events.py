@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evholo import (
+    EncodeConfig,
     EventColumns,
     EventStream,
     PeriodicGenSpec,
     SpecInvalid,
+    encode_chsr,
     generate_periodic_stream,
     parse_events_binary,
     parse_events_csv,
@@ -133,6 +135,27 @@ def test_csv_field_past_the_digit_limit():
         with pytest.raises(MalformedLine, match=reason) as exc:
             t_of(field)
         assert exc.value.line_no == 4
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param("1_0", id="underscore"),
+    pytest.param("1_" + "0" * 5000, id="underscore-past-the-digit-limit"),
+    pytest.param("\u0663", id="arabic-indic-digit"),
+    pytest.param("\uff13", id="fullwidth-digit"),
+    pytest.param("\u0660" * 5000 + "\u0663", id="arabic-indic-past-the-digit-limit"),
+])
+def test_csv_fields_are_ascii_without_underscores(field):
+    """`int` read 1_0 as 10 and a non-ASCII digit as its value, but only
+    below its digit limit; past it they were non-numeric or outside int64.
+    The CSV grammar takes neither at any length."""
+    data = _csv(["# geometry 4x4", "x,y,t,p", "0,0,0,1", f"1,1,{field},1", "2,2,2,7"])
+    for parse in (parse_events_csv, lambda d: _parse_csv_lines(d, None)):
+        with pytest.raises(MalformedLine, match="non-numeric field") as exc:
+            parse(data)
+        assert exc.value.line_no == 4
+    # the field count is checked first
+    with pytest.raises(MalformedLine, match="expected 4 fields"):
+        parse_events_csv(_csv(["# geometry 4x4", "x,y,t,p", f"1,{field},1"]))
 
 
 def test_csv_first_defective_line_wins():
@@ -659,8 +682,23 @@ def test_hevs_columns_are_read_only_views_of_bytes():
     # t spans less than 2**32 us, so its shifted copy is uint32
     assert (ev.x.dtype, ev.y.dtype, ev.t.dtype, ev.p.dtype) == (
         np.uint16, np.uint16, np.uint32, np.int8)
-    # t starts at 5, so normalizing made the one shifted copy
+    # t starts at 5, so normalizing made the one shifted copy, read-only too
     assert not np.shares_memory(ev.t, np.frombuffer(data, np.uint8))
+    assert not ev.t.flags.writeable
+
+
+def test_a_parsed_streams_shifted_t_cannot_be_unsorted():
+    """The shifted t of a parsed stream was cached writable under the stream's
+    sorted mark: a write unsorted it, `normalized` still returned it as is,
+    and the encoder binned it unlike its `from_arrays` twin."""
+    s = parse_events_binary(write_events_binary(EventStream.from_arrays(
+        (4, 4), [0, 1, 2, 3], [0, 1, 2, 3], [100, 110, 120, 130], [1, 1, 1, 1])))
+    with pytest.raises(ValueError, match="read-only"):
+        s.events.t[0] = 35
+    twin = EventStream.from_arrays(s.geometry, *(np.array(s.events[f]) for f in "xytp"))
+    assert validate_stream(s) == validate_stream(twin)
+    config = EncodeConfig(t_bins=4)
+    assert encode_chsr(s, config).data.tobytes() == encode_chsr(twin, config).data.tobytes()
 
 
 def test_hevs_mutable_buffers_are_copied_once():

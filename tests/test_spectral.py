@@ -15,8 +15,10 @@ from evholo import (
     event_rate_series,
     generate_periodic_stream,
     irfft2,
+    parse_events_binary,
     rate_spectrum,
     rfft2,
+    write_events_binary,
 )
 from evholo.spectral import half_cols, half_spectrum_weights
 
@@ -152,6 +154,35 @@ def test_rate_series_of_a_raw_stream_far_from_0_matches_its_normalized_twin(offs
     want = event_rate_series(raw.normalized(), 1e-6).values.tolist()
     assert want == [1, 0, 1]
     assert event_rate_series(raw, 1e-6).values.tolist() == want
+
+
+def _parsed_twin(cols):
+    """A parsed HEVS stream of `cols`, and `cols` as they were."""
+    return parse_events_binary(write_events_binary(EventStream.from_arrays((300, 200), *cols))), cols
+
+
+def _shuffled_twin(cols):
+    perm = np.random.default_rng(8).permutation(len(cols[0]))
+    shuffled = [c[perm] for c in cols]
+    return EventStream.from_arrays((300, 200), *shuffled), shuffled
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_parsed_twin, id="parsed-shift-pending"),
+    pytest.param(lambda cols: _parsed_twin([*cols[:2], cols[2] - cols[2][0], cols[3]]),
+                 id="parsed-from-0"),
+    pytest.param(_shuffled_twin, id="shuffled"),
+])
+def test_rate_series_matches_the_normalized_from_arrays_twin(make):
+    rng = np.random.default_rng(7)
+    n = 20_000
+    cols = [rng.integers(0, 300, n), rng.integers(0, 200, n),
+            np.sort(rng.integers(1_000, 3_000_000, n)), rng.choice([-1, 1], n)]
+    stream, twin_cols = make(cols)
+    twin = EventStream.from_arrays((300, 200), *twin_cols).normalized()
+    for bin_dt in (0.01, 5e-4, 3e-6):
+        got, want = event_rate_series(stream, bin_dt).values, event_rate_series(twin, bin_dt).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), bin_dt
 
 
 def test_rate_series_span_beyond_int64_is_too_large():
