@@ -18,8 +18,10 @@ before it has to be:
                 int64, p int8. p is copied (1 byte per event) only when a
                 polarity 0 must become -1. A sorted t stays the int64
                 view until it is first read, when it is shifted (see below)
-    CSV         int64, which holds any negative or out-of-bounds
-                coordinate that `validate_stream` must count
+    CSV         the HEVS dtypes where the values fit: x and y uint16 when
+                every value is in 0..65535, else int64, which holds any
+                negative or out-of-bounds coordinate that `validate_stream`
+                must count; p int8, since the grammar leaves -1 and 1
     from_arrays the dtype of an ndarray of a kept integer dtype (see
                 `EventColumns`), else an exact int64 copy or `SpecInvalid`
 
@@ -46,7 +48,7 @@ flagged by `validate_stream`; encoders decide their own domain. An HEVS
 timestamp of 2**63 or more does not fit the int64 column and is rejected
 with `BadTimestamp`; a stream whose timestamps span more than int64 is
 rejected with `TooLarge` when normalized. The HEVS pass checks polarity and
-order in steps of 8192 records, t and p copied contiguous; a bad polarity
+order in steps of 65536 records, t and p copied contiguous; a bad polarity
 in any record beats a bad timestamp in an earlier one.
 
 Arguments and columns from outside go through the intake checks of
@@ -118,14 +120,19 @@ _HEVS_RECORD_DTYPE = np.dtype(
     }
 )
 
-_GEOMETRY_RE = re.compile(r"^#\s*geometry\s+(\d+)\s*x\s*(\d+)\s*$")
+# the whitespace around a line or a field: ASCII's, which `bytes.strip` removes
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
+# what `int` reads in an ASCII field but the CSV grammar does not: 1_0, and
+# \x1c-\x1f, which `str` counts as whitespace
+_INT_ONLY_RE = re.compile("[_\x1c-\x1f]")
+_GEOMETRY_RE = re.compile(r"^#\s*geometry\s+(\d+)\s*x\s*(\d+)\s*$", re.ASCII)
 _CSV_HEADER = "x,y,t,p"
 # the header line, where the bulk CSV path starts
 _CSV_HEADER_RE = re.compile(rb"^x,y,t,p\n", re.M)
 _CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
-_CSV_CHUNK = 1 << 18  # bytes of rows per bulk pass, cut at a newline
+_CSV_CHUNK = 1 << 17  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
-_HEVS_CHUNK = 1 << 13  # records per step of the HEVS pass; its int64 t is 64 KB
+_HEVS_CHUNK = 1 << 16  # records per step of the HEVS pass; its int64 t is 512 KB
 # field -> (min, max) that `parse_events_binary` accepts
 _HEVS_RANGES = {"x": (0, 0xFFFF), "y": (0, 0xFFFF), "t": (0, _INT64_MAX), "p": (-1, 1)}
 
@@ -165,7 +172,9 @@ class EventColumns:
 
     A column that is an ndarray of a native-order int8/16/32/64 or
     uint8/16/32 dtype is kept as given, strided or read-only views
-    included; anything else becomes an exact contiguous int64 copy. A stream
+    included; anything else becomes an exact contiguous int64 copy. Both
+    parsers give x and y uint16 and p int8, as HEVS stores them, except that
+    a CSV x or y with a value outside 0..65535 stays int64. A stream
     that `parse_events_binary` found sorted keeps its int64 t view and t[0]
     in `_t`, one (column, t0, sorted) triple whose mark tells `normalized`
     that t is known to be sorted; `t` shifts it on first read and caches the
@@ -273,7 +282,8 @@ class EventStream:
         stream skips the sort and shares its x, y and p columns with the
         result; a parsed one that `parse_events_binary` found sorted is the
         result, with no second order check, its shift waiting for the first
-        read of t (`EventColumns`). A t whose minimum is 0 keeps its dtype
+        read of t (`EventColumns`), and one it found unsorted is sorted with
+        no second check either. A t whose minimum is 0 keeps its dtype
         (sorted, it is kept); any other is shifted into a fresh uint32 column
         when t_max - t_min < 2**32 us, else int64; arithmetic on t widens it
         first. The input is never modified. Raises `TooLarge` when the span
@@ -282,8 +292,13 @@ class EventStream:
         ev = self.events
         if ev._t[2]:  # parsed and found sorted: t is shifted on first read
             return self
+        return self._sorted(_ascending(ev.t))
+
+    def _sorted(self, ascending: bool) -> "EventStream":
+        """`normalized` once whether t is sorted is known."""
+        ev = self.events
         t = ev.t
-        if not _ascending(t):
+        if not ascending:
             t0, bits = int(t.min()), (len(t) - 1).bit_length()
             span = int(t.max()) - t0
             if span >= 1 << (63 - bits):
@@ -423,6 +438,9 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     parsed in bulk when every one of them is ``-?[0-9]{1,18}`` four times,
     joined by ``,`` and ended by ``\n``, with a polarity in {-1, 0, 1}.
     Any other input goes through the line walk, which alone raises.
+
+    Either way the columns take the HEVS dtypes before the sort: x and y
+    uint16 when every value is in 0..65535, else int64; p int8.
     """
     data = _bytes(data)
     header = _CSV_HEADER_RE.search(data)
@@ -445,15 +463,22 @@ def _parse_csv_lines(data: bytes, geometry: tuple[int, int] | None) -> EventStre
     values, file_geometry = _walk_csv_lines(text)
     if not values:
         raise EmptyInput("no event data lines")
-    cols = np.frombuffer(values, dtype=np.int64).reshape(-1, 4).T
+    cols = list(np.frombuffer(values, dtype=np.int64).reshape(-1, 4).T)
     return _csv_stream(geometry, file_geometry, cols)
 
 
-def _csv_stream(geometry, file_geometry, cols) -> EventStream:
-    """The normalized stream of x, y, t, p columns; `geometry` wins."""
+def _csv_stream(geometry, file_geometry, cols: list) -> EventStream:
+    """The normalized stream of the int64 columns x, y, t, p in `cols`;
+    `geometry` wins. x, y and p are first replaced in `cols` by their HEVS
+    dtypes where the values fit, so no reference keeps a wide column alive
+    through the sort."""
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
+    for i in (0, 1):  # a negative or huge coordinate stays int64 for `validate_stream`
+        if 0 <= cols[i].min() and cols[i].max() <= 0xFFFF:
+            cols[i] = cols[i].astype(np.uint16)
+    cols[3] = cols[3].astype(np.int8)  # the grammar leaves -1 and 1
     return EventStream.from_arrays(geom, *cols).normalized()
 
 
@@ -465,7 +490,7 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
     values = array("q")
     # only LF ends a line: splitlines() would also break a comment at \x0b or U+2028
     for line_no, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
+        stripped = line.strip(_ASCII_SPACE)
         if not stripped:
             continue
         if stripped.startswith("#"):
@@ -483,7 +508,7 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
         fields = stripped.split(",")
         if len(fields) != 4:
             raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
-        if "_" in line or not line.isascii():  # `int` would read 1_0 or a non-ASCII digit
+        if not line.isascii() or _INT_ONLY_RE.search(line):
             raise MalformedLine(line_no, "non-numeric field")
         try:
             values.extend(map(int, fields))
@@ -515,9 +540,9 @@ def _long_csv_field(field: str, line_no: int) -> int:
     return value
 
 
-def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
-    """The rows of ``data[start:]`` as a 4 x n int64 array (x, y, t, p with
-    polarity 0 mapped to -1), or None when any row is outside the fast
+def _csv_body_columns(data: bytes, start: int) -> list[np.ndarray] | None:
+    """The rows of ``data[start:]`` as four int64 columns x, y, t, p
+    (polarity 0 mapped to -1), or None when any row is outside the fast
     grammar. Works in chunks of whole rows to bound the temporaries."""
     if not data.endswith(b"\n"):  # declines before any bulk work
         return None
@@ -526,13 +551,14 @@ def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
             for i in range(0, len(body), _CSV_CHUNK))
     if not n or 8 * n > len(data) - start:  # a row takes at least 8 bytes, "0,0,0,0\n"
         return None
-    cols = np.empty((4, n), dtype=np.int64)
+    cols = [np.empty(n, dtype=np.int64) for _ in _FIELDS]
     row = 0
     while start < len(data):
         stop = data.rfind(b"\n", start, start + _CSV_CHUNK) + 1
         if stop <= start:  # no final newline, or a row longer than a chunk
             return None
-        rows = _csv_chunk(np.frombuffer(data, np.uint8, stop - start, start), cols[:, row:])
+        rows = _csv_chunk(np.frombuffer(data, np.uint8, stop - start, start),
+                          [c[row:] for c in cols])
         if rows is None:
             return None
         row += rows
@@ -540,8 +566,8 @@ def _csv_body_columns(data: bytes, start: int) -> np.ndarray | None:
     return cols
 
 
-def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
-    """Parse whole rows ``b`` (ending in ``\n``) into ``out[:, :rows]``.
+def _csv_chunk(b: np.ndarray, out: list[np.ndarray]) -> int | None:
+    """Parse whole rows ``b`` (ending in ``\n``) into ``out[c][:rows]``.
 
     Every byte is classified first: digit, ``-``, or a separator (any byte
     below ``-``). Each row's separators must read ``,,,\n``, each field one
@@ -569,14 +595,14 @@ def _csv_chunk(b: np.ndarray, out: np.ndarray) -> int | None:
     for c in range(4):
         last = ends[:, c] - 1
         nd = ndig[:, c]
-        v = out[c, :len(last)]
+        v = out[c][:len(last)]
         v[:] = d[last]
         for j in range(1, int(nd.max())):
             # int64 by dtype, not by promotion: under NEP 50 a uint8 digit
             # times a Python-int power of ten stays uint8 and wraps
             v += np.multiply(d[last - j] * (nd > j), _POW10[j], dtype=np.int64)
         np.negative(v, out=v, where=neg[:, c])
-    p = out[3, :len(ends)]
+    p = out[3][:len(ends)]
     p[p == 0] = -1
     return len(ends)
 
@@ -604,7 +630,8 @@ def parse_events_binary(data: bytes) -> EventStream:
     is 0), so any other buffer than `bytes`, which may change later, is
     copied once first. One pass in steps of `_HEVS_CHUNK` records checks
     every polarity and whether t is sorted; a sorted t is shifted on its
-    first read (`EventColumns`), an unsorted one sign-checked, then `normalized`.
+    first read (`EventColumns`), an unsorted one sign-checked, then sorted
+    as `normalized` sorts it, without checking its order again.
     """
     data = _bytes(data)
     if data[:4] != HEVS_MAGIC:
@@ -649,7 +676,7 @@ def parse_events_binary(data: bytes) -> EventStream:
     stream = EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p)
     if ascending:  # marked sorted; t - t[0] waits for the first read of t
         stream.events._t = (t, int(t[0]), True)
-    return stream if ascending else stream.normalized()
+    return stream if ascending else stream._sorted(False)
 
 
 def write_events_binary(stream: EventStream) -> bytes:

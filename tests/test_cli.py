@@ -17,6 +17,7 @@ from evholo.events import synthetic_uniform_stream
 from evholo.cli import main
 from evholo.gsg import LN_EPS, GsgParams, params_to_archive
 from evholo.tensorio import write_tensor
+from test_events import CSV_NOT_ASCII
 
 
 def gen(tmp_path, name="a.hevs", f0="3.21", duration="10", seed="42", extra=()):
@@ -86,6 +87,19 @@ def test_validate_csv_field_without_a_digit_exits_2(tmp_path, capsys):
     assert main(["validate", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "line 4" in err and "non-numeric" in err
+
+
+@pytest.mark.parametrize("name", CSV_NOT_ASCII)
+def test_validate_csv_read_as_ascii_exits_2(tmp_path, capsys, name):
+    # a U+3000 around the header or alone on a line passed as blank, and
+    # Arabic-Indic digits made a geometry; validate exited 0
+    text, _, line_no = CSV_NOT_ASCII[name]
+    path = tmp_path / "u.csv"
+    path.write_bytes(text.encode())
+    assert main(["validate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"line {line_no}" in err if line_no else "geometry" in err
 
 
 def test_validate_timestamp_span_beyond_int64_exits_2(tmp_path, capsys):

@@ -37,6 +37,7 @@ from evholo.events import (
     _HEVS_RECORD_DTYPE,
     HEVS_HEADER,
     HEVS_RECORD,
+    _ascending,
     _csv_body_columns,
     _parse_csv_lines,
 )
@@ -143,6 +144,7 @@ def test_csv_field_past_the_digit_limit():
     pytest.param("\u0663", id="arabic-indic-digit"),
     pytest.param("\uff13", id="fullwidth-digit"),
     pytest.param("\u0660" * 5000 + "\u0663", id="arabic-indic-past-the-digit-limit"),
+    pytest.param("\x1c1", id="information-separator"),
 ])
 def test_csv_fields_are_ascii_without_underscores(field):
     """`int` read 1_0 as 10 and a non-ASCII digit as its value, but only
@@ -156,6 +158,30 @@ def test_csv_fields_are_ascii_without_underscores(field):
     # the field count is checked first
     with pytest.raises(MalformedLine, match="expected 4 fields"):
         parse_events_csv(_csv(["# geometry 4x4", "x,y,t,p", f"1,{field},1"]))
+
+
+# CSV_NOT_ASCII[id] = (text, error class, line number of a MalformedLine)
+CSV_NOT_ASCII = {
+    "ideographic-space-around-the-header": ("\u3000x,y,t,p \n1,1,1,1\n", MalformedLine, 1),
+    "ideographic-space-line": ("x,y,t,p\n1,1,1,1\n\u3000\n2,2,2,1\n", MalformedLine, 3),
+    "information-separator-line": ("x,y,t,p\n1,1,1,1\n\x1c\n", MalformedLine, 3),
+    "arabic-indic-geometry": ("# geometry \u0663\u0663x\u0664\nx,y,t,p\n1,1,1,1\n",
+                              GeometryMissing, None),
+}
+
+
+@pytest.mark.parametrize("name", CSV_NOT_ASCII)
+def test_csv_lines_are_read_as_ascii(name):
+    """`str.strip` took U+3000 and \\x1c for blanks, and the geometry pattern
+    read Arabic-Indic digits: such a header passed, such a line was skipped
+    as blank, and a geometry line of the Arabic-Indic digits 33 and 4 gave
+    a 33x4 stream. Only the whitespace that `bytes.strip` removes is
+    stripped, and only ASCII digits make a side."""
+    text, error, line_no = CSV_NOT_ASCII[name]
+    with pytest.raises(error) as exc:
+        parse_events_csv(text.encode())
+    assert getattr(exc.value, "line_no", None) == line_no
+    assert_same_as_line_walk(text.encode())
 
 
 def test_csv_first_defective_line_wins():
@@ -288,8 +314,8 @@ def test_csv_rows_parse_in_bulk():
     data = _csv(["# geometry 16x12", "x,y,t,p", "3,-4,-17,0",
                  "0,11,999999999999999999,1", "15,0,-999999999999999999,-1"])
     cols = _csv_body_columns(data, data.index(b"x,y,t,p") + 8)
-    assert cols.tolist() == [[3, 0, 15], [-4, 11, 0],
-                             [-17, 10 ** 18 - 1, 1 - 10 ** 18], [-1, 1, -1]]
+    assert [c.tolist() for c in cols] == [[3, 0, 15], [-4, 11, 0],
+                                          [-17, 10 ** 18 - 1, 1 - 10 ** 18], [-1, 1, -1]]
     # several chunks of rows, every field width from 1 to 18 digits
     rng = np.random.default_rng(9)
     n = 60_000
@@ -309,8 +335,8 @@ def test_csv_digit_layers_sum_in_int64(monkeypatch):
     data = _csv(["# geometry 16x12", "x,y,t,p", "399,-7,999999999999999999,0",
                  "12345678901,0,-123456789012345678,1"])
     cols = _csv_body_columns(data, data.index(b"x,y,t,p") + 8)
-    assert cols.tolist() == [[399, 12345678901], [-7, 0],
-                             [10 ** 18 - 1, -123456789012345678], [-1, 1]]
+    assert [c.tolist() for c in cols] == [[399, 12345678901], [-7, 0],
+                                          [10 ** 18 - 1, -123456789012345678], [-1, 1]]
 
 
 def test_csv_blank_lines_do_not_size_the_columns():
@@ -341,7 +367,11 @@ def _shuffled_csv(n, seed):
 def test_csv_parse_peak_of_a_shuffled_100k():
     """The stable argsort's int64 permutation and its gathered int64 t
     peaked at 7.20 MB; the packed key sort, whose key also becomes the
-    uint32 t and the gather index of x, y and p, measures 6.80 MB."""
+    uint32 t and the gather index of x, y and p, measured 6.80 MB, with the
+    int64 4 x n block of the bulk pass alive through the sort. Four separate
+    columns, x, y and p narrowed to uint16, uint16 and int8 before the sort,
+    and bulk passes over 128 KiB chunks, not 256 KiB, measure 4.44 MB, the
+    peak of the bulk pass itself."""
     data = _shuffled_csv(100_000, 17)
     parse_events_csv(data)
     tracemalloc.start()
@@ -351,7 +381,28 @@ def test_csv_parse_peak_of_a_shuffled_100k():
     finally:
         tracemalloc.stop()
     assert len(s) == 100_000 and s.events.t.dtype == np.uint32
-    assert peak < 7_075_000
+    assert peak < 4_500_000
+
+
+@pytest.mark.parametrize("x, y, want", [
+    (0, 65535, ("u2", "u2")),
+    (-1, 7, ("i8", "u2")),
+    (65536, 7, ("i8", "u2")),
+    (7, -1, ("u2", "i8")),
+    (7, 65536, ("u2", "i8")),
+])
+@pytest.mark.parametrize("spaced", [False, True], ids=["bulk", "line-walk"])
+def test_csv_columns_take_the_hevs_dtypes_where_they_fit(x, y, want, spaced):
+    """x and y are uint16 when every value is in 0..65535, else int64, and p
+    is int8, on the bulk path and on the line walk alike; the values are
+    those of the int64 columns the parser used to return."""
+    sep = ", " if spaced else ","
+    data = _csv(["# geometry 4x4", "x,y,t,p", sep.join(map(str, (x, y, 9, 0))),
+                 sep.join(("3", "2", "5", "1"))])
+    s = parse_events_csv(data)
+    assert [s.events[f].dtype for f in "xyp"] == [np.dtype(want[0]), np.dtype(want[1]), np.int8]
+    assert [tuple(e) for e in s] == [(3, 2, 0, 1), (x, y, 4, -1)]
+    assert_same_as_line_walk(data)
 
 
 _KEPT = ("i1", "i2", "i4", "i8", "u1", "u2", "u4")
@@ -475,6 +526,26 @@ def test_normalized_keeps_a_t_that_starts_at_zero():
     got = parse_events_binary(data).events.t
     assert got.dtype == np.int64 and got.tolist() == t.tolist()
     assert np.shares_memory(got, np.frombuffer(data, np.uint8))
+
+
+def test_an_unsorted_hevs_stream_has_its_order_checked_once(monkeypatch):
+    """Once the HEVS pass finds t unsorted it sorts it: `normalized` checking
+    the whole strided t again cost 1.6-2.0 ms of a 33-42 ms 1M-event parse."""
+    raw = EventStream.from_arrays((10, 10), [1, 2, 3, 4, 5, 6], [0] * 6,
+                                  [50, 50, 40, 50, 40, 60], [1] * 6)
+    data = write_events_binary(raw)
+    want = write_events_binary(parse_events_binary(data))
+    calls = []
+
+    def counted(v):
+        calls.append(len(v))
+        return _ascending(v)
+    monkeypatch.setattr("evholo.events._ascending", counted)
+    monkeypatch.setattr("evholo.events._HEVS_CHUNK", 4)
+    got = parse_events_binary(data)
+    assert calls == [4]  # the pass's first step, which is unsorted
+    assert write_events_binary(got) == want
+    assert [e.t for e in got] == [0, 0, 10, 10, 10, 20]
 
 
 def test_hevs_round_trip_field_identical():
