@@ -48,7 +48,7 @@ flagged by `validate_stream`; encoders decide their own domain. An HEVS
 timestamp of 2**63 or more does not fit the int64 column and is rejected
 with `BadTimestamp`; a stream whose timestamps span more than int64 is
 rejected with `TooLarge` when normalized. The HEVS pass checks polarity and
-order in steps of 65536 records, t and p copied contiguous; a bad polarity
+order in steps of 8192 records, t and p copied contiguous; a bad polarity
 in any record beats a bad timestamp in an earlier one.
 
 Arguments and columns from outside go through the intake checks of
@@ -132,7 +132,7 @@ _CSV_HEADER_RE = re.compile(rb"^x,y,t,p\n", re.M)
 _CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _CSV_CHUNK = 1 << 17  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
-_HEVS_CHUNK = 1 << 16  # records per step of the HEVS pass; its int64 t is 512 KB
+_HEVS_CHUNK = 1 << 13  # records per step of the HEVS pass; its int64 t is 64 KB
 # field -> (min, max) that `parse_events_binary` accepts
 _HEVS_RANGES = {"x": (0, 0xFFFF), "y": (0, 0xFFFF), "t": (0, _INT64_MAX), "p": (-1, 1)}
 
@@ -292,34 +292,32 @@ class EventStream:
         ev = self.events
         if ev._t[2]:  # parsed and found sorted: t is shifted on first read
             return self
-        return self._sorted(_ascending(ev.t))
-
-    def _sorted(self, ascending: bool) -> "EventStream":
-        """`normalized` once whether t is sorted is known."""
-        ev = self.events
         t = ev.t
-        if not ascending:
-            t0, bits = int(t.min()), (len(t) - 1).bit_length()
-            span = int(t.max()) - t0
-            if span >= 1 << (63 - bits):
-                ev = ev[np.argsort(t, kind="stable")]
-            else:
-                key = np.subtract(t, t0, dtype=np.int64)
-                key <<= bits
-                key |= np.arange(len(t))
-                key.sort()
-                t = np.empty(len(t), t.dtype if t0 == 0 else
-                             np.uint32 if span < 1 << 32 else np.int64)
-                np.right_shift(key, bits, out=t, dtype=np.int64, casting="unsafe")
-                key &= (1 << bits) - 1
-                return EventStream(self.geometry, EventColumns(ev.x[key], ev.y[key], t, ev.p[key]))
-        t = ev.t
+        if not _ascending(t):
+            return self._sort()
         if len(t) and t[0] != 0:
             span = int(t[-1]) - int(t[0])
             if span > _INT64_MAX:
                 raise TooLarge(f"timestamps span {span} us, beyond int64")
             t = _shifted(t, int(t[0]), int(t[-1]))
         return EventStream(self.geometry, EventColumns(ev.x, ev.y, t, ev.p))
+
+    def _sort(self) -> "EventStream":
+        """`normalized` of a stream whose t is known to be unsorted."""
+        ev = self.events
+        t = ev.t
+        t0, bits = int(t.min()), (len(t) - 1).bit_length()
+        span = int(t.max()) - t0
+        if span >= 1 << (63 - bits):
+            return EventStream(self.geometry, ev[np.argsort(t, kind="stable")]).normalized()
+        key = np.subtract(t, t0, dtype=np.int64)
+        key <<= bits
+        key |= np.arange(len(t))
+        key.sort()
+        t = np.empty(len(t), t.dtype if t0 == 0 else np.uint32 if span < 1 << 32 else np.int64)
+        np.right_shift(key, bits, out=t, dtype=np.int64, casting="unsafe")
+        key &= (1 << bits) - 1
+        return EventStream(self.geometry, EventColumns(ev.x[key], ev.y[key], t, ev.p[key]))
 
     def time_bins(self, t_bins) -> tuple["EventStream", np.ndarray]:
         """The stream normalized, and the t_bins + 1 edges of its time bins.
@@ -470,8 +468,9 @@ def _parse_csv_lines(data: bytes, geometry: tuple[int, int] | None) -> EventStre
 def _csv_stream(geometry, file_geometry, cols: list) -> EventStream:
     """The normalized stream of the int64 columns x, y, t, p in `cols`;
     `geometry` wins. x, y and p are first replaced in `cols` by their HEVS
-    dtypes where the values fit, so no reference keeps a wide column alive
-    through the sort."""
+    dtypes where the values fit. The bulk path's columns are four arrays,
+    so the wide ones are freed before the sort; the line walk's are views
+    of one 4 x n block, which its t keeps alive."""
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
@@ -676,7 +675,7 @@ def parse_events_binary(data: bytes) -> EventStream:
     stream = EventStream.from_arrays((w, h), recs["x"], recs["y"], t, p)
     if ascending:  # marked sorted; t - t[0] waits for the first read of t
         stream.events._t = (t, int(t[0]), True)
-    return stream if ascending else stream._sorted(False)
+    return stream if ascending else stream._sort()
 
 
 def write_events_binary(stream: EventStream) -> bytes:
