@@ -466,18 +466,18 @@ def _parse_csv_lines(data: bytes, geometry: tuple[int, int] | None) -> EventStre
 
 
 def _csv_stream(geometry, file_geometry, cols: list) -> EventStream:
-    """The normalized stream of the int64 columns x, y, t, p in `cols`;
+    """The normalized stream of the integer columns x, y, t, p in `cols`;
     `geometry` wins. x, y and p are first replaced in `cols` by their HEVS
-    dtypes where the values fit. The bulk path's columns are four arrays,
-    so the wide ones are freed before the sort; the line walk's are views
-    of one 4 x n block, which its t keeps alive."""
+    dtypes where the values fit. The bulk path's columns already have them,
+    so they are not copied; the line walk's are int64 views of one 4 x n
+    block, which its t keeps alive through the sort."""
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
     for i in (0, 1):  # a negative or huge coordinate stays int64 for `validate_stream`
         if 0 <= cols[i].min() and cols[i].max() <= 0xFFFF:
-            cols[i] = cols[i].astype(np.uint16)
-    cols[3] = cols[3].astype(np.int8)  # the grammar leaves -1 and 1
+            cols[i] = cols[i].astype(np.uint16, copy=False)
+    cols[3] = cols[3].astype(np.int8, copy=False)  # the grammar leaves -1 and 1
     return EventStream.from_arrays(geom, *cols).normalized()
 
 
@@ -488,7 +488,7 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
     header_seen = False
     values = array("q")
     # only LF ends a line: splitlines() would also break a comment at \x0b or U+2028
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(_lf_lines(text), start=1):
         stripped = line.strip(_ASCII_SPACE)
         if not stripped:
             continue
@@ -524,6 +524,16 @@ def _walk_csv_lines(text: str) -> tuple[array, tuple[int, int] | None]:
     return values, file_geometry
 
 
+def _lf_lines(text: str) -> Iterator[str]:
+    """What splitting `text` at every LF gives, split from pieces of about
+    `_CSV_CHUNK` characters cut at an LF, so that no list holds every line."""
+    start = 0
+    while (cut := text.find("\n", start + _CSV_CHUNK)) >= 0:
+        yield from text[start:cut].split("\n")
+        start = cut + 1
+    yield from text[start:].split("\n")
+
+
 def _long_csv_field(field: str, line_no: int) -> int:
     """A field that `int` refused: non-numeric, or longer than Python's
     limit on digits, which leading zeros alone can reach without changing
@@ -540,9 +550,10 @@ def _long_csv_field(field: str, line_no: int) -> int:
 
 
 def _csv_body_columns(data: bytes, start: int) -> list[np.ndarray] | None:
-    """The rows of ``data[start:]`` as four int64 columns x, y, t, p
-    (polarity 0 mapped to -1), or None when any row is outside the fast
-    grammar. Works in chunks of whole rows to bound the temporaries."""
+    """The rows of ``data[start:]`` as columns x, y, t, p (polarity 0 mapped
+    to -1) at HEVS width, x or y widened to int64 at the first chunk with a
+    value outside 0..65535, or None when any row is outside the fast grammar.
+    Works in chunks of whole rows to bound the temporaries."""
     if not data.endswith(b"\n"):  # declines before any bulk work
         return None
     body = memoryview(data)[start:]  # NumPy counts ~5x faster than bytes.count's byte loop
@@ -550,23 +561,31 @@ def _csv_body_columns(data: bytes, start: int) -> list[np.ndarray] | None:
             for i in range(0, len(body), _CSV_CHUNK))
     if not n or 8 * n > len(data) - start:  # a row takes at least 8 bytes, "0,0,0,0\n"
         return None
-    cols = [np.empty(n, dtype=np.int64) for _ in _FIELDS]
+    cols = [np.empty(n, dtype=d) for d in ("u2", "u2", "i8", "i1")]
+    xy = np.empty((2, min(n, _CSV_CHUNK // 8)), dtype=np.int64)  # a chunk's x and y
     row = 0
     while start < len(data):
         stop = data.rfind(b"\n", start, start + _CSV_CHUNK) + 1
         if stop <= start:  # no final newline, or a row longer than a chunk
             return None
         rows = _csv_chunk(np.frombuffer(data, np.uint8, stop - start, start),
-                          [c[row:] for c in cols])
+                          [*xy, cols[2][row:], cols[3][row:]])
         if rows is None:
             return None
+        for c in (0, 1):  # viewed as uint64, a negative value is above 0xFFFF too
+            if cols[c].dtype == np.uint16 and xy[c, :rows].view(np.uint64).max() > 0xFFFF:
+                wide = np.empty(n, dtype=np.int64)
+                wide[:row] = cols[c][:row]
+                cols[c] = wide
+            cols[c][row:row + rows] = xy[c, :rows]
         row += rows
         start = stop
     return cols
 
 
 def _csv_chunk(b: np.ndarray, out: list[np.ndarray]) -> int | None:
-    """Parse whole rows ``b`` (ending in ``\n``) into ``out[c][:rows]``.
+    """Parse whole rows ``b`` (ending in ``\n``) into ``out[c][:rows]``:
+    int64 x, y and t, and p of any signed integer dtype.
 
     Every byte is classified first: digit, ``-``, or a separator (any byte
     below ``-``). Each row's separators must read ``,,,\n``, each field one

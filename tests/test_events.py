@@ -364,15 +364,9 @@ def _shuffled_csv(n, seed):
                                                   cols[order].tolist())])
 
 
-def test_csv_parse_peak_of_a_shuffled_100k():
-    """The stable argsort's int64 permutation and its gathered int64 t
-    peaked at 7.20 MB; the packed key sort, whose key also becomes the
-    uint32 t and the gather index of x, y and p, measured 6.80 MB, with the
-    int64 4 x n block of the bulk pass alive through the sort. Four separate
-    columns, x, y and p narrowed to uint16, uint16 and int8 before the sort,
-    and bulk passes over 128 KiB chunks, not 256 KiB, measure 4.44 MB, the
-    peak of the bulk pass itself."""
-    data = _shuffled_csv(100_000, 17)
+def _csv_parse_peak(data):
+    """The stream `parse_events_csv` gives for `data` and the traced peak of
+    that call, after one warm-up call."""
     parse_events_csv(data)
     tracemalloc.start()
     try:
@@ -380,8 +374,63 @@ def test_csv_parse_peak_of_a_shuffled_100k():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return s, peak
+
+
+def test_csv_parse_peak_of_a_shuffled_100k():
+    """The stable argsort's int64 permutation and its gathered int64 t
+    peaked at 7.20 MB; the packed key sort, whose key also becomes the
+    uint32 t and the gather index of x, y and p, measured 6.80 MB, with the
+    int64 4 x n block of the bulk pass alive through the sort. Four separate
+    columns, x, y and p narrowed to uint16, uint16 and int8 before the sort,
+    and bulk passes over 128 KiB chunks, not 256 KiB, measured 4.44 MB, the
+    peak of the bulk pass itself. The bulk pass writing x, y and p at HEVS
+    width, through one chunk's int64 scratch, measures 3.00 MB."""
+    s, peak = _csv_parse_peak(_shuffled_csv(100_000, 17))
     assert len(s) == 100_000 and s.events.t.dtype == np.uint32
-    assert peak < 4_500_000
+    assert peak < 3_300_000
+
+
+def test_csv_line_walk_peak_of_a_shuffled_100k_with_crlf():
+    """CRLF rows go through the line walk. Its ``text.split("\\n")`` held one
+    str per line and peaked at 12.63 MB on this input; splitting a piece of
+    about `_CSV_CHUNK` characters at a time measures 7.36 MB."""
+    s, peak = _csv_parse_peak(_shuffled_csv(100_000, 17).replace(b"\n", b"\r\n"))
+    assert len(s) == 100_000
+    assert peak < 8_500_000
+
+
+_ROWS_PER_CHUNK = _CSV_CHUNK // 16
+
+
+def _assert_bulk_columns(x, y, want):
+    """Rows of 16 bytes each, so that every bulk chunk holds exactly
+    `_ROWS_PER_CHUNK` of them, give columns of the `want` dtypes holding the
+    values, through `_csv_body_columns` and through the line walk alike."""
+    t, p = np.arange(len(x)) % 1000, np.arange(len(x)) % 2
+    rows = (f"{a:05d},{b:03d},{c:03d},{d}\n" for a, b, c, d in zip(x, y, t, p))
+    data = (_HEAD + "".join(rows)).encode()
+    assert len(data) - len(_HEAD) == 16 * len(x) > 3 * _CSV_CHUNK
+    cols = _csv_body_columns(data, len(_HEAD))
+    assert [c.dtype for c in cols] == [np.dtype(w) for w in want]
+    for c, v in zip(cols, (x, y, t, np.where(p == 0, -1, p))):
+        assert np.array_equal(c, v)
+    assert_same_as_line_walk(data)
+
+
+def test_csv_bulk_columns_widen_keeping_the_rows_before():
+    """x reaches 65536 only in the third chunk and y is -1 only in the last
+    row: each widens to int64 at its chunk, the rows already parsed copied
+    into the wide column."""
+    n = 3 * _ROWS_PER_CHUNK + 100
+    x, y = np.arange(n) % 65535 + 1, np.arange(n) % 1000
+    x[2 * _ROWS_PER_CHUNK + 17], y[-1] = 65536, -1
+    _assert_bulk_columns(x, y, ("i8", "i8", "i8", "i1"))
+
+
+def test_csv_bulk_columns_at_the_uint16_edges_stay_uint16():
+    n = 3 * _ROWS_PER_CHUNK + 100
+    _assert_bulk_columns(np.full(n, 65535), np.zeros(n, int), ("u2", "u2", "i8", "i1"))
 
 
 @pytest.mark.parametrize("x, y, want", [

@@ -44,7 +44,13 @@ from evholo import (
 )
 from evholo.cli import main
 from evholo.errors import BadPolarity, BadTimestamp, EvholoError
-from evholo.events import _HEVS_RECORD_DTYPE, HEVS_HEADER, HEVS_RECORD
+from evholo.events import (
+    _CSV_CHUNK,
+    _HEVS_RECORD_DTYPE,
+    HEVS_HEADER,
+    HEVS_RECORD,
+    _csv_body_columns,
+)
 from evholo.gsg import GsgParams, params_from_archive, params_to_archive
 from evholo.tensorio import write_tensor
 
@@ -188,6 +194,39 @@ def test_validate_exit_code_on_fuzzed_event_files(tmp_path_factory, blob):
 @given(st.one_of(CLEAN_DOCS, NEAR_CLEAN_DOCS, CLEAN_DOCS.flatmap(fuzzed), NOISY_DOCS,
                  CSV_LINES, MUTATED), st.sampled_from([None, (5, 7)]))
 def test_csv_parser_equals_its_line_walk(blob, geometry):
+    assert_same_as_line_walk(blob, geometry)
+
+
+def multi_chunk_csv(size, seed, row, col, value, odd):
+    """A CSV whose body, of at most `size` bytes, holds seeded rows on a
+    346x260 sensor, with x (col 0) or y (col 1) of row ``row % rows`` set to
+    `value` and the (position, line) pairs `odd` inserted among the rows."""
+    rng = np.random.default_rng(seed)
+    n = size // 12
+    cols = (rng.integers(0, 346, n), rng.integers(0, 260, n),
+            rng.integers(0, 10_000_000, n), rng.integers(-1, 2, n))
+    rows = [f"{a},{b},{c},{d}" for a, b, c, d in zip(*(c.tolist() for c in cols))]
+    rows = rows[:int(np.searchsorted(np.cumsum([len(r) + 1 for r in rows]), size, "right"))]
+    i = row % len(rows)
+    fields = rows[i].split(",")
+    fields[col] = str(value)
+    rows[i] = ",".join(fields)
+    return csv_doc(["# geometry 346x260"], rows, [(i % (len(rows) + 1), line) for i, line in odd])
+
+
+@settings(FUZZ, max_examples=15)
+@given(st.integers(_CSV_CHUNK + 64, 4 * _CSV_CHUNK - 64), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 2 ** 16), st.integers(0, 1), st.integers(-70_000, 70_000),
+       st.lists(st.tuples(st.integers(0, 2 ** 16), ODD), max_size=1),
+       st.sampled_from([None, (5, 7)]))
+def test_multi_chunk_csv_bulk_equals_line_walk(size, seed, row, col, value, odd, geometry):
+    """Over a body of 2 to 4 bulk chunks, the values, dtypes and errors of
+    the bulk path are the line walk's wherever a coordinate from -70000 to
+    70000 lands; the bulk path takes every body without an odd line."""
+    blob = multi_chunk_csv(size, seed, row, col, value, odd)
+    start = blob.index(b"x,y,t,p") + 8
+    assert len(blob) - start > _CSV_CHUNK
+    assert odd or _csv_body_columns(blob, start) is not None
     assert_same_as_line_walk(blob, geometry)
 
 
