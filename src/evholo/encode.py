@@ -23,19 +23,21 @@ fit int64 raises `TooLarge`. Every bin is widened to int64 before any
 arithmetic (under NEP 50 a uint16 column times an int stays uint16 and wraps).
 
 Chunks (a, b, lo, hi), events lo:hi filling rows a:b, are planned up front:
-whole time rows grouped up to 2**16 events (a row with more is a chunk of its
-own), or for the HW view, which has no time axis, 2**16 events of the stream
-as it is over all rows. One loop bins every chunk: it copies x, y and p
+whole time rows grouped up to 2**16 events (a row with more is binned in
+parts of 2**16), or for the HW view, which has no time axis, 2**16 events of
+the stream as it is over all rows. One loop bins every chunk: it copies x, y and p
 contiguous (a parsed stream's are strided views of its records), drops
 out-of-geometry events, gathers phi, takes the column bins, frees x, and only
 then builds the row offsets and fills the chunk's rows, so temporaries are
 sized by the chunk. The CHSR copies x into intp, as the phi gather runs 3x
 faster on an intp index than on uint16; freeing it before the row offsets
 keeps the call peak where the uint16 copy had it. The views, with no phi,
-keep x's own dtype. No time-row cell spans two chunks, so the holographic
-channel (a weighted `bincount` in event order, phi from a W-entry table, or
-per event when events are fewer than W) sums each cell as one pass would,
-bit-identically.
+keep x's own dtype. No time-row cell spans two chunks, and the weighted `bincount` of
+a later part of a long row starts with the row's sums so far (0.0 + s == s),
+so the holographic channel (a weighted `bincount` in event order, phi from a
+W-entry table, or per event when events are fewer than W) sums each cell as
+one pass would, bit-identically; summing each part's own `bincount` into the
+row would not be.
 Counts keep two accumulates, each faster and smaller for its rows: time rows
 one `bincount` over (cell, polarity) keys made in place on the cell index,
 the polarity mask added as int8 (1.6x faster than `np.add.at`); HW
@@ -183,11 +185,12 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
     # chunks (a, b, lo, hi): events lo:hi fill rows a:b
     if rows_of == "y":  # every chunk of _CHUNK events adds into all rows
         chunks = [(0, row_bins, lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    else:  # whole time rows, at most _CHUNK events unless one row holds more
+    else:  # whole time rows up to _CHUNK events; a row with more, in parts of _CHUNK
         chunks, a = [], 0
         while a < row_bins:
             b = max(a + 1, int(np.searchsorted(edges, edges[a] + _CHUNK, side="right")) - 1)
-            chunks.append((a, b, int(edges[a]), int(edges[b])))
+            lo, hi = int(edges[a]), int(edges[b])
+            chunks += [(a, b, s, min(s + _CHUNK, hi)) for s in range(lo, hi, _CHUNK)]
             a = b
 
     def add(a, b, lo, hi):
@@ -209,10 +212,14 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         if rows_of == "y":  # row * col_bins of each event, as a fresh int64 array
             cell = np.multiply(_scaled(ys, row_bins, h), col_bins, dtype=np.int64)
         else:
-            cell = np.repeat(np.arange(0, cells, col_bins), np.diff(edges[a:b + 1]))[inb]
+            cell = np.repeat(np.arange(0, cells, col_bins),  # one row may be a part of it
+                             np.diff(edges[a:b + 1]) if b - a > 1 else hi - lo)[inb]
         cell += cols
         if with_phi:
-            out[2, a:b] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(b - a, -1)
+            if lo > edges[a]:  # a later part of row a: its sums so far lead, as 0.0 + s == s
+                out[2, a] = np.bincount(np.r_[np.arange(cells), cell], np.r_[out[2, a], phi_x])
+            else:
+                out[2, a:b] = np.bincount(cell, weights=phi_x, minlength=cells).reshape(b - a, -1)
             del phi_x  # freed before the polarity masks, so they never add to its 8 bytes per event
         neg = ps == -1
         signed = neg | (ps == 1)
@@ -228,8 +235,8 @@ def _histograms(stream, rows_of, row_bins, cols_of, col_bins, with_phi):
         if not signed.all():
             key = key[signed]
         counts = np.bincount(key, minlength=2 * cells).reshape(b - a, col_bins, 2)
-        out[0, a:b] = counts[..., 0]
-        out[1, a:b] = counts[..., 1]
+        out[0, a:b] += counts[..., 0]  # a row's parts add up; its first adds to 0.0
+        out[1, a:b] += counts[..., 1]
         return hi - lo - len(ps)
 
     return out, sum(add(*c) for c in chunks if c[3] > c[2])

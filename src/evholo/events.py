@@ -72,6 +72,7 @@ __all__ = [
     "write_events_csv",
 ]
 
+import io
 import re
 import struct
 from array import array
@@ -133,7 +134,7 @@ _CSV_ROW_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _CSV_CHUNK = 1 << 17  # bytes of rows per bulk pass, cut at a newline
 _POW10 = [np.int64(10) ** j for j in range(18)]
 _HEVS_CHUNK = 1 << 13  # records per step of the HEVS pass; its int64 t is 64 KB
-# field -> (min, max) that `parse_events_binary` accepts
+# field -> (min, max) that `parse_events_binary` accepts, in `_FIELDS` order
 _HEVS_RANGES = {"x": (0, 0xFFFF), "y": (0, 0xFFFF), "t": (0, _INT64_MAX), "p": (-1, 1)}
 
 
@@ -438,7 +439,10 @@ def parse_events_csv(data: bytes, geometry: tuple[int, int] | None = None) -> Ev
     Any other input goes through the line walk, which alone raises.
 
     Either way the columns take the HEVS dtypes before the sort: x and y
-    uint16 when every value is in 0..65535, else int64; p int8.
+    uint16 when every value is in 0..65535, else int64; p int8. t is
+    shifted to its uint32 column before the sort too, when it does not start
+    at 0 and spans less than 2**32 us, so t takes the dtype `normalized`
+    gives it.
     """
     data = _bytes(data)
     header = _CSV_HEADER_RE.search(data)
@@ -470,7 +474,11 @@ def _csv_stream(geometry, file_geometry, cols: list) -> EventStream:
     `geometry` wins. x, y and p are first replaced in `cols` by their HEVS
     dtypes where the values fit. The bulk path's columns already have them,
     so they are not copied; the line walk's are int64 views of one 4 x n
-    block, which its t keeps alive through the sort."""
+    block. Then t, when its minimum is not 0 and its span below 2**32 us, is
+    replaced by the uint32 t - t_min that `normalized` would make, so the
+    parser's int64 t is freed before the sort builds its key; any other t
+    stays int64, for `normalized` to keep or shift, or to reject as
+    `TooLarge` past int64."""
     geom = geometry if geometry is not None else file_geometry
     if geom is None:
         raise GeometryMissing("no '# geometry WxH' line and no explicit geometry")
@@ -478,6 +486,9 @@ def _csv_stream(geometry, file_geometry, cols: list) -> EventStream:
         if 0 <= cols[i].min() and cols[i].max() <= 0xFFFF:
             cols[i] = cols[i].astype(np.uint16, copy=False)
     cols[3] = cols[3].astype(np.int8, copy=False)  # the grammar leaves -1 and 1
+    t0, t_max = int(cols[2].min()), int(cols[2].max())
+    if t0 and t_max - t0 < 1 << 32:  # the uint32 t `normalized` makes, before its sort
+        cols[2] = _shifted(cols[2], t0, t_max)
     return EventStream.from_arrays(geom, *cols).normalized()
 
 
@@ -699,18 +710,29 @@ def parse_events_binary(data: bytes) -> EventStream:
 
 def write_events_binary(stream: EventStream) -> bytes:
     """Serialize a stream to HEVS bytes; a side or field value outside what
-    `parse_events_binary` accepts (`_HEVS_RANGES`) is `SpecInvalid`."""
+    `parse_events_binary` accepts (`_HEVS_RANGES`) is `SpecInvalid`.
+
+    The records are packed `_HEVS_CHUNK` at a time into one reused block and
+    written into a buffer of the output's final size, which CPython's
+    `BytesIO.getvalue` hands back without a copy: the call peaks at the
+    output plus one block, not two copies of the records.
+    """
     w, h = stream.geometry
     _integer("u16 geometry side", max(w, h), SpecInvalid, 1, 0xFFFF)
-    for field, (lo, hi) in _HEVS_RANGES.items():
-        v = stream.events[field]
+    cols = [stream.events[field] for field in _FIELDS]
+    for (field, (lo, hi)), v in zip(_HEVS_RANGES.items(), cols):
         if len(v) and (v.min() < lo or v.max() > hi):
             raise SpecInvalid(f"{field} values outside {lo}..{hi} are not representable in HEVS")
-    header = _HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(stream))
-    recs = np.empty(len(stream), dtype=_HEVS_RECORD_DTYPE)
-    for field in _FIELDS:
-        recs[field] = stream.events[field]
-    return b"".join((header, recs.data))
+    n = len(stream)
+    out = io.BytesIO(bytes(HEVS_HEADER + n * HEVS_RECORD))  # its only owner: written in place
+    out.write(_HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, n))
+    block = np.empty(min(n, _HEVS_CHUNK), dtype=_HEVS_RECORD_DTYPE)
+    for lo in range(0, n, _HEVS_CHUNK):
+        recs = block[:n - lo]
+        for field, v in zip(_FIELDS, cols):
+            recs[field] = v[lo:lo + _HEVS_CHUNK]
+        out.write(recs.data)
+    return out.getvalue()
 
 
 def validate_stream(stream: EventStream) -> ValidationReport:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,7 +308,7 @@ def test_plane_size_overflow_is_rejected():
         encode_view(EventStream.from_arrays((8, 2 ** 56 - 1), [0], [0], [0], [1]), "hw")
 
 
-def test_hevs_parse_encode_write_peak():
+def test_hevs_parse_encode_write_peak(traced_peak):
     """The `hevs_encode_1m` operation: parse, encode, write the tensor. The
     shifted t is a 4 MB uint32 column (it was 8 MB of int64) and the tensor
     is copied once into the HTEN bytes (it was twice): 7.55 MB measured
@@ -321,14 +320,12 @@ def test_hevs_parse_encode_write_peak():
     them took the op to 3.13-3.17 MB."""
     data = hevs_encode_1m_bytes(11)
     config = EncodeConfig(t_bins=224)
-    tracemalloc.start()
-    try:
+
+    def op():
         stream = parse_events_binary(data)
         tensor = encode_chsr(stream, config)
-        out = write_tensor(tensor.data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return stream, tensor, write_tensor(tensor.data)
+    (stream, tensor, out), peak = traced_peak(op)
     assert stream.events.t.dtype == np.uint32
     assert out[8 + 3 * 8:] == tensor.data.tobytes()  # after the header and dims
     assert peak < 2_900_000
@@ -417,16 +414,11 @@ def test_deferred_t_shift_reads_like_the_eager_twin(case):
         assert fresh.events._t[1] == (pending if keeps else 0), name
 
 
-def test_few_events_on_a_wide_sensor_skip_the_phi_table():
+def test_few_events_on_a_wide_sensor_skip_the_phi_table(traced_peak):
     # a W-entry phi table for 2 events on a 2e6-wide sensor peaked at 48 MB
     w = 2_000_000
     s = EventStream.from_arrays((w, 1), [0, w - 1], [0, 0], [0, 5], [1, -1])
-    tracemalloc.start()
-    try:
-        t = encode_chsr(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, peak = traced_peak(lambda: encode_chsr(s))
     assert peak < 1_000_000
     assert t.data[2].sum() == phi(np.arange(w), w)[w - 1]  # bit-identical to the table
 
@@ -612,7 +604,8 @@ def test_chunk_size_leaves_every_output_bit_identical(monkeypatch, chunk):
 
 
 def test_time_bin_beyond_the_chunk_size_is_one_chunk(monkeypatch):
-    # 900 events share one timestamp, so one time bin holds 9x the chunk size
+    # 900 events share one timestamp, so one time bin holds 9x the chunk size;
+    # it is binned in parts of the chunk size, as if it were one chunk
     rng = np.random.default_rng(32)
     t = np.sort(np.concatenate([rng.integers(0, 10_000, 2000), np.full(900, 4321)]))
     n = len(t)
@@ -627,6 +620,22 @@ def test_time_bin_beyond_the_chunk_size_is_one_chunk(monkeypatch):
     big_bin = (4321 - t[0]) * 50 // (t[-1] - t[0] + 1)
     assert t_enc.data[:2, big_bin].sum() >= 900
     assert np.allclose(t_enc.data[2], ref[2], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_bins", [1, 2])
+def test_a_long_time_row_is_binned_in_parts(monkeypatch, traced_peak, t_bins):
+    """A time row of more than 2**16 events is binned 2**16 events at a time.
+    Each later part's weighted bincount starts from the row's sums so far
+    (0.0 + s == s), so every output is that of one pass over the row. As one
+    chunk the row set the encode peak: 19.08 MB at t_bins=1 and 9.59 MB at 2
+    on this input; in parts, 2.31 and 2.32 MB."""
+    s = hevs_encode_1m_stream(11)
+    config = EncodeConfig(t_bins=t_bins)
+    _, peak = traced_peak(lambda: encode_chsr(s, config))
+    assert peak < 3_200_000
+    got = _encodings(s, config)
+    monkeypatch.setattr(encode_module, "_CHUNK", 2 ** 40)  # every row one chunk
+    assert got == _encodings(s, config)
 
 
 def test_unsorted_raw_stream_equals_its_sorted_twin(monkeypatch):
@@ -735,7 +744,7 @@ def test_benchmark_inputs_encode_to_pinned_bytes(seed):
             hashlib.sha256(views).hexdigest()) == ENCODING_PINS[seed]
 
 
-def test_sorted_1m_encode_peak_stays_chunk_sized():
+def test_sorted_1m_encode_peak_stays_chunk_sized(traced_peak):
     # one pass over all events peaked at 16.5 MB of int64 and float64
     # temporaries, chunks of 2**17 events at 3.55 MB, and chunks of 2**16
     # with contiguous x, y and p measure 2.80 MB: a chunk's temporaries kept
@@ -748,49 +757,34 @@ def test_sorted_1m_encode_peak_stays_chunk_sized():
         EventStream.from_arrays(s.geometry, ev.x, ev.y, ev.t - ev.t[0], ev.p)))
     assert not from_zero.normalized().events.t.flags.c_contiguous
     for stream in (s, from_zero):
-        tracemalloc.start()
-        try:
-            encode_chsr(stream, EncodeConfig(t_bins=224))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: encode_chsr(stream, EncodeConfig(t_bins=224)))
         assert peak < 3_200_000
 
 
-def test_1m_hw_view_peak_stays_chunk_sized():
+def test_1m_hw_view_peak_stays_chunk_sized(traced_peak):
     # one chunk of all events peaked at 12.88 MB; chunks of 2**16 events that
     # add their counts into the planes measure 3.02 MB, of which the planes
     # are 1.44 MB
     s = hevs_encode_1m_stream(11)
-    tracemalloc.start()
-    try:
-        encode_view(s, "hw")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: encode_view(s, "hw"))
     assert peak < 3_200_000
 
 
-def test_one_value_of_a_1m_parse_leaves_its_t_unshifted():
+def test_one_value_of_a_1m_parse_leaves_its_t_unshifted(traced_peak):
     """duration, repr and one event read the raw view and t0 of a pending
     shift: each read built the whole uint32 t column, 4.13 MB at its peak."""
     s = hevs_encode_1m_stream(11)
     raw = np.frombuffer(hevs_encode_1m_bytes(11), _HEVS_RECORD_DTYPE, offset=HEVS_HEADER)["t"]
     want = (int(raw[-1] - raw[0]), int(raw[400_000] - raw[0]), int(raw[-1] - raw[0]))
     for read in (lambda: s.duration, lambda: repr(s), lambda: (s[400_000].t, s[-1].t)):
-        tracemalloc.start()
-        try:
-            read()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(read)
         assert peak < 200_000
     assert s.events._t[1] == raw[0]
     assert (s.duration, s[400_000].t, s[-1].t) == want
     assert f"duration={want[0]} us" in repr(s)
 
 
-def test_a_selection_of_a_1m_parse_shifts_only_its_events():
+def test_a_selection_of_a_1m_parse_shifts_only_its_events(traced_peak):
     """A slice, mask or permutation of a pending shift selects from the raw
     view, then shifts the selection into the whole column's dtype: selecting
     first built the whole uint32 t column, 4.13 MB at its peak."""
@@ -799,12 +793,7 @@ def test_a_selection_of_a_1m_parse_shifts_only_its_events():
     mask = np.zeros(len(raw), dtype=bool)
     mask[[3, 500_000, -1]] = True
     for key in (slice(None, 10), slice(-5, None), mask, np.array([999_999, 0, 400_000])):
-        tracemalloc.start()
-        try:
-            sel = s.events[key]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sel, peak = traced_peak(lambda: s.events[key])
         assert peak < 200_000
         assert sel.t.dtype == np.uint32
         assert sel.t.tolist() == (raw[key] - raw[0]).tolist()
@@ -825,18 +814,13 @@ def test_a_selection_takes_the_dtype_of_the_whole_shifted_t(span):
         assert sel.t.tolist() == s.events.t[key].tolist()
 
 
-def test_1m_hevs_parse_peak_is_its_t_column():
+def test_1m_hevs_parse_peak_is_its_t_column(traced_peak):
     """Beyond the 4 MB uint32 t, a step of the parse holds 64 KB of int64 t
     and a few KB more: 4.08 MB measured, against 4.13 MB for whole-array
     checks and 4.17 MB for steps of 2**14 records. The parse no longer
     writes the shifted t (it is made on the first read of `t`, here the
     dtype check after the peak), so only a step's buffers are left: 0.084 MB."""
     data = hevs_encode_1m_bytes(11)
-    tracemalloc.start()
-    try:
-        stream = parse_events_binary(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stream, peak = traced_peak(lambda: parse_events_binary(data))
     assert stream.events.t.dtype == np.uint32
     assert peak <= 150_000

@@ -1,5 +1,4 @@
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +11,13 @@ from evholo import (
     EventStream,
     PeriodicGenSpec,
     SpecInvalid,
+    dominant_frequency,
     encode_chsr,
+    event_rate_series,
     generate_periodic_stream,
     parse_events_binary,
     parse_events_csv,
+    synthetic_uniform_stream,
     validate_stream,
     write_events_binary,
     write_events_csv,
@@ -34,8 +36,11 @@ from evholo.errors import (
 )
 from evholo.events import (
     _CSV_CHUNK,
+    _HEVS_CHUNK,
+    _HEVS_HEAD,
     _HEVS_RECORD_DTYPE,
     HEVS_HEADER,
+    HEVS_MAGIC,
     HEVS_RECORD,
     _ascending,
     _csv_body_columns,
@@ -339,16 +344,12 @@ def test_csv_digit_layers_sum_in_int64(monkeypatch):
                                           [10 ** 18 - 1, -123456789012345678], [-1, 1]]
 
 
-def test_csv_blank_lines_do_not_size_the_columns():
+def test_csv_blank_lines_do_not_size_the_columns(traced_peak):
     # newlines that cannot all be rows must not size the bulk columns
     # (32 bytes each): this input peaked at 35 MB, the line walk alone at 9.5
     data = _csv(["# geometry 4x4", "x,y,t,p", "1,1,2,1"]) + b"\n" * 1_000_000
-    tracemalloc.start()
-    try:
-        assert len(parse_events_csv(data)) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    s, peak = traced_peak(lambda: parse_events_csv(data))
+    assert len(s) == 1
     assert peak < 16_000_000
 
 
@@ -364,20 +365,7 @@ def _shuffled_csv(n, seed):
                                                   cols[order].tolist())])
 
 
-def _csv_parse_peak(data):
-    """The stream `parse_events_csv` gives for `data` and the traced peak of
-    that call, after one warm-up call."""
-    parse_events_csv(data)
-    tracemalloc.start()
-    try:
-        s = parse_events_csv(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return s, peak
-
-
-def test_csv_parse_peak_of_a_shuffled_100k():
+def test_csv_parse_peak_of_a_shuffled_100k(traced_peak):
     """The stable argsort's int64 permutation and its gathered int64 t
     peaked at 7.20 MB; the packed key sort, whose key also becomes the
     uint32 t and the gather index of x, y and p, measured 6.80 MB, with the
@@ -385,17 +373,76 @@ def test_csv_parse_peak_of_a_shuffled_100k():
     columns, x, y and p narrowed to uint16, uint16 and int8 before the sort,
     and bulk passes over 128 KiB chunks, not 256 KiB, measured 4.44 MB, the
     peak of the bulk pass itself. The bulk pass writing x, y and p at HEVS
-    width, through one chunk's int64 scratch, measures 3.00 MB."""
-    s, peak = _csv_parse_peak(_shuffled_csv(100_000, 17))
+    width, through one chunk's int64 scratch, measured 3.00 MB, and t shifted
+    to uint32 before the sort, so the parser's int64 t is freed before the
+    key is built, measures 2.80 MB, the peak of the bulk pass."""
+    data = _shuffled_csv(100_000, 17)
+    parse_events_csv(data)  # a warm-up call
+    s, peak = traced_peak(lambda: parse_events_csv(data))
     assert len(s) == 100_000 and s.events.t.dtype == np.uint32
-    assert peak < 3_300_000
+    assert peak < 2_900_000
 
 
-def test_csv_line_walk_peak_of_a_shuffled_100k_with_crlf():
+def test_csv_ingest_op_peak_of_a_shuffled_100k(traced_peak):
+    """The benchmark's CSV ingest: parse, validate, rate series, dominant
+    frequency, HEVS write. The write packed every record into one array
+    beside its output and set the peak at 3.50 MB on this input; written one
+    block at a time, the parse sets it at 2.80 MB."""
+    data = _shuffled_csv(100_000, 17)
+
+    def op():
+        s = parse_events_csv(data)
+        validate_stream(s)
+        dominant_frequency(event_rate_series(s, 0.01))
+        return write_events_binary(s)
+    op()  # a warm-up call
+    out, peak = traced_peak(op)
+    assert len(out) == HEVS_HEADER + 100_000 * HEVS_RECORD
+    assert peak < 2_900_000
+
+
+def _csv_of_t(t):
+    """A CSV of the timestamps t in that order, x, y and p from the row index."""
+    rows = (f"{i % 7},{i % 5},{v},{1 if i % 2 else -1}" for i, v in enumerate(t))
+    return _csv(["# geometry 8x8", "x,y,t,p", *rows])
+
+
+@pytest.mark.parametrize("t, dtype", [
+    pytest.param([0, 9, 4, 7], np.int64, id="from-0"),
+    pytest.param([0, 2 ** 40, 4, 7], np.int64, id="from-0-wide"),
+    pytest.param([8, 7 + 2 ** 32 - 1, 9, 7], np.uint32, id="span-2**32-1"),
+    pytest.param([8, 7 + 2 ** 32, 9, 7], np.int64, id="span-2**32"),
+    pytest.param([-5, -9, 3, -9], np.uint32, id="negative-t0"),
+    pytest.param([10 ** 18 - 1, -(10 ** 18) + 1, 0, 1], np.int64, id="negative-wide"),
+])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_csv_t_is_shifted_before_the_sort_by_the_rule_of_normalized(t, dtype, order, ending):
+    """Both CSV readers shift t to uint32 before the sort when it does not
+    start at 0 and spans less than 2**32 us, so the parser's int64 t is freed
+    before the sort key is built. The stream is the one the int64 t gives
+    `normalized`: the same values and dtypes, for LF rows (the bulk pass)
+    and CRLF rows (the line walk)."""
+    t = sorted(t) if order == "sorted" else t
+    data = _csv_of_t(t).replace(b"\n", ending.encode())
+    i = np.arange(len(t))
+    want = _normalized_by_argsort(EventColumns(
+        (i % 7).astype(np.uint16), (i % 5).astype(np.uint16), np.array(t, dtype=np.int64),
+        np.where(i % 2, 1, -1).astype(np.int8)))
+    got = parse_events_csv(data).events
+    assert got.t.dtype == dtype
+    for f, w in zip("xytp", want):
+        assert got[f].dtype == w.dtype and np.array_equal(got[f], w), f
+    assert_same_as_line_walk(data)
+
+
+def test_csv_line_walk_peak_of_a_shuffled_100k_with_crlf(traced_peak):
     """CRLF rows go through the line walk. Its ``text.split("\\n")`` held one
     str per line and peaked at 12.63 MB on this input; splitting a piece of
     about `_CSV_CHUNK` characters at a time measures 7.36 MB."""
-    s, peak = _csv_parse_peak(_shuffled_csv(100_000, 17).replace(b"\n", b"\r\n"))
+    data = _shuffled_csv(100_000, 17).replace(b"\n", b"\r\n")
+    parse_events_csv(data)  # a warm-up call
+    s, peak = traced_peak(lambda: parse_events_csv(data))
     assert len(s) == 100_000
     assert peak < 8_500_000
 
@@ -617,6 +664,50 @@ def test_hevs_round_trip_field_identical():
     assert len(kept) == mask.sum()
     assert kept[0] == s[int(np.argmax(mask))]
     assert parse_events_binary(write_events_binary(kept)) == kept.normalized()
+
+
+def _one_array_write(stream):
+    """HEVS bytes from one n-record array packed beside its output: the
+    writer's former expression, the reference for its blocks."""
+    w, h = stream.geometry
+    recs = np.empty(len(stream), dtype=_HEVS_RECORD_DTYPE)
+    for field in ("x", "y", "t", "p"):
+        recs[field] = stream.events[field]
+    return b"".join((_HEVS_HEAD.pack(HEVS_MAGIC, 1, w, h, len(stream)), recs.data))
+
+
+@pytest.mark.parametrize("n", [0, 1, _HEVS_CHUNK - 1, _HEVS_CHUNK, _HEVS_CHUNK + 1,
+                               3 * _HEVS_CHUNK + 5])
+def test_hevs_writer_blocks_equal_one_record_array(n):
+    """`write_events_binary` packs `_HEVS_CHUNK` records at a time into one
+    output buffer; its bytes are those of one array of every record, for
+    `from_arrays` streams of mixed dtypes, sorted or not, their normalized
+    twins, and parsed streams with their t shift still pending."""
+    rng = np.random.default_rng(n)
+    x, y = rng.integers(0, 65536, n), rng.integers(0, 260, n).astype(np.uint16)
+    p = rng.choice(np.array([-1, 0, 1], dtype=np.int8), n)
+    streams = []
+    for t in (rng.integers(3, 2 ** 63 - 1, n), 5 + rng.integers(0, 10 ** 7, n)):
+        raw = EventStream.from_arrays((65535, 260), x, y, t, p)
+        streams += [raw, raw.normalized(),
+                    EventStream.from_arrays((65535, 260), x, y, np.sort(t), p)]
+    for s in streams:
+        assert write_events_binary(s) == _one_array_write(s)
+        data = _one_array_write(s)
+        parsed = parse_events_binary(data)  # a sorted t from t > 0 waits for its shift
+        assert parsed.events._t[1] == (int(s.events.t[0]) if n and _ascending(s.events.t) else 0)
+        assert write_events_binary(parsed) == _one_array_write(parse_events_binary(data))
+
+
+def test_hevs_write_peak_is_its_output_and_one_block(traced_peak):
+    """One array of every record beside the output held two copies of the
+    records: 2.60 MB for these 100k events. Packed one block at a time into
+    a buffer of the output's size, the call measures 1.41 MB."""
+    s = synthetic_uniform_stream(100_000)
+    write_events_binary(s)  # a warm-up call
+    out, peak = traced_peak(lambda: write_events_binary(s))
+    assert len(out) == HEVS_HEADER + 100_000 * HEVS_RECORD
+    assert peak < 1.1 * len(out)
 
 
 def test_normalized_shifts_without_mutating_input():

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -664,19 +663,10 @@ def test_entries_leave_their_arrays_alone_and_return_fresh_ones(dtype):
         assert not any(np.shares_memory(out, a) for a in given)
 
 
-def _peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # one full-size float64 or complex array of the 3x224x260 window is 1.4 MB
 
 
-def test_gradient_peak_on_the_benchmark_window():
+def test_gradient_peak_on_the_benchmark_window(traced_peak):
     # 19.6 MB out of place, 12.6 MB in place on a whole-tensor tape; 5.7 MB
     # with the gate in row blocks and dL/dz written back into z; 4.4 MB with
     # the transforms axis by axis in one buffer and x_local and z dropped
@@ -685,20 +675,20 @@ def test_gradient_peak_on_the_benchmark_window():
     x = rng.standard_normal((3, 224, 260))
     u = rng.standard_normal((3, 224, 260))
     p = GsgParams.random(3, 224, 260, seed=8)
-    assert _peak(lambda: grad_spectral_weight(x, p, u)) < 4_900_000
+    assert traced_peak(lambda: grad_spectral_weight(x, p, u))[1] < 4_900_000
 
 
-def test_f32_forward_peak_on_the_benchmark_window():
+def test_f32_forward_peak_on_the_benchmark_window(traced_peak):
     # 15.2 MB out of place, 12.4 MB in place, 11.0 MB with the output
     # formed in the carrier; 4.9 MB with the gate in row blocks writing into
     # z; 4.3 MB, the padded conv's, with the transforms in one buffer; 3.5 MB
     # with the conv one channel at a time
     x = np.random.default_rng(29).standard_normal((3, 224, 260)).astype(np.float32)
     p = GsgParams.random(3, 224, 260, seed=9)
-    assert _peak(lambda: gsg_forward(x, p)) < 4_800_000
+    assert traced_peak(lambda: gsg_forward(x, p))[1] < 4_800_000
 
 
-def test_f64_forward_peak_on_the_benchmark_window():
+def test_f64_forward_peak_on_the_benchmark_window(traced_peak):
     # 11.66 MB with the block output a fresh carrier * gate; formed in the
     # carrier's buffer, 10.26 MB; 5.6 MB with the gate in row blocks writing
     # into z, the peak then x_local, rfft2(x_local), its product and z; 4.3 MB,
@@ -706,27 +696,27 @@ def test_f64_forward_peak_on_the_benchmark_window():
     # 4.2 MB, the filter's, with the conv one channel at a time
     x = np.random.default_rng(30).standard_normal((3, 224, 260))
     p = GsgParams.random(3, 224, 260, seed=8)
-    assert _peak(lambda: gsg_forward(x, p)) < 4_800_000
+    assert traced_peak(lambda: gsg_forward(x, p))[1] < 4_800_000
 
 
-def test_conv_peak_on_the_benchmark_window():
+def test_conv_peak_on_the_benchmark_window(traced_peak):
     # 4.28 MB with a C-wide padded copy and product beside the output; 2.4 MB
     # with one channel's padded scratch and product
     x = np.random.default_rng(36).standard_normal((3, 224, 260))
     k = GsgParams.random(3, 224, 260, seed=8).dw_kernel
-    assert _peak(lambda: depthwise_conv3x3(x, k)) < 2_600_000
+    assert traced_peak(lambda: depthwise_conv3x3(x, k))[1] < 2_600_000
 
 
-def test_spectral_filter_peak_on_the_benchmark_window():
+def test_spectral_filter_peak_on_the_benchmark_window(traced_peak):
     # 4.2 MB with rfft2's two outputs and a fresh product; 2.8 MB, the
     # spectrum and z, with the transforms and the product in one buffer
     rng = np.random.default_rng(32)
     x = rng.standard_normal((3, 224, 260))
     w = GsgParams.random(3, 224, 260, seed=8).spectral_weight
-    assert _peak(lambda: spectral_filter(x, w)) < 3_200_000
+    assert traced_peak(lambda: spectral_filter(x, w))[1] < 3_200_000
 
 
-def test_forward_then_gradient_peak_on_the_benchmark_window():
+def test_forward_then_gradient_peak_on_the_benchmark_window(traced_peak):
     # a benchmark step: the forward's output is held through the gradient;
     # 7.0 MB before the transforms ran in one buffer, 5.8 MB after
     rng = np.random.default_rng(33)
@@ -737,22 +727,22 @@ def test_forward_then_gradient_peak_on_the_benchmark_window():
     def step():
         y = gsg_forward(x, p)
         return y, grad_spectral_weight(x, p, u)
-    assert _peak(step) < 6_300_000
+    assert traced_peak(step)[1] < 6_300_000
 
 
-def test_value_and_grad_peak_on_the_benchmark_window():
+def test_value_and_grad_peak_on_the_benchmark_window(traced_peak):
     # the output is live through the gradient's chain, as the forward's output
     # is in the step above: 5.8 MB, the peak of that step
     rng = np.random.default_rng(33)
     x = rng.standard_normal((3, 224, 260))
     u = rng.standard_normal((3, 224, 260))
     p = GsgParams.random(3, 224, 260, seed=8)
-    assert _peak(lambda: gsg_value_and_grad(x, p, u)) < 6_300_000
+    assert traced_peak(lambda: gsg_value_and_grad(x, p, u))[1] < 6_300_000
 
 
-def test_f64_gate_peak_on_the_benchmark_window():
+def test_f64_gate_peak_on_the_benchmark_window(traced_peak):
     # 8.85 MB with the output a fresh carrier * gate, 7.46 MB in the carrier;
     # 2.9 MB in row blocks: the output and one block's tape
     z = np.random.default_rng(31).standard_normal((3, 224, 260))
     p = GsgParams.random(3, 224, 260, seed=8)
-    assert _peak(lambda: gated_reconstruction(z, p)) < 3_300_000
+    assert traced_peak(lambda: gated_reconstruction(z, p))[1] < 3_300_000

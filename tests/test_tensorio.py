@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,14 +195,9 @@ def test_bytes_equal_the_spelled_out_layout(name):
     assert back.shape == arr.shape and np.array_equal(back, arr)
 
 
-def test_write_copies_the_payload_once():
+def test_write_copies_the_payload_once(traced_peak):
     # header + dims + payload.tobytes() held two payload copies at once (2.8 MB)
     arr = np.random.default_rng(8).standard_normal((3, 224, 260))
-    tracemalloc.start()
-    try:
-        blob = write_tensor(arr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    blob, peak = traced_peak(lambda: write_tensor(arr))
     assert len(blob) == 8 + 3 * 8 + arr.nbytes
     assert peak < 1_600_000
